@@ -1,0 +1,468 @@
+"""Deciders for hyperideal classes: prime, primary, and the arity-graded
+absorbing variants.
+
+The (u,v) deciders quantify over multisets of u nonunits whose full
+hyperproduct lands in P, then aggregate over the ways the multiset splits
+into a v-part and a remainder.  Split aggregation is a parameter
+(SplitMode) because the source material is readable both ways; see the
+module tests for a worked pair of examples where the two disagree.
+ANY is the default: a counterexample is a multiset for which every split
+fails its disjunction, which is the reading that matches the worked
+integer examples this library reproduces.
+"""
+from __future__ import annotations
+
+from dataclasses import dataclass
+from itertools import combinations, combinations_with_replacement
+from typing import Iterable, Optional, Sequence
+
+from .core import FiniteHyperring, Mask, elems_of, iter_bits, mask_of, subset
+from .ideals import (
+    HyperIdeal,
+    colon,
+    enumerate_hyperideals,
+    generate,
+    ideal_product,
+    is_hyperideal,
+    radical_prime_intersection,
+)
+from .verdicts import (
+    ParameterError,
+    SplitMode,
+    UsageError,
+    UVParams,
+    Verdict,
+    fails,
+    holds,
+)
+
+
+def _require_proper(ring: FiniteHyperring, pmask: Mask) -> None:
+    if pmask == ring.full_mask:
+        raise UsageError("property is defined for proper hyperideals only")
+    if pmask == 0:
+        raise UsageError("hyperideal must be nonempty")
+
+
+# -- multiset product cache ---------------------------------------------------
+
+
+def multiset_products(ring: FiniteHyperring, max_size: int) -> dict[tuple, Mask]:
+    """Hyperproduct masks for every nondecreasing element tuple of length
+    <= max_size, built once per ring and grown on demand."""
+    cache = ring._cache.setdefault("msprod", {"size": 0, "prods": {}})
+    prods: dict[tuple, Mask] = cache["prods"]
+    if cache["size"] >= max_size:
+        return prods
+    lo = cache["size"]
+    carrier = range(ring.n)
+    if lo == 0:
+        for a in carrier:
+            prods[(a,)] = 1 << a
+        lo = 1
+    for size in range(lo + 1, max_size + 1):
+        mul = ring.mul_elem
+        for ms in combinations_with_replacement(carrier, size):
+            prods[ms] = mul(prods[ms[:-1]], ms[-1])
+    cache["size"] = max(cache["size"], max_size)
+    return prods
+
+
+def _complement(ms: Sequence[int], part: Sequence[int]) -> tuple:
+    rest = list(ms)
+    for x in part:
+        rest.remove(x)
+    return tuple(rest)
+
+
+def _splits(ms: tuple, v: int) -> list[tuple]:
+    return sorted(set(combinations(ms, v)))
+
+
+# -- prime / primary ----------------------------------------------------------
+
+
+def is_prime(ring: FiniteHyperring, pmask: Mask) -> Verdict:
+    """x ∘ y ⊆ P forces x in P or y in P, over all pairs."""
+    _require_proper(ring, pmask)
+    hm = ring.hmul
+    notp = ~pmask
+    tested = 0
+    for x in range(ring.n):
+        if pmask >> x & 1:
+            continue
+        row = hm[x]
+        for y in range(x, ring.n):
+            if pmask >> y & 1:
+                continue
+            if row[y] & notp == 0:
+                tested += 1
+                return fails({"x": x, "y": y}, space="all element pairs", tested=tested)
+    return holds(space="all element pairs", tested=ring.n * ring.n)
+
+
+def is_primary(ring: FiniteHyperring, pmask: Mask, radmask: Mask) -> Verdict:
+    """x ∘ y ⊆ P forces x in P or y in rad(P), over all ordered pairs."""
+    _require_proper(ring, pmask)
+    hm = ring.hmul
+    notp = ~pmask
+    tested = 0
+    for x in range(ring.n):
+        row = hm[x]
+        for y in range(x, ring.n):
+            if row[y] & notp:
+                continue
+            tested += 1
+            for a, b in ((x, y), (y, x)):
+                if not (pmask >> a & 1 or radmask >> b & 1):
+                    return fails(
+                        {"x": a, "y": b},
+                        space="all ordered element pairs",
+                        tested=tested,
+                    )
+    return holds(space="all ordered element pairs", tested=tested)
+
+
+# -- (u,v)-absorbing deciders -------------------------------------------------
+
+
+def _uv_scan(
+    ring: FiniteHyperring,
+    pmask: Mask,
+    concl_mask: Mask,
+    uv: UVParams,
+    mode: SplitMode,
+    pool: Sequence[int],
+    avoid_mask: Mask = 0,
+    label: str = "",
+) -> Verdict:
+    """Core scan shared by the absorbing deciders.
+
+    Hypothesis: full product of the u-multiset ⊆ P (and, when avoid_mask
+    is set, disjoint from it).  Disjunction per split: v-part product ⊆ P,
+    or remainder product ⊆ concl_mask.
+    """
+    u, v = uv.u, uv.v
+    prods = multiset_products(ring, u)
+    notp = ~pmask
+    hits = 0
+    space = f"{label or 'u-multisets'} u={u} v={v} pool={len(pool)} mode={mode.value}"
+    for ms in combinations_with_replacement(tuple(pool), u):
+        pm = prods[ms]
+        if pm & notp:
+            continue
+        if avoid_mask and pm & avoid_mask:
+            continue
+        hits += 1
+        if mode is SplitMode.ANY:
+            ok = False
+            for vpart in _splits(ms, v):
+                if not prods[vpart] & notp:
+                    ok = True
+                    break
+                if subset(prods[_complement(ms, vpart)], concl_mask):
+                    ok = True
+                    break
+            if not ok:
+                return fails(
+                    {"factors": list(ms)},
+                    space=space,
+                    tested=hits,
+                )
+        else:
+            for vpart in _splits(ms, v):
+                rest = _complement(ms, vpart)
+                if prods[vpart] & notp and not subset(prods[rest], concl_mask):
+                    return fails(
+                        {
+                            "factors": list(vpart + rest),
+                            "v_part": list(vpart),
+                            "rest": list(rest),
+                        },
+                        space=space,
+                        tested=hits,
+                    )
+    return holds(space=space, tested=hits)
+
+
+def is_uv_absorbing_primary(
+    ring: FiniteHyperring,
+    pmask: Mask,
+    radmask: Mask,
+    uv: UVParams,
+    mode: SplitMode = SplitMode.ANY,
+    pool: Optional[Sequence[int]] = None,
+) -> Verdict:
+    """Product of u nonunits inside P forces a v-part inside P or the
+    remainder inside rad(P).  `pool` overrides the nonunit pool (used by
+    the widened all-elements variant)."""
+    _require_proper(ring, pmask)
+    if pool is None:
+        pool = elems_of(ring.unit_report().nonunits)
+    return _uv_scan(ring, pmask, radmask, uv, mode, pool, label="absorbing-primary")
+
+
+def is_uv_absorbing_prime(
+    ring: FiniteHyperring,
+    pmask: Mask,
+    uv: UVParams,
+    mode: SplitMode = SplitMode.ANY,
+    pool: Optional[Sequence[int]] = None,
+) -> Verdict:
+    """Same hypothesis, but the remainder must land in P itself."""
+    _require_proper(ring, pmask)
+    if pool is None:
+        pool = elems_of(ring.unit_report().nonunits)
+    return _uv_scan(ring, pmask, pmask, uv, mode, pool, label="absorbing-prime")
+
+
+def is_uv_absorbing_i_primary(
+    ring: FiniteHyperring,
+    pmask: Mask,
+    imask: Mask,
+    radmask: Mask,
+    uv: UVParams,
+    mode: SplitMode = SplitMode.ANY,
+) -> Verdict:
+    """Variant whose hypothesis also avoids the product ideal I∘P: the
+    u-product must lie in P and miss I∘P entirely."""
+    _require_proper(ring, pmask)
+    ip = ideal_product(ring, imask, pmask).mask
+    pool = elems_of(ring.unit_report().nonunits)
+    verdict = _uv_scan(
+        ring, pmask, radmask, uv, mode, pool, avoid_mask=ip, label="absorbing-i-primary"
+    )
+    verdict.extra["ideal_product"] = elems_of(ip)
+    return verdict
+
+
+def is_1_absorbing_primary(
+    ring: FiniteHyperring,
+    pmask: Mask,
+    radmask: Mask,
+    mode: SplitMode = SplitMode.ANY,
+) -> Verdict:
+    """Triples of nonunits: x ∘ y ∘ z ⊆ P forces x ∘ y ⊆ P or z in rad(P).
+
+    Written as its own straightforward loop (no shared product cache) so
+    it can serve as a cross-check of the (3,2) decider.
+    """
+    _require_proper(ring, pmask)
+    nonunits = elems_of(ring.unit_report().nonunits)
+    notp = ~pmask
+    hits = 0
+    space = f"nonunit triples mode={mode.value}"
+    for ms in combinations_with_replacement(nonunits, 3):
+        if ring.hyperproduct(ms) & notp:
+            continue
+        hits += 1
+        options = sorted(set(ms))
+        if mode is SplitMode.ANY:
+            ok = False
+            for z in options:
+                pair = _complement(ms, (z,))
+                if not ring.hyperproduct(pair) & notp or radmask >> z & 1:
+                    ok = True
+                    break
+            if not ok:
+                return fails({"factors": list(ms)}, space=space, tested=hits)
+        else:
+            for z in options:
+                pair = _complement(ms, (z,))
+                if ring.hyperproduct(pair) & notp and not radmask >> z & 1:
+                    return fails(
+                        {"factors": list(pair + (z,)), "v_part": list(pair), "rest": [z]},
+                        space=space,
+                        tested=hits,
+                    )
+    return holds(space=space, tested=hits)
+
+
+def replay_uv_counterexample(
+    ring: FiniteHyperring,
+    pmask: Mask,
+    concl_mask: Mask,
+    factors: Sequence[int],
+    v: int,
+    mode: SplitMode = SplitMode.ANY,
+) -> bool:
+    """True iff the given factor multiset really violates the property:
+    full product ⊆ P while (ANY) every split fails its disjunction, or
+    (ALL) the as-ordered split fails."""
+    ms = tuple(sorted(factors))
+    total = ring.hyperproduct(ms)
+    if total & ~pmask:
+        return False
+    if mode is SplitMode.ALL:
+        vpart, rest = tuple(factors[:v]), tuple(factors[v:])
+        return bool(ring.hyperproduct(vpart) & ~pmask) and bool(
+            ring.hyperproduct(rest) & ~concl_mask
+        )
+    for vpart in _splits(ms, v):
+        if not ring.hyperproduct(vpart) & ~pmask:
+            return False
+        if not ring.hyperproduct(_complement(ms, vpart)) & ~concl_mask:
+            return False
+    return True
+
+
+# -- the top-arity characterization ------------------------------------------
+
+
+@dataclass
+class CharacterizationReport:
+    """Four equivalent faces of the (v+1, v) absorbing-primary property for
+    a C-hyperideal: (i) the decider itself, (ii) colons of v-products not
+    inside P stay inside rad(P), (iii) the element-times-ideal form,
+    (iv) the all-ideals form."""
+
+    v: int
+    i: Verdict
+    ii: Verdict
+    iii: Verdict
+    iv: Verdict
+
+    def booleans(self) -> tuple[bool, bool, bool, bool]:
+        return (self.i.holds, self.ii.holds, self.iii.holds, self.iv.holds)
+
+    @property
+    def equivalent(self) -> bool:
+        return len(set(self.booleans())) == 1
+
+
+def check_v1v_characterization(
+    ring: FiniteHyperring,
+    pmask: Mask,
+    radmask: Mask,
+    v: int,
+    mode: SplitMode = SplitMode.ANY,
+    clause_i: Optional[Verdict] = None,
+) -> CharacterizationReport:
+    if v < 1:
+        raise ParameterError("v must be >= 1")
+    _require_proper(ring, pmask)
+    uv = UVParams(v + 1, v)
+    lattice = enumerate_hyperideals(ring)
+    nonunits = elems_of(ring.unit_report().nonunits)
+    prods = multiset_products(ring, v + 1)
+    notp = ~pmask
+
+    if clause_i is None:
+        clause_i = is_uv_absorbing_primary(ring, pmask, radmask, uv, mode=mode)
+
+    # (ii) every colon by a v-product that escapes P stays inside rad(P)
+    clause_ii = None
+    tested = 0
+    seen: dict[Mask, Mask] = {}
+    for ms in combinations_with_replacement(nonunits, v):
+        pm = prods[ms]
+        if not pm & notp:
+            continue
+        tested += 1
+        if pm not in seen:
+            seen[pm] = colon(ring, pmask, pm)
+        if seen[pm] & ~radmask:
+            clause_ii = fails(
+                {"factors": list(ms), "colon": elems_of(seen[pm])},
+                space="v-multisets with product escaping P",
+                tested=tested,
+            )
+            break
+    if clause_ii is None:
+        clause_ii = holds(space="v-multisets with product escaping P", tested=tested)
+
+    # (iii) product ∘ Q ⊆ P forces the product into P or Q into rad(P)
+    clause_iii = None
+    tested = 0
+    for ms in combinations_with_replacement(nonunits, v):
+        pm = prods[ms]
+        for q in lattice.ideals:
+            if ring.set_mul(pm, q.mask) & notp:
+                continue
+            tested += 1
+            if pm & notp and q.mask & ~radmask:
+                clause_iii = fails(
+                    {"factors": list(ms), "ideal": q.members()},
+                    space="v-multisets times hyperideals",
+                    tested=tested,
+                )
+                break
+        if clause_iii is not None:
+            break
+    if clause_iii is None:
+        clause_iii = holds(space="v-multisets times hyperideals", tested=tested)
+
+    # (iv) products of v+1 proper hyperideals, aggregated like the element
+    # deciders: remainder ideal must fall into rad(P)
+    proper = [b.mask for b in lattice.proper()]
+    iprod: dict[tuple, Mask] = {(i,): m for i, m in enumerate(proper)}
+    for size in range(2, v + 2):
+        for idxs in combinations_with_replacement(range(len(proper)), size):
+            iprod[idxs] = ring.set_mul(iprod[idxs[:-1]], proper[idxs[-1]])
+    clause_iv = None
+    tested = 0
+    for idxs in combinations_with_replacement(range(len(proper)), v + 1):
+        if iprod[idxs] & notp:
+            continue
+        tested += 1
+        choices = sorted(set(idxs))
+        if mode is SplitMode.ANY:
+            ok = False
+            for q in choices:
+                rest = _complement(idxs, (q,))
+                if not iprod[rest] & notp or subset(proper[q], radmask):
+                    ok = True
+                    break
+            if not ok:
+                clause_iv = fails(
+                    {"ideals": [elems_of(proper[i]) for i in idxs]},
+                    space="(v+1)-multisets of proper hyperideals",
+                    tested=tested,
+                )
+                break
+        else:
+            done = False
+            for q in choices:
+                rest = _complement(idxs, (q,))
+                if iprod[rest] & notp and proper[q] & ~radmask:
+                    clause_iv = fails(
+                        {
+                            "ideals": [elems_of(proper[i]) for i in rest],
+                            "last": elems_of(proper[q]),
+                        },
+                        space="(v+1)-multisets of proper hyperideals",
+                        tested=tested,
+                    )
+                    done = True
+                    break
+            if done:
+                break
+    if clause_iv is None:
+        clause_iv = holds(space="(v+1)-multisets of proper hyperideals", tested=tested)
+
+    return CharacterizationReport(v, clause_i, clause_ii, clause_iii, clause_iv)
+
+
+# -- divided rings ------------------------------------------------------------
+
+
+def is_divided(ring: FiniteHyperring) -> Verdict:
+    """Every prime hyperideal is comparable with every principal one:
+    Q ⊆ <a> whenever a is outside the prime Q."""
+    lattice = enumerate_hyperideals(ring)
+    gen_cache: dict[int, Mask] = {}
+    tested = 0
+    for q in lattice.primes():
+        for a in range(ring.n):
+            if a in q:
+                continue
+            tested += 1
+            if a not in gen_cache:
+                gen_cache[a] = generate(ring, 1 << a).mask
+            if q.mask & ~gen_cache[a]:
+                return fails(
+                    {"prime": q.members(), "a": a, "principal": elems_of(gen_cache[a])},
+                    space="primes vs principal hyperideals",
+                    tested=tested,
+                )
+    return holds(space="primes vs principal hyperideals", tested=tested)

@@ -1,0 +1,434 @@
+"""Derived hyperrings: quotients A/P, matrix hyperrings M_m(A),
+localizations S^{-1}A, and transfer of classifications along good
+homomorphisms.
+
+Every construction validates its output.  Where the underlying theory
+asserts well-definedness (quotient products on cosets, localization
+operations on equivalence classes), this module checks it per instance
+and raises ConstructionError with a witness instead of assuming it.
+"""
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from itertools import product as cartesian
+from typing import Optional, Sequence
+
+from .core import FiniteHyperring, Mask, elems_of, iter_bits, mask_of, subset
+from .ideals import is_hyperideal, is_subgroup
+from .verdicts import ConstructionError, ResourceError, UsageError
+
+
+# -- good homomorphisms -------------------------------------------------------
+
+
+@dataclass
+class GoodHom:
+    """A total map between hyperrings that respects + exactly and ∘ setwise."""
+
+    source: FiniteHyperring
+    target: FiniteHyperring
+    mapping: tuple[int, ...]
+
+    def apply(self, x: int) -> int:
+        return self.mapping[x]
+
+    def image_mask(self, mask: Mask) -> Mask:
+        out = 0
+        for x in iter_bits(mask):
+            out |= 1 << self.mapping[x]
+        return out
+
+    def preimage_mask(self, mask: Mask) -> Mask:
+        out = 0
+        for x in range(self.source.n):
+            if mask >> self.mapping[x] & 1:
+                out |= 1 << x
+        return out
+
+    def kernel_mask(self) -> Mask:
+        return self.preimage_mask(1 << self.target.zero)
+
+    def is_surjective(self) -> bool:
+        return self.image_mask(self.source.full_mask) == self.target.full_mask
+
+
+def check_good_hom(hom: GoodHom) -> list[dict]:
+    """Exhaustive check of both homomorphism laws; returns failures."""
+    src, tgt, f = hom.source, hom.target, hom.mapping
+    if len(f) != src.n or any(not 0 <= y < tgt.n for y in f):
+        raise UsageError("mapping must send the source carrier into the target")
+    failures = []
+    for x in range(src.n):
+        for y in range(x, src.n):
+            if f[src.add[x][y]] != tgt.add[f[x]][f[y]]:
+                failures.append({"law": "additive", "x": x, "y": y})
+            if hom.image_mask(src.hmul[x][y]) != tgt.hmul[f[x]][f[y]]:
+                failures.append({"law": "multiplicative", "x": x, "y": y})
+    return failures
+
+
+def nonunit_preservation_witness(hom: GoodHom) -> Optional[int]:
+    """An x nonunit in the source whose image is a unit in the target, if any."""
+    src_nonunits = hom.source.unit_report().nonunits
+    tgt_units = hom.target.unit_report().units
+    for x in iter_bits(src_nonunits):
+        if tgt_units >> hom.mapping[x] & 1:
+            return x
+    return None
+
+
+def identity_hom(ring: FiniteHyperring) -> GoodHom:
+    return GoodHom(ring, ring, tuple(range(ring.n)))
+
+
+# -- quotient -----------------------------------------------------------------
+
+
+def quotient(ring: FiniteHyperring, pmask: Mask) -> tuple[FiniteHyperring, GoodHom]:
+    """A/P on additive cosets, with a ∘ b read off representatives.
+
+    Well-definedness of the coset product is verified over every element
+    pair, not just representatives.
+    """
+    if pmask == ring.full_mask:
+        raise UsageError("cannot quotient by the full carrier")
+    if not is_hyperideal(ring, pmask):
+        raise UsageError("quotient requires a hyperideal")
+    n = ring.n
+    coset_of = [-1] * n
+    reps: list[int] = []
+    for a in range(n):
+        if coset_of[a] >= 0:
+            continue
+        idx = len(reps)
+        reps.append(a)
+        for p in elems_of(pmask):
+            coset_of[ring.add[a][p]] = idx
+    qn = len(reps)
+    qadd = [[coset_of[ring.add[reps[i]][reps[j]]] for j in range(qn)] for i in range(qn)]
+
+    def project(mask: Mask) -> Mask:
+        out = 0
+        for c in iter_bits(mask):
+            out |= 1 << coset_of[c]
+        return out
+
+    qhmul = [[project(ring.hmul[reps[i]][reps[j]]) for j in range(qn)] for i in range(qn)]
+    for x in range(n):
+        for y in range(x, n):
+            if project(ring.hmul[x][y]) != qhmul[coset_of[x]][coset_of[y]]:
+                raise ConstructionError(
+                    "quotient product not well defined on cosets",
+                    witness={"x": x, "y": y, "rep_x": reps[coset_of[x]], "rep_y": reps[coset_of[y]]},
+                )
+    q = FiniteHyperring(qn, qadd, qhmul, name=f"{ring.name or 'ring'}/({qn} cosets)")
+    report = q.validate()
+    if not report.ok:
+        raise ConstructionError(
+            "quotient is not a hyperring", witness=[f.describe() for f in report.failures]
+        )
+    hom = GoodHom(ring, q, tuple(coset_of))
+    bad = check_good_hom(hom)
+    if bad:
+        raise ConstructionError("quotient projection is not a good homomorphism", witness=bad)
+    return q, hom
+
+
+# -- matrix hyperrings --------------------------------------------------------
+
+
+@dataclass
+class MatrixModel:
+    """m x m hypermatrices over a base ring, flattened row-major."""
+
+    base: FiniteHyperring
+    m: int
+    ring: FiniteHyperring
+    elements: tuple[tuple[int, ...], ...]
+    index: dict[tuple[int, ...], int] = field(repr=False)
+
+    def full_entry_ideal(self, pmask: Mask) -> Mask:
+        """Matrices with every entry inside the given subset of the base."""
+        out = 0
+        for i, mat in enumerate(self.elements):
+            if all(pmask >> e & 1 for e in mat):
+                out |= 1 << i
+        return out
+
+    def corner_embed(self, a: int) -> int:
+        mat = [self.base.zero] * (self.m * self.m)
+        mat[0] = a
+        return self.index[tuple(mat)]
+
+    def entry_set(self, matrix_mask: Mask, pos: int) -> Mask:
+        out = 0
+        for i in iter_bits(matrix_mask):
+            out |= 1 << self.elements[i][pos]
+        return out
+
+
+def matrix_hyperring(ring: FiniteHyperring, m: int, cap: int = 64) -> MatrixModel:
+    """Build M_m(A).  Entry (i,j) of a product ranges over the set-valued
+    sum over k of a_ik ∘ b_kj; the product of two matrices is every matrix
+    assembled from independent entry choices.
+
+    The entrywise formula is oriented, so the resulting table can fail to
+    be commutative even over a commutative base (for m = 2 it usually
+    does, exactly as for ordinary matrix algebras).  Such a table falls
+    outside the commutative class this library models, so the build is
+    refused with a witness pair rather than forced into shape."""
+    if m not in (1, 2):
+        raise UsageError("matrix dimension must be 1 or 2")
+    size = ring.n ** (m * m)
+    if size > cap:
+        raise ResourceError(f"matrix carrier of {size} elements exceeds cap {cap}")
+    elements = tuple(cartesian(range(ring.n), repeat=m * m))
+    index = {mat: i for i, mat in enumerate(elements)}
+    madd = [
+        [index[tuple(ring.add[a][b] for a, b in zip(ma, mb))] for mb in elements]
+        for ma in elements
+    ]
+
+    def entry_sets(ma: tuple, mb: tuple) -> list[Mask]:
+        if m == 1:
+            return [ring.hmul[ma[0]][mb[0]]]
+        a00, a01, a10, a11 = ma
+        b00, b01, b10, b11 = mb
+        hm, sa = ring.hmul, ring.set_add
+        return [
+            sa(hm[a00][b00], hm[a01][b10]),
+            sa(hm[a00][b01], hm[a01][b11]),
+            sa(hm[a10][b00], hm[a11][b10]),
+            sa(hm[a10][b01], hm[a11][b11]),
+        ]
+
+    mhmul = [[0] * size for _ in range(size)]
+    for i, ma in enumerate(elements):
+        for j, mb in enumerate(elements):
+            sets = [elems_of(s) for s in entry_sets(ma, mb)]
+            mask = 0
+            for combo in cartesian(*sets):
+                mask |= 1 << index[combo]
+            mhmul[i][j] = mask
+    for i in range(size):
+        for j in range(i + 1, size):
+            if mhmul[i][j] != mhmul[j][i]:
+                raise ConstructionError(
+                    "matrix product is not commutative over this base",
+                    witness={
+                        "kind": "noncommutative-product",
+                        "pair": [list(elements[i]), list(elements[j])],
+                        "left": [list(elements[k]) for k in iter_bits(mhmul[i][j])],
+                        "right": [list(elements[k]) for k in iter_bits(mhmul[j][i])],
+                    },
+                )
+    mring = FiniteHyperring(size, madd, mhmul, name=f"m{m}({ring.name or 'ring'})")
+    report = mring.validate()
+    if not report.ok:
+        raise ConstructionError(
+            "matrix hyperring failed validation", witness=[f.describe() for f in report.failures]
+        )
+    return MatrixModel(ring, m, mring, elements, index)
+
+
+def corner_product_agrees(model: MatrixModel, a: int, b: int) -> bool:
+    """The (0,0) entry set of corner(a) ∘ corner(b) must equal
+    a ∘ b + 0 ∘ 0, independently of off-diagonal conventions."""
+    base = model.base
+    prod = model.ring.hmul[model.corner_embed(a)][model.corner_embed(b)]
+    want = base.set_add(base.hmul[a][b], base.hmul[base.zero][base.zero])
+    return model.entry_set(prod, 0) == want
+
+
+# -- multiplicatively closed subsets and localization -------------------------
+
+
+def is_mcs(ring: FiniteHyperring, smask: Mask) -> bool:
+    """Contains an identity and is closed under hypermultiplication."""
+    if not smask & ring.unit_report().identities:
+        return False
+    for s in iter_bits(smask):
+        for t in iter_bits(smask):
+            if t < s:
+                continue
+            if not subset(ring.hmul[s][t], smask):
+                return False
+    return True
+
+
+def mcs_closure(ring: FiniteHyperring, seed: Mask) -> Mask:
+    """Smallest hypermultiplication-closed superset of the seed."""
+    cur = seed
+    while True:
+        grown = cur
+        members = elems_of(cur)
+        for i, s in enumerate(members):
+            for t in members[i:]:
+                grown |= ring.hmul[s][t]
+        if grown == cur:
+            return cur
+        cur = grown
+
+
+def canonical_mcs_list(ring: FiniteHyperring) -> list[Mask]:
+    """Deterministic family of MCS instances: the closure of each identity,
+    the unit set when it qualifies, and each prime complement that
+    qualifies."""
+    rep = ring.unit_report()
+    found: set[Mask] = set()
+    for e in elems_of(rep.identities):
+        closure = mcs_closure(ring, 1 << e)
+        if is_mcs(ring, closure):
+            found.add(closure)
+    if rep.units and is_mcs(ring, rep.units):
+        found.add(rep.units)
+    from .ideals import enumerate_hyperideals
+
+    for q in enumerate_hyperideals(ring).primes():
+        comp = ring.full_mask & ~q.mask
+        if comp and is_mcs(ring, comp):
+            found.add(comp)
+    return sorted(found)
+
+
+@dataclass
+class LocalizedRing:
+    """S^{-1}A: equivalence classes of (numerator, denominator) pairs with
+    the fraction operations, realized as a plain FiniteHyperring."""
+
+    base: FiniteHyperring
+    smask: Mask
+    ring: FiniteHyperring
+    pairs: tuple[tuple[int, int], ...]
+    class_of: dict[tuple[int, int], int] = field(repr=False)
+    one: int = 0  # identity of the base used for the localization map
+
+    def fraction_class(self, x: int, r: int) -> int:
+        return self.class_of[(x, r)]
+
+    def localization_hom(self) -> GoodHom:
+        return GoodHom(
+            self.base, self.ring, tuple(self.class_of[(a, self.one)] for a in range(self.base.n))
+        )
+
+    def ideal_image(self, pmask: Mask) -> Mask:
+        """S^{-1}P: classes of fractions with numerator in P."""
+        out = 0
+        for (x, r), c in self.class_of.items():
+            if pmask >> x & 1:
+                out |= 1 << c
+        return out
+
+
+def localize(ring: FiniteHyperring, smask: Mask) -> LocalizedRing:
+    """Construct S^{-1}A, verifying the equivalence relation is transitive,
+    fraction addition is single valued, and both operations are independent
+    of representatives.  Any failure raises ConstructionError with the
+    witnessing pairs."""
+    if not ring.has_identity:
+        raise UsageError("localization requires an identity")
+    if not is_mcs(ring, smask):
+        raise UsageError("localization requires a multiplicatively closed set")
+    s_elems = elems_of(smask)
+    pairs = tuple((a, s) for a in range(ring.n) for s in s_elems)
+    pidx = {p: k for k, p in enumerate(pairs)}
+    hp = ring.hyperproduct
+
+    def related(p1: tuple[int, int], p2: tuple[int, int]) -> bool:
+        x, r = p1
+        y, s = p2
+        return any(hp((t, r, y)) == hp((t, s, x)) for t in s_elems)
+
+    adj = [[False] * len(pairs) for _ in pairs]
+    for i, p1 in enumerate(pairs):
+        adj[i][i] = True
+        for j in range(i + 1, len(pairs)):
+            adj[i][j] = adj[j][i] = related(p1, pairs[j])
+    for i in range(len(pairs)):
+        for j in range(len(pairs)):
+            if not adj[i][j]:
+                continue
+            for k in range(len(pairs)):
+                if adj[j][k] and not adj[i][k]:
+                    raise ConstructionError(
+                        "localization relation is not transitive",
+                        witness={"p1": pairs[i], "p2": pairs[j], "p3": pairs[k]},
+                    )
+    class_of: dict[tuple[int, int], int] = {}
+    class_members: list[list[tuple[int, int]]] = []
+    for i, p in enumerate(pairs):
+        if p in class_of:
+            continue
+        cid = len(class_members)
+        bucket = [pairs[j] for j in range(len(pairs)) if adj[i][j]]
+        class_members.append(bucket)
+        for q in bucket:
+            class_of[q] = cid
+    qn = len(class_members)
+
+    def add_result(p1: tuple[int, int], p2: tuple[int, int]) -> Mask:
+        x, r = p1
+        y, s = p2
+        out = 0
+        for a in iter_bits(ring.hmul[r][y]):
+            for b in iter_bits(ring.hmul[s][x]):
+                num = ring.add[a][b]
+                for c in iter_bits(ring.hmul[r][s]):
+                    out |= 1 << class_of[(num, c)]
+        return out
+
+    def mul_result(p1: tuple[int, int], p2: tuple[int, int]) -> Mask:
+        x, r = p1
+        y, s = p2
+        out = 0
+        for a in iter_bits(ring.hmul[x][y]):
+            for b in iter_bits(ring.hmul[r][s]):
+                out |= 1 << class_of[(a, b)]
+        return out
+
+    qadd = [[0] * qn for _ in range(qn)]
+    qhmul = [[0] * qn for _ in range(qn)]
+    for ci in range(qn):
+        for cj in range(ci, qn):
+            ref_add = ref_mul = None
+            for p1 in class_members[ci]:
+                for p2 in class_members[cj]:
+                    got_add = add_result(p1, p2)
+                    got_mul = mul_result(p1, p2)
+                    if ref_add is None:
+                        ref_add, ref_mul = got_add, got_mul
+                    elif (got_add, got_mul) != (ref_add, ref_mul):
+                        raise ConstructionError(
+                            "fraction operations depend on representatives",
+                            witness={"class_pair": (ci, cj), "p1": p1, "p2": p2},
+                        )
+            if bin(ref_add).count("1") != 1:
+                raise ConstructionError(
+                    "fraction addition is not single valued",
+                    witness={"class_pair": (ci, cj), "classes": elems_of(ref_add)},
+                )
+            qadd[ci][cj] = qadd[cj][ci] = ref_add.bit_length() - 1
+            qhmul[ci][cj] = qhmul[cj][ci] = ref_mul
+    loc = FiniteHyperring(qn, qadd, qhmul, name=f"loc({ring.name or 'ring'},{len(s_elems)})")
+    report = loc.validate()
+    if not report.ok:
+        raise ConstructionError(
+            "localized ring failed validation", witness=[f.describe() for f in report.failures]
+        )
+    one = min(elems_of(smask & ring.unit_report().identities))
+    out = LocalizedRing(ring, smask, loc, pairs, class_of, one)
+    bad = check_good_hom(out.localization_hom())
+    if bad:
+        raise ConstructionError("localization map is not a good homomorphism", witness=bad)
+    return out
+
+
+def gamma_mask(ring: FiniteHyperring, pmask: Mask) -> Mask:
+    """Elements a with a ∘ b ⊆ P for some b outside P."""
+    out = 0
+    notp = ring.full_mask & ~pmask
+    for a in range(ring.n):
+        row = ring.hmul[a]
+        if any(subset(row[b], pmask) for b in iter_bits(notp)):
+            out |= 1 << a
+    return out

@@ -1,0 +1,402 @@
+"""Finite commutative multiplicative hyperrings over carriers {0..n-1}.
+
+The additive structure is an ordinary commutative group given by an n*n
+table; the multiplicative structure is a hyperoperation given by an n*n
+table of nonempty subsets.  Subsets of the carrier are bitmasks (Python
+ints), so set algebra is single int ops and stays cheap inside the
+exhaustive sweeps.
+"""
+from __future__ import annotations
+
+import json
+from dataclasses import dataclass, field
+from typing import Iterable, Iterator, Optional, Sequence
+
+from .verdicts import UsageError
+
+Mask = int
+
+
+class TableFormatError(ValueError):
+    """Structural defect in ring tables (arity, range, empty hyperproduct).
+
+    Distinct from axiom failures, which are reported by validate(), not
+    raised: a structurally sound table may still fail the axioms.
+    """
+
+
+def mask_of(elems: Iterable[int]) -> Mask:
+    m = 0
+    for e in elems:
+        m |= 1 << e
+    return m
+
+
+def elems_of(mask: Mask) -> list[int]:
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def iter_bits(mask: Mask) -> Iterator[int]:
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def subset(a: Mask, b: Mask) -> bool:
+    return a & ~b == 0
+
+
+@dataclass
+class AxiomFailure:
+    axiom: str
+    witness: tuple
+
+    def describe(self) -> str:
+        return f"{self.axiom} violated at {self.witness}"
+
+
+@dataclass
+class ValidationReport:
+    ok: bool
+    failures: list[AxiomFailure]
+    strongly_distributive: Optional[bool]
+
+    def describe(self) -> str:
+        if self.ok:
+            sd = "strongly distributive" if self.strongly_distributive else "weakly distributive"
+            return f"pass ({sd})"
+        return "; ".join(f.describe() for f in self.failures)
+
+
+@dataclass
+class UnitReport:
+    identities: Mask
+    units: Mask
+    nonunits: Mask
+
+
+class FiniteHyperring:
+    """Tables plus caches.  Instances are treated as immutable after init."""
+
+    __slots__ = ("n", "add", "hmul", "name", "zero", "neg", "full_mask", "_cache")
+
+    def __init__(self, n: int, add: Sequence[Sequence[int]], hmul_masks: Sequence[Sequence[Mask]], name: str = ""):
+        if n <= 0:
+            raise TableFormatError("carrier must be nonempty")
+        if len(add) != n or any(len(row) != n for row in add):
+            raise TableFormatError("add table must be n*n")
+        if len(hmul_masks) != n or any(len(row) != n for row in hmul_masks):
+            raise TableFormatError("hmul table must be n*n")
+        full = (1 << n) - 1
+        for a in range(n):
+            for b in range(n):
+                x = add[a][b]
+                if not (isinstance(x, int) and 0 <= x < n):
+                    raise TableFormatError(f"add[{a}][{b}]={x} out of range")
+                m = hmul_masks[a][b]
+                if not isinstance(m, int) or m & ~full:
+                    raise TableFormatError(f"hmul[{a}][{b}] out of range")
+                if m == 0:
+                    raise TableFormatError(f"hmul[{a}][{b}] is empty")
+        self.n = n
+        self.add = tuple(tuple(row) for row in add)
+        self.hmul = tuple(tuple(row) for row in hmul_masks)
+        self.name = name or f"ring{n}"
+        self.full_mask = full
+        self.zero = self._find_zero()
+        self.neg = self._find_negs()
+        self._cache: dict = {}
+
+    # -- construction helpers -------------------------------------------
+
+    @classmethod
+    def from_element_table(cls, n: int, add: Sequence[Sequence[int]], hmul_sets: Sequence[Sequence[Iterable[int]]], name: str = "") -> "FiniteHyperring":
+        masks = [[mask_of(cell) for cell in row] for row in hmul_sets]
+        return cls(n, add, masks, name=name)
+
+    @classmethod
+    def zn_phi(cls, n: int, phi: Iterable[int], name: str = "") -> "FiniteHyperring":
+        """Z_n with a ∘ b = {a*x*b mod n : x in phi}."""
+        phi = sorted({x % n for x in phi})
+        if len(phi) < 2:
+            raise UsageError("phi must contain at least two distinct residues mod n")
+        add = [[(a + b) % n for b in range(n)] for a in range(n)]
+        hm = []
+        for a in range(n):
+            row = []
+            for b in range(n):
+                row.append(mask_of((a * x * b) % n for x in phi))
+            hm.append(row)
+        label = name or "z%d:%s" % (n, ",".join(map(str, phi)))
+        return cls(n, add, hm, name=label)
+
+    def _find_zero(self) -> Optional[int]:
+        for e in range(self.n):
+            row = self.add[e]
+            if all(row[x] == x for x in range(self.n)):
+                return e
+        return None
+
+    def _find_negs(self) -> Optional[tuple]:
+        if self.zero is None:
+            return None
+        negs = []
+        for a in range(self.n):
+            inv = None
+            for b in range(self.n):
+                if self.add[a][b] == self.zero:
+                    inv = b
+                    break
+            if inv is None:
+                return None
+            negs.append(inv)
+        return tuple(negs)
+
+    # -- set algebra -----------------------------------------------------
+
+    def set_add(self, m1: Mask, m2: Mask) -> Mask:
+        out = 0
+        add = self.add
+        for a in iter_bits(m1):
+            row = add[a]
+            for b in iter_bits(m2):
+                out |= 1 << row[b]
+        return out
+
+    def set_neg(self, m: Mask) -> Mask:
+        neg = self.neg
+        out = 0
+        for a in iter_bits(m):
+            out |= 1 << neg[a]
+        return out
+
+    def mul_elem(self, m: Mask, e: int) -> Mask:
+        """Union of a ∘ e over a in m."""
+        out = 0
+        col = self.hmul
+        for a in iter_bits(m):
+            out |= col[a][e]
+        return out
+
+    def set_mul(self, m1: Mask, m2: Mask) -> Mask:
+        out = 0
+        hm = self.hmul
+        for a in iter_bits(m1):
+            row = hm[a]
+            for b in iter_bits(m2):
+                out |= row[b]
+        return out
+
+    def hyperproduct(self, xs: Sequence[int]) -> Mask:
+        """Set value of x1 ∘ x2 ∘ ... ∘ xk (left fold; associativity makes
+        the fold order irrelevant on validated rings)."""
+        if not xs:
+            raise UsageError("hyperproduct of an empty sequence is undefined")
+        for x in xs:
+            if not (0 <= x < self.n):
+                raise UsageError(f"element {x} outside carrier")
+        m = 1 << xs[0]
+        for x in xs[1:]:
+            m = self.mul_elem(m, x)
+        return m
+
+    # -- validation ------------------------------------------------------
+
+    def validate(self) -> ValidationReport:
+        if "validation" in self._cache:
+            return self._cache["validation"]
+        failures: list[AxiomFailure] = []
+        n, add, hm = self.n, self.add, self.hmul
+
+        # additive commutative group
+        if self.zero is None:
+            failures.append(AxiomFailure("additive-identity", ()))
+        if self.neg is None and self.zero is not None:
+            failures.append(AxiomFailure("additive-inverse", ()))
+        for a in range(n):
+            for b in range(n):
+                if add[a][b] != add[b][a]:
+                    failures.append(AxiomFailure("additive-commutativity", (a, b)))
+                    break
+            else:
+                continue
+            break
+        assoc_ok = True
+        for a in range(n):
+            for b in range(n):
+                ab = add[a][b]
+                rowb = add[b]
+                for c in range(n):
+                    if add[ab][c] != add[a][rowb[c]]:
+                        failures.append(AxiomFailure("additive-associativity", (a, b, c)))
+                        assoc_ok = False
+                        break
+                if not assoc_ok:
+                    break
+            if not assoc_ok:
+                break
+
+        # hypermultiplication commutativity
+        for a in range(n):
+            for b in range(a + 1, n):
+                if hm[a][b] != hm[b][a]:
+                    failures.append(AxiomFailure("hmul-commutativity", (a, b)))
+                    break
+            else:
+                continue
+            break
+
+        # semihypergroup associativity, set-extended:
+        #   union over t in (b∘c) of a∘t  ==  union over s in (a∘b) of s∘c
+        ok = True
+        for a in range(n):
+            rowa = hm[a]
+            for b in range(n):
+                ab = rowa[b]
+                rowb = hm[b]
+                for c in range(n):
+                    left = 0
+                    for t in iter_bits(rowb[c]):
+                        left |= rowa[t]
+                    right = 0
+                    for s in iter_bits(ab):
+                        right |= hm[s][c]
+                    if left != right:
+                        failures.append(AxiomFailure("hmul-associativity", (a, b, c)))
+                        ok = False
+                        break
+                if not ok:
+                    break
+            if not ok:
+                break
+
+        strongly: Optional[bool] = None
+        if self.neg is not None and self.zero is not None:
+            # sign rule: (-a)∘b == -(a∘b)
+            neg = self.neg
+            ok = True
+            for a in range(n):
+                for b in range(n):
+                    if hm[neg[a]][b] != self.set_neg(hm[a][b]):
+                        failures.append(AxiomFailure("sign-rule", (a, b)))
+                        ok = False
+                        break
+                if not ok:
+                    break
+            # weak distributivity: (a+b)∘c ⊆ a∘c + b∘c; equality everywhere
+            # is the strongly-distributive flag
+            strongly = True
+            ok = True
+            for a in range(n):
+                for b in range(n):
+                    s = add[a][b]
+                    for c in range(n):
+                        lhs = hm[s][c]
+                        rhs = self.set_add(hm[a][c], hm[b][c])
+                        if lhs & ~rhs:
+                            failures.append(AxiomFailure("weak-distributivity", (a, b, c)))
+                            ok = False
+                            strongly = None
+                            break
+                        if lhs != rhs:
+                            strongly = False
+                    if not ok:
+                        break
+                if not ok:
+                    break
+
+        report = ValidationReport(not failures, failures, strongly)
+        self._cache["validation"] = report
+        return report
+
+    # -- identities and units ---------------------------------------------
+
+    def unit_report(self) -> UnitReport:
+        """Identities e (a in e∘a for every a) and units x (some identity
+        lies in y∘x for some y).  No identity is a legal state; then the
+        unit set is empty and every element counts as a nonunit."""
+        if "units" in self._cache:
+            return self._cache["units"]
+        n, hm = self.n, self.hmul
+        idents = 0
+        for e in range(n):
+            row = hm[e]
+            if all(row[a] >> a & 1 for a in range(n)):
+                idents |= 1 << e
+        units = 0
+        if idents:
+            for x in range(n):
+                col = hm[x]
+                if any(col[y] & idents for y in range(n)):
+                    units |= 1 << x
+        rep = UnitReport(idents, units, self.full_mask & ~units)
+        self._cache["units"] = rep
+        return rep
+
+    @property
+    def has_identity(self) -> bool:
+        return self.unit_report().identities != 0
+
+    # -- misc --------------------------------------------------------------
+
+    def elements(self) -> range:
+        return range(self.n)
+
+    def table_key(self) -> bytes:
+        """Canonical bytes for deduplicating rings with identical structure."""
+        parts = [self.n.to_bytes(2, "big")]
+        for row in self.add:
+            parts.extend(x.to_bytes(2, "big") for x in row)
+        for row in self.hmul:
+            parts.extend(m.to_bytes((self.n + 7) // 8, "big") for m in row)
+        return b"".join(parts)
+
+    def __repr__(self):
+        return f"FiniteHyperring({self.name!r}, n={self.n})"
+
+
+# -- ring spec parsing ------------------------------------------------------
+
+
+def parse_ring_spec(spec: str) -> FiniteHyperring:
+    """Build a ring from a config string.
+
+    Grammar: ``z<n>:<c1>,<c2>,...`` builds Z_n with the listed residues as
+    multipliers; anything else is a path to a JSON table file with keys
+    ``n``, ``add`` (n*n ints) and ``hmul`` (n*n lists of elements).
+    """
+    spec = spec.strip()
+    if spec.startswith("z"):
+        head, sep, tail = spec.partition(":")
+        if sep and head[1:].isdigit():
+            n = int(head[1:])
+            try:
+                phi = [int(tok) for tok in tail.split(",") if tok.strip() != ""]
+            except ValueError as exc:
+                raise UsageError(f"bad multiplier list in {spec!r}") from exc
+            if n < 1:
+                raise UsageError("modulus must be >= 1")
+            return FiniteHyperring.zn_phi(n, phi)
+    return load_table_file(spec)
+
+
+def load_table_file(path: str) -> FiniteHyperring:
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise UsageError(f"cannot read ring file {path!r}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise TableFormatError(f"{path}: not valid JSON: {exc}") from exc
+    for key in ("n", "add", "hmul"):
+        if key not in data:
+            raise TableFormatError(f"{path}: missing key {key!r}")
+    return FiniteHyperring.from_element_table(
+        data["n"], data["add"], data["hmul"], name=data.get("name", path)
+    )

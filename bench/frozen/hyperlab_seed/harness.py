@@ -1,0 +1,1312 @@
+"""Sweep harness: enumerates families of Z_n-based hyperrings, computes
+classification facts for every hyperideal, asserts the theorem suite, and
+replays the library's worked integer examples.
+
+Reports are deterministic: rings, ideals, and checks are visited in a
+fixed canonical order, and structured records omit timing data unless it
+is explicitly requested.
+"""
+from __future__ import annotations
+
+import json
+import time
+from dataclasses import dataclass, field
+from itertools import combinations, combinations_with_replacement
+from math import comb
+from typing import Callable, Optional, Sequence
+
+from . import classify, construct, ideals as ideals_mod, zphi
+from .core import FiniteHyperring, Mask, elems_of, iter_bits, subset
+from .ideals import (
+    HyperIdeal,
+    colon,
+    enumerate_hyperideals,
+    ideal_product,
+    radical_nilpotent,
+    radical_prime_intersection,
+)
+from .verdicts import (
+    FAILS,
+    HOLDS,
+    INCONCLUSIVE,
+    ConstructionError,
+    SplitMode,
+    UVParams,
+    Verdict,
+    fails,
+    holds,
+)
+
+SKIPPED = "skipped"
+ERROR = "error"
+
+
+def skipped(reason: str, space: str = "") -> Verdict:
+    return Verdict(SKIPPED, None, space, 0, {"reason": reason})
+
+
+# -- configuration and reports -------------------------------------------------
+
+
+@dataclass
+class RingFamilySpec:
+    """The enumerated family: Z_n with the hyperproduct induced by every
+    Phi drawn from the residue universe, deduplicated by the induced
+    table."""
+
+    moduli: tuple[int, ...] = tuple(range(2, 13))
+    phi_sizes: tuple[int, ...] = (2, 3)
+    phi_universe: Optional[tuple[int, ...]] = None  # default: all residues mod n
+    u_max: int = 5
+    # The theorem suite quantifies splits universally (every v-part must
+    # satisfy the disjunction).  The existential reading is what the worked
+    # integer examples use; under it some suite statements have finite
+    # counterexamples, so it is opt-in here.
+    mode: SplitMode = SplitMode.ALL
+    tuple_budget: int = 10_000_000  # multisets scanned per ring before bailing
+    matrix_cap: int = 64
+    include_constructions: bool = True
+    timings: bool = False
+
+    def __post_init__(self):
+        if any(n < 2 for n in self.moduli):
+            raise ValueError("moduli must be at least 2")
+        if self.u_max < 2 or self.tuple_budget < 1:
+            raise ValueError("budgets must be positive")
+
+
+RECORD_KEYS = ("ring", "ideal", "property", "params", "status", "witness", "space")
+
+
+@dataclass
+class Report:
+    records: list[dict] = field(default_factory=list)
+    incomplete: bool = False
+
+    def add(
+        self,
+        ring: str,
+        ideal: Optional[list[int]],
+        prop: str,
+        params: dict,
+        status: str,
+        witness: Optional[dict] = None,
+        space: str = "",
+        millis: Optional[int] = None,
+    ) -> dict:
+        rec = {
+            "ring": ring,
+            "ideal": ideal,
+            "property": prop,
+            "params": params,
+            "status": status,
+            "witness": witness,
+            "space": space,
+        }
+        if millis is not None:
+            rec["millis"] = millis
+        self.records.append(rec)
+        return rec
+
+    def add_verdict(self, ring: str, ideal, prop: str, params: dict, verdict: Verdict, millis=None) -> dict:
+        merged = dict(params)
+        merged["tested"] = verdict.tested
+        for k, v in verdict.extra.items():
+            merged.setdefault(k, v)
+        return self.add(
+            ring, ideal, prop, merged, verdict.status, verdict.witness, verdict.checked_space, millis
+        )
+
+    @property
+    def violations(self) -> int:
+        return sum(1 for r in self.records if r["status"] == FAILS)
+
+    @property
+    def skipped(self) -> int:
+        return sum(1 for r in self.records if r["status"] == SKIPPED)
+
+    @property
+    def errors(self) -> int:
+        return sum(1 for r in self.records if r["status"] == ERROR)
+
+    @property
+    def vacuous(self) -> int:
+        return sum(
+            1
+            for r in self.records
+            if r["status"] == HOLDS and r["params"].get("tested") == 0
+        )
+
+    def to_jsonl(self) -> str:
+        return "\n".join(json.dumps(r, sort_keys=False) for r in self.records)
+
+    def summary(self) -> str:
+        total = len(self.records)
+        lines = [
+            f"records={total} violations={self.violations} errors={self.errors} "
+            f"skipped={self.skipped} vacuous={self.vacuous} incomplete={self.incomplete}"
+        ]
+        for r in self.records:
+            if r["status"] in (FAILS, ERROR):
+                lines.append(
+                    f"  {r['status'].upper()} ring={r['ring']} ideal={r['ideal']} "
+                    f"property={r['property']} params={r['params']} witness={r['witness']}"
+                )
+        return "\n".join(lines)
+
+
+# -- family enumeration ---------------------------------------------------------
+
+
+def enumerate_family(spec: RingFamilySpec) -> list[FiniteHyperring]:
+    """All Z_n/Phi rings in the configured family, deduplicated by
+    hypermultiplication table, in canonical (n, Phi) order."""
+    rings = []
+    seen: set[bytes] = set()
+    for n in spec.moduli:
+        universe = spec.phi_universe if spec.phi_universe is not None else tuple(range(n))
+        residues = sorted({c % n for c in universe})
+        for size in spec.phi_sizes:
+            for phi in combinations(residues, size):
+                ring = FiniteHyperring.zn_phi(n, phi)
+                key = ring.table_key()
+                if key in seen:
+                    continue
+                seen.add(key)
+                rings.append(ring)
+    return rings
+
+
+# -- per-ideal facts and the shared (u,v) scan ----------------------------------
+
+
+@dataclass
+class IdealFacts:
+    ideal: HyperIdeal
+    rad_nil: Mask
+    rad_pi: Mask
+    prime: bool
+    c: Verdict
+    sc: Verdict
+    primary: Verdict
+    one_abs: Verdict
+    uv_primary: dict[tuple[int, int], Verdict] = field(default_factory=dict)
+    uv_prime: dict[tuple[int, int], Verdict] = field(default_factory=dict)
+
+    @property
+    def mask(self) -> Mask:
+        return self.ideal.mask
+
+    def holds_at(self, u: int, v: int) -> bool:
+        return self.uv_primary[(u, v)].holds
+
+
+def uv_pairs(u_max: int) -> list[tuple[int, int]]:
+    return [(u, v) for u in range(2, u_max + 1) for v in range(1, u)]
+
+
+def compute_uv_matrices(
+    ring: FiniteHyperring,
+    targets: Sequence[tuple[Mask, Mask]],
+    u_max: int,
+    mode: SplitMode,
+) -> tuple[list[dict], list[dict]]:
+    """One scan over all nonunit multisets of size 2..u_max, classifying
+    every (ideal, u, v) pair for both the primary and prime readings.
+    Witnesses and tested counts match the single-property deciders, which
+    the tests cross-check."""
+    pool = tuple(elems_of(ring.unit_report().nonunits))
+    prods = classify.multiset_products(ring, u_max)
+    n_t = len(targets)
+    out_primary: list[dict] = [dict() for _ in range(n_t)]
+    out_prime: list[dict] = [dict() for _ in range(n_t)]
+    for u in range(2, u_max + 1):
+        vs = list(range(1, u))
+        open_p = {(t, v): True for t in range(n_t) for v in vs}
+        open_q = dict(open_p)
+        hits = [0] * n_t
+        wit_p: dict[tuple[int, int], tuple] = {}
+        wit_q: dict[tuple[int, int], tuple] = {}
+        for ms in combinations_with_replacement(pool, u):
+            pm = prods[ms]
+            splits_by_v: dict[int, list] = {}
+            for t, (pmask, radmask) in enumerate(targets):
+                if pm & ~pmask:
+                    continue
+                hits[t] += 1
+                for v in vs:
+                    need_p = open_p[(t, v)]
+                    need_q = open_q[(t, v)]
+                    if not (need_p or need_q):
+                        continue
+                    if v not in splits_by_v:
+                        parts = sorted(set(combinations(ms, v)))
+                        splits_by_v[v] = [
+                            (vp, classify._complement(ms, vp)) for vp in parts
+                        ]
+                    splits = splits_by_v[v]
+                    if mode is SplitMode.ANY:
+                        okp = okq = False
+                        for vp, rest in splits:
+                            if not prods[vp] & ~pmask or not prods[rest] & ~pmask:
+                                okp = okq = True
+                                break
+                            if not okp and not prods[rest] & ~radmask:
+                                okp = True
+                        if need_p and not okp:
+                            open_p[(t, v)] = False
+                            wit_p[(t, v)] = ({"factors": list(ms)}, hits[t])
+                        if need_q and not okq:
+                            open_q[(t, v)] = False
+                            wit_q[(t, v)] = ({"factors": list(ms)}, hits[t])
+                    else:
+                        for vp, rest in splits:
+                            if not prods[vp] & ~pmask:
+                                continue
+                            bad_p = bool(prods[rest] & ~radmask)
+                            bad_q = bool(prods[rest] & ~pmask)
+                            w = {
+                                "factors": list(vp + rest),
+                                "v_part": list(vp),
+                                "rest": list(rest),
+                            }
+                            if need_p and bad_p and (t, v) not in wit_p:
+                                open_p[(t, v)] = False
+                                wit_p[(t, v)] = (w, hits[t])
+                                need_p = False
+                            if need_q and bad_q and (t, v) not in wit_q:
+                                open_q[(t, v)] = False
+                                wit_q[(t, v)] = (w, hits[t])
+                                need_q = False
+                            if not (need_p or need_q or open_p[(t, v)] or open_q[(t, v)]):
+                                break
+        for t in range(n_t):
+            for v in vs:
+                space_p = f"absorbing-primary u={u} v={v} pool={len(pool)} mode={mode.value}"
+                space_q = f"absorbing-prime u={u} v={v} pool={len(pool)} mode={mode.value}"
+                if (t, v) in wit_p:
+                    w, at = wit_p[(t, v)]
+                    out_primary[t][(u, v)] = fails(w, space=space_p, tested=at)
+                else:
+                    out_primary[t][(u, v)] = holds(space=space_p, tested=hits[t])
+                if (t, v) in wit_q:
+                    w, at = wit_q[(t, v)]
+                    out_prime[t][(u, v)] = fails(w, space=space_q, tested=at)
+                else:
+                    out_prime[t][(u, v)] = holds(space=space_q, tested=hits[t])
+    return out_primary, out_prime
+
+
+@dataclass
+class RingContext:
+    ring: FiniteHyperring
+    spec: RingFamilySpec
+    lattice: object = None
+    facts: list[IdealFacts] = field(default_factory=list)
+    by_mask: dict[Mask, IdealFacts] = field(default_factory=dict)
+    divided: Optional[Verdict] = None
+
+    def find(self, mask: Mask) -> Optional[IdealFacts]:
+        return self.by_mask.get(mask)
+
+
+def estimated_multisets(pool_size: int, u_max: int) -> int:
+    return sum(comb(pool_size + u - 1, u) for u in range(2, u_max + 1))
+
+
+def build_ring_context(ring: FiniteHyperring, spec: RingFamilySpec) -> RingContext:
+    ctx = RingContext(ring, spec)
+    ctx.lattice = enumerate_hyperideals(ring)
+    pairs = [(b, p) for b, p in zip(ctx.lattice.ideals, ctx.lattice.prime) if b.proper]
+    proper = [b for b, _ in pairs]
+    rads = [radical_nilpotent(ring, b.mask) for b in proper]
+    targets = [(b.mask, r) for b, r in zip(proper, rads)]
+    mat_p, mat_q = compute_uv_matrices(ring, targets, spec.u_max, spec.mode)
+    for i, b in enumerate(proper):
+        f = IdealFacts(
+            ideal=b,
+            rad_nil=rads[i],
+            rad_pi=radical_prime_intersection(ring, b.mask),
+            prime=pairs[i][1],
+            c=ideals_mod.is_c_hyperideal(ring, b.mask),
+            sc=ideals_mod.is_strong_c_hyperideal(ring, b.mask),
+            primary=classify.is_primary(ring, b.mask, rads[i]),
+            one_abs=classify.is_1_absorbing_primary(ring, b.mask, rads[i], mode=spec.mode),
+            uv_primary=mat_p[i],
+            uv_prime=mat_q[i],
+        )
+        ctx.facts.append(f)
+        ctx.by_mask[b.mask] = f
+    ctx.divided = classify.is_divided(ring)
+    return ctx
+
+
+# -- theorem checks --------------------------------------------------------------
+
+
+def _members(mask: Mask) -> list[int]:
+    return elems_of(mask)
+
+
+def check_radical_of_uv_primary_is_prime(ctx: RingContext, f: IdealFacts) -> Verdict:
+    """A C-hyperideal that is (u,v)-absorbing primary for some u > v must
+    have a prime radical.
+
+    Stated for rings with an identity; without one the radical of a proper
+    hyperideal can be the full carrier (observed on even-multiplier rings),
+    so identityless rings are reported as skipped."""
+    if not ctx.ring.has_identity:
+        return skipped("ring has no identity", space="standing identity hypothesis")
+    if not f.c.holds:
+        return holds(space="gated on C-hyperideals", tested=0)
+    holding = [list(k) for k, v in f.uv_primary.items() if v.holds]
+    if not holding:
+        return holds(space="gated on some (u,v) holding", tested=0)
+    rad = f.rad_nil
+    if rad == ctx.ring.full_mask:
+        return fails(
+            {"radical": "full carrier", "holding": holding},
+            space="radical primality",
+            tested=len(holding),
+        )
+    target = ctx.find(rad)
+    if target is None:
+        return fails(
+            {"radical": _members(rad), "defect": "not a hyperideal"},
+            space="radical primality",
+            tested=len(holding),
+        )
+    if not target.prime:
+        return fails(
+            {"radical": _members(rad), "defect": "not prime", "holding": holding},
+            space="radical primality",
+            tested=len(holding),
+        )
+    return holds(space="radical primality", tested=len(holding))
+
+
+def check_uv_arity_monotone(ctx: RingContext, f: IdealFacts) -> Verdict:
+    """holds(u,v) must propagate to (u+1,v+1) and to (w,v) for w up to u+3
+    within the scan cap."""
+    u_max = ctx.spec.u_max
+    tested = 0
+    for (u, v), verdict in f.uv_primary.items():
+        if not verdict.holds:
+            continue
+        succ = [(u + 1, v + 1)] + [(w, v) for w in range(u + 1, min(u + 3, u_max) + 1)]
+        for uv2 in succ:
+            if uv2[0] > u_max:
+                continue
+            tested += 1
+            if not f.uv_primary[uv2].holds:
+                return fails(
+                    {"from": [u, v], "to": list(uv2), "witness": f.uv_primary[uv2].witness},
+                    space="arity monotonicity",
+                    tested=tested,
+                )
+    return holds(space="arity monotonicity", tested=tested)
+
+
+def check_uv_prime_implies_primary(ctx: RingContext, f: IdealFacts) -> Verdict:
+    tested = 0
+    for uv, verdict in f.uv_prime.items():
+        if not verdict.holds:
+            continue
+        tested += 1
+        if not f.uv_primary[uv].holds:
+            return fails(
+                {"at": list(uv), "witness": f.uv_primary[uv].witness},
+                space="prime strengthens primary",
+                tested=tested,
+            )
+    return holds(space="prime strengthens primary", tested=tested)
+
+
+def check_primary_implies_uv(ctx: RingContext, f: IdealFacts) -> Verdict:
+    if not f.primary.holds:
+        return holds(space="gated on primary", tested=0)
+    tested = 0
+    for uv, verdict in f.uv_primary.items():
+        tested += 1
+        if not verdict.holds:
+            return fails(
+                {"at": list(uv), "witness": verdict.witness},
+                space="primary implies every (u,v)",
+                tested=tested,
+            )
+    return holds(space="primary implies every (u,v)", tested=tested)
+
+
+def check_one_absorbing_matches(ctx: RingContext, f: IdealFacts) -> Verdict:
+    if (3, 2) not in f.uv_primary:
+        return holds(space="needs u_max >= 3", tested=0)
+    a, b = f.one_abs, f.uv_primary[(3, 2)]
+    if a.holds != b.holds:
+        return fails(
+            {"triple_loop": a.status, "pair_scan": b.status, "witnesses": [a.witness, b.witness]},
+            space="triple loop vs (3,2) scan",
+            tested=1,
+        )
+    return holds(space="triple loop vs (3,2) scan", tested=1)
+
+
+def check_colon_drops_arity(ctx: RingContext, f: IdealFacts) -> Verdict:
+    """(P : x) for a nonunit x outside P inherits the property one arity
+    lower.
+
+    Stated for rings with an identity: there e ∘ x ⊆ P forces x into P, so
+    the colon by an outside element stays proper.  Without an identity the
+    colon can absorb the whole carrier (observed empirically), so
+    identityless rings are reported as skipped."""
+    ring = ctx.ring
+    if not ring.has_identity:
+        return skipped("ring has no identity", space="standing identity hypothesis")
+    pool = elems_of(ring.unit_report().nonunits & ~f.mask)
+    tested = 0
+    for (u, v), verdict in f.uv_primary.items():
+        if v < 2 or not verdict.holds:
+            continue
+        for x in pool:
+            tested += 1
+            cmask = colon(ring, f.mask, 1 << x)
+            target = ctx.find(cmask)
+            if target is None:
+                defect = "full carrier" if cmask == ring.full_mask else "not a hyperideal"
+                return fails(
+                    {"x": x, "colon": _members(cmask), "defect": defect, "from": [u, v]},
+                    space="colon arity descent",
+                    tested=tested,
+                )
+            inner = target.uv_primary[(u - 1, v - 1)]
+            if not inner.holds:
+                return fails(
+                    {"x": x, "colon": _members(cmask), "from": [u, v], "witness": inner.witness},
+                    space="colon arity descent",
+                    tested=tested,
+                )
+    return holds(space="colon arity descent", tested=tested)
+
+
+def check_prime_times_maximal(ctx: RingContext, f: IdealFacts) -> Verdict:
+    """In a local ring, a prime C-hyperideal times the maximal hyperideal
+    is (u,v)-absorbing primary for every u > v."""
+    if not ctx.lattice.local or not (f.prime and f.c.holds):
+        return holds(space="gated on local ring and prime C-hyperideal", tested=0)
+    mmask = ctx.lattice.maximals()[0].mask
+    pm = ideal_product(ctx.ring, f.mask, mmask).mask
+    target = ctx.find(pm)
+    if target is None:
+        return fails(
+            {"product": _members(pm), "defect": "not a proper hyperideal"},
+            space="prime times maximal",
+            tested=1,
+        )
+    tested = 0
+    for uv, verdict in target.uv_primary.items():
+        tested += 1
+        if not verdict.holds:
+            return fails(
+                {"product": _members(pm), "at": list(uv), "witness": verdict.witness},
+                space="prime times maximal",
+                tested=tested,
+            )
+    return holds(space="prime times maximal", tested=tested)
+
+
+def check_strong_c_radical(ctx: RingContext, f: IdealFacts) -> Verdict:
+    """The radical of a strong C-hyperideal is strong C."""
+    if not f.sc.holds:
+        return holds(space="gated on strong C", tested=0)
+    rad = f.rad_nil
+    if not ideals_mod.is_subgroup(ctx.ring, rad):
+        return fails(
+            {"radical": _members(rad), "defect": "not a subgroup"},
+            space="strong C closure of radical",
+            tested=1,
+        )
+    inner = ideals_mod.is_strong_c_hyperideal(ctx.ring, rad)
+    if not inner.holds:
+        return fails(
+            {"radical": _members(rad), "witness": inner.witness},
+            space="strong C closure of radical",
+            tested=1,
+        )
+    return holds(space="strong C closure of radical", tested=1)
+
+
+def check_strong_c_unit_padding(ctx: RingContext, f: IdealFacts) -> Verdict:
+    """For a strong C-hyperideal containing some a with a+1 a nonunit, the
+    (u,v) condition quantified over nonunits is equivalent to the same
+    condition quantified over the whole carrier."""
+    ring = ctx.ring
+    rep = ring.unit_report()
+    if not f.sc.holds or not rep.identities:
+        return holds(space="gated on strong C and an identity", tested=0)
+    gate = any(
+        rep.nonunits >> ring.add[a][e] & 1
+        for e in iter_bits(rep.identities)
+        for a in iter_bits(f.mask)
+    )
+    if not gate:
+        return holds(space="gated on a+1 nonunit for some a in P", tested=0)
+    tested = 0
+    all_pool = list(range(ring.n))
+    for (u, v), narrow in f.uv_primary.items():
+        tested += 1
+        wide = classify.is_uv_absorbing_primary(
+            ring, f.mask, f.rad_nil, UVParams(u, v), mode=ctx.spec.mode, pool=all_pool
+        )
+        if narrow.holds != wide.holds:
+            return fails(
+                {
+                    "at": [u, v],
+                    "nonunit_pool": narrow.status,
+                    "full_pool": wide.status,
+                    "witness": wide.witness or narrow.witness,
+                },
+                space="unit padding equivalence",
+                tested=tested,
+            )
+    return holds(space="unit padding equivalence", tested=tested)
+
+
+def check_nonlocal_arity_descent(ctx: RingContext, f: IdealFacts) -> Verdict:
+    """If the ring is not local, (u+1,v+1) or (u+1,v) forces (u,v) for
+    strong C-hyperideals."""
+    if not ctx.ring.has_identity:
+        # without units the local dichotomy has finite counterexamples
+        return skipped("ring has no identity", space="standing identity hypothesis")
+    if ctx.lattice.local or not f.sc.holds:
+        return holds(space="gated on nonlocal ring and strong C", tested=0)
+    u_max = ctx.spec.u_max
+    tested = 0
+    for u, v in uv_pairs(u_max):
+        if u + 1 > u_max:
+            continue
+        for premise in ((u + 1, v + 1), (u + 1, v)):
+            if not f.uv_primary[premise].holds:
+                continue
+            tested += 1
+            if not f.uv_primary[(u, v)].holds:
+                return fails(
+                    {
+                        "premise": list(premise),
+                        "conclusion": [u, v],
+                        "witness": f.uv_primary[(u, v)].witness,
+                    },
+                    space="nonlocal arity descent",
+                    tested=tested,
+                )
+    return holds(space="nonlocal arity descent", tested=tested)
+
+
+def check_nonlocal_equals_primary(ctx: RingContext, f: IdealFacts) -> Verdict:
+    """Nonlocal ring, strong C-hyperideal, v >= 2: (u,v)-absorbing primary
+    is the same as primary."""
+    if not ctx.ring.has_identity:
+        return skipped("ring has no identity", space="standing identity hypothesis")
+    if ctx.lattice.local or not f.sc.holds:
+        return holds(space="gated on nonlocal ring and strong C", tested=0)
+    tested = 0
+    for (u, v), verdict in f.uv_primary.items():
+        if v < 2:
+            continue
+        tested += 1
+        if verdict.holds != f.primary.holds:
+            return fails(
+                {
+                    "at": [u, v],
+                    "uv_status": verdict.status,
+                    "primary_status": f.primary.status,
+                    "witness": verdict.witness or f.primary.witness,
+                },
+                space="nonlocal equivalence with primary",
+                tested=tested,
+            )
+    return holds(space="nonlocal equivalence with primary", tested=tested)
+
+
+def check_arity_gap_forces_local(ctx: RingContext, f: IdealFacts) -> Verdict:
+    """A strong C-hyperideal that is (u+1,v)- but not (u,v)-absorbing
+    primary forces a local ring whose maximal hyperideal is the radical."""
+    if not f.sc.holds:
+        return holds(space="gated on strong C", tested=0)
+    u_max = ctx.spec.u_max
+    tested = 0
+    for u, v in uv_pairs(u_max):
+        if u + 1 > u_max:
+            continue
+        if not (f.uv_primary[(u + 1, v)].holds and not f.uv_primary[(u, v)].holds):
+            continue
+        tested += 1
+        if not ctx.lattice.local:
+            return fails(
+                {"premise": [u + 1, v], "gap_at": [u, v], "defect": "ring not local"},
+                space="arity gap forces local",
+                tested=tested,
+            )
+        mmask = ctx.lattice.maximals()[0].mask
+        if f.rad_nil != mmask:
+            return fails(
+                {
+                    "premise": [u + 1, v],
+                    "gap_at": [u, v],
+                    "radical": _members(f.rad_nil),
+                    "maximal": _members(mmask),
+                },
+                space="arity gap forces local",
+                tested=tested,
+            )
+    return holds(space="arity gap forces local", tested=tested)
+
+
+def check_top_arity_four_way(ctx: RingContext, f: IdealFacts) -> Verdict:
+    """The four faces of the (v+1,v) property must agree on C-hyperideals."""
+    if not f.c.holds:
+        return holds(space="gated on C-hyperideals", tested=0)
+    tested = 0
+    for v in range(1, ctx.spec.u_max):
+        tested += 1
+        rep = classify.check_v1v_characterization(
+            ctx.ring,
+            f.mask,
+            f.rad_nil,
+            v,
+            mode=ctx.spec.mode,
+            clause_i=f.uv_primary[(v + 1, v)],
+        )
+        if not rep.equivalent:
+            return fails(
+                {
+                    "v": v,
+                    "booleans": list(rep.booleans()),
+                    "witnesses": [rep.i.witness, rep.ii.witness, rep.iii.witness, rep.iv.witness],
+                },
+                space="four-way characterization",
+                tested=tested,
+            )
+    return holds(space="four-way characterization", tested=tested)
+
+
+def check_divided_equals_primary(ctx: RingContext, f: IdealFacts) -> Verdict:
+    """In a divided ring, (u,v)-absorbing primary C-hyperideals are exactly
+    the primary ones."""
+    if not ctx.divided.holds or not f.c.holds:
+        return holds(space="gated on divided ring and C-hyperideal", tested=0)
+    tested = 0
+    for (u, v), verdict in f.uv_primary.items():
+        tested += 1
+        if verdict.holds != f.primary.holds:
+            return fails(
+                {
+                    "at": [u, v],
+                    "uv_status": verdict.status,
+                    "primary_status": f.primary.status,
+                    "witness": verdict.witness or f.primary.witness,
+                },
+                space="divided equivalence with primary",
+                tested=tested,
+            )
+    return holds(space="divided equivalence with primary", tested=tested)
+
+
+def check_radical_forms_agree(ctx: RingContext, f: IdealFacts) -> Verdict:
+    """On C-hyperideals the nilpotent radical equals the prime-intersection
+    radical."""
+    if not f.c.holds:
+        return holds(space="gated on C-hyperideals", tested=0)
+    if f.rad_nil != f.rad_pi:
+        return fails(
+            {"nilpotent": _members(f.rad_nil), "prime_intersection": _members(f.rad_pi)},
+            space="radical form agreement",
+            tested=1,
+        )
+    return holds(space="radical form agreement", tested=1)
+
+
+IDEAL_CHECKS: list[tuple[str, Callable[[RingContext, IdealFacts], Verdict]]] = [
+    ("radical-of-uv-primary-is-prime", check_radical_of_uv_primary_is_prime),
+    ("uv-arity-monotone", check_uv_arity_monotone),
+    ("uv-prime-implies-uv-primary", check_uv_prime_implies_primary),
+    ("primary-implies-uv-primary", check_primary_implies_uv),
+    ("one-absorbing-primary-matches-3-2", check_one_absorbing_matches),
+    ("colon-by-nonunit-drops-arity", check_colon_drops_arity),
+    ("prime-times-maximal-is-uv-primary", check_prime_times_maximal),
+    ("strong-c-radical-is-strong-c", check_strong_c_radical),
+    ("strong-c-unit-padding", check_strong_c_unit_padding),
+    ("nonlocal-arity-descent", check_nonlocal_arity_descent),
+    ("nonlocal-uv-primary-equals-primary", check_nonlocal_equals_primary),
+    ("arity-gap-forces-local-with-maximal-radical", check_arity_gap_forces_local),
+    ("top-arity-four-way-agreement", check_top_arity_four_way),
+    ("divided-ring-uv-primary-equals-primary", check_divided_equals_primary),
+    ("radical-forms-agree-on-c-hyperideal", check_radical_forms_agree),
+]
+
+
+def check_equal_radical_intersections(ctx: RingContext, report: Report) -> None:
+    """Pairs of (u,v)-absorbing primary C-hyperideals with equal radicals:
+    the intersection keeps the property."""
+    name = ctx.ring.name
+    for i, f1 in enumerate(ctx.facts):
+        for f2 in ctx.facts[i + 1 :]:
+            if not (f1.c.holds and f2.c.holds and f1.rad_nil == f2.rad_nil):
+                continue
+            t0 = time.perf_counter()
+            inter = f1.mask & f2.mask
+            target = ctx.find(inter)
+            tested = 0
+            verdict: Verdict
+            verdict = None
+            for uv, v1 in f1.uv_primary.items():
+                if not (v1.holds and f2.uv_primary[uv].holds):
+                    continue
+                tested += 1
+                if target is None:
+                    verdict = fails(
+                        {"components": [f1.ideal.members(), f2.ideal.members()],
+                         "defect": "intersection not in lattice"},
+                        space="equal-radical intersections", tested=tested,
+                    )
+                    break
+                if not target.uv_primary[uv].holds:
+                    verdict = fails(
+                        {
+                            "components": [f1.ideal.members(), f2.ideal.members()],
+                            "at": list(uv),
+                            "witness": target.uv_primary[uv].witness,
+                        },
+                        space="equal-radical intersections",
+                        tested=tested,
+                    )
+                    break
+            if verdict is None:
+                verdict = holds(space="equal-radical intersections", tested=tested)
+            report.add_verdict(
+                name,
+                _members(inter),
+                "equal-radical-intersection-stays-uv-primary",
+                {"components": [f1.ideal.members(), f2.ideal.members()]},
+                verdict,
+                millis=_ms(t0, ctx.spec),
+            )
+
+
+def record_radical_comparison_on_non_c(ctx: RingContext, report: Report) -> None:
+    """For non-C hyperideals the two radical forms are compared and the
+    outcome recorded without asserting equality."""
+    for f in ctx.facts:
+        if f.c.holds:
+            continue
+        t0 = time.perf_counter()
+        report.add(
+            ctx.ring.name,
+            f.ideal.members(),
+            "radical-forms-compared",
+            {
+                "tested": 1,
+                "nilpotent": _members(f.rad_nil),
+                "prime_intersection": _members(f.rad_pi),
+                "equal": f.rad_nil == f.rad_pi,
+            },
+            HOLDS,
+            None,
+            "non-C radical comparison, no assertion",
+            millis=_ms(t0, ctx.spec),
+        )
+
+
+# -- construction checks ----------------------------------------------------------
+
+
+def _uv_facts_for(ring: FiniteHyperring, spec: RingFamilySpec) -> RingContext:
+    sub = RingFamilySpec(
+        moduli=(2,),
+        phi_sizes=(2,),
+        u_max=spec.u_max,
+        mode=spec.mode,
+        tuple_budget=spec.tuple_budget,
+        matrix_cap=spec.matrix_cap,
+        include_constructions=False,
+    )
+    return build_ring_context(ring, sub)
+
+
+def run_quotient_checks(ctx: RingContext, report: Report) -> None:
+    ring = ctx.ring
+    name = ring.name
+    for f in ctx.facts:
+        t0 = time.perf_counter()
+        try:
+            q, hom = construct.quotient(ring, f.mask)
+        except ConstructionError as e:
+            report.add(
+                name, f.ideal.members(), "quotient-is-hyperring",
+                {"tested": 1}, ERROR, {"message": str(e), "detail": e.witness},
+                "quotient construction", millis=_ms(t0, ctx.spec),
+            )
+            continue
+        report.add(
+            name, f.ideal.members(), "quotient-is-hyperring",
+            {"tested": 1, "cosets": q.n}, HOLDS, None, "quotient construction",
+            millis=_ms(t0, ctx.spec),
+        )
+        bad = construct.nonunit_preservation_witness(hom)
+        if bad is not None:
+            report.add(
+                name, f.ideal.members(), "good-hom-transfer",
+                {"tested": 0, "reason": "nonunit maps to a unit", "element": bad},
+                SKIPPED, None, "quotient projection transfer",
+                millis=_ms(t0, ctx.spec),
+            )
+            continue
+        qctx = _uv_facts_for(q, ctx.spec)
+        # image direction: ideals above the kernel push forward
+        for g in ctx.facts:
+            if not subset(f.mask, g.mask) or not g.c.holds:
+                continue
+            t1 = time.perf_counter()
+            img = hom.image_mask(g.mask)
+            target = qctx.find(img)
+            tested = 0
+            verdict = None
+            for uv, v1 in g.uv_primary.items():
+                if not v1.holds:
+                    continue
+                tested += 1
+                if target is None:
+                    verdict = fails(
+                        {"image": _members(img), "defect": "image not a proper hyperideal"},
+                        space="image transfer", tested=tested,
+                    )
+                    break
+                if not (target.uv_primary[uv].holds and target.c.holds):
+                    verdict = fails(
+                        {
+                            "image": _members(img),
+                            "at": list(uv),
+                            "uv_witness": target.uv_primary[uv].witness,
+                            "c_witness": target.c.witness,
+                        },
+                        space="image transfer",
+                        tested=tested,
+                    )
+                    break
+            if verdict is None:
+                verdict = holds(space="image transfer", tested=tested)
+            report.add_verdict(
+                name, g.ideal.members(), "good-hom-image-transfer",
+                {"kernel": f.ideal.members()}, verdict, millis=_ms(t1, ctx.spec),
+            )
+        # preimage direction: ideals of the quotient pull back
+        for g in qctx.facts:
+            if not g.c.holds:
+                continue
+            t1 = time.perf_counter()
+            pre = hom.preimage_mask(g.mask)
+            target = ctx.find(pre)
+            tested = 0
+            verdict = None
+            for uv, v1 in g.uv_primary.items():
+                if not v1.holds:
+                    continue
+                tested += 1
+                if target is None:
+                    verdict = fails(
+                        {"preimage": _members(pre), "defect": "preimage not a proper hyperideal"},
+                        space="preimage transfer", tested=tested,
+                    )
+                    break
+                if not (target.uv_primary[uv].holds and target.c.holds):
+                    verdict = fails(
+                        {
+                            "preimage": _members(pre),
+                            "at": list(uv),
+                            "uv_witness": target.uv_primary[uv].witness,
+                            "c_witness": target.c.witness,
+                        },
+                        space="preimage transfer",
+                        tested=tested,
+                    )
+                    break
+            if verdict is None:
+                verdict = holds(space="preimage transfer", tested=tested)
+            report.add_verdict(
+                name, g.ideal.members(), "good-hom-preimage-transfer",
+                {"kernel": f.ideal.members()}, verdict, millis=_ms(t1, ctx.spec),
+            )
+
+
+def run_matrix_checks(ctx: RingContext, report: Report) -> None:
+    ring = ctx.ring
+    if ring.n ** 4 > ctx.spec.matrix_cap:
+        return
+    name = ring.name
+    t0 = time.perf_counter()
+    try:
+        model = construct.matrix_hyperring(ring, 2, cap=ctx.spec.matrix_cap)
+    except ConstructionError as e:
+        # a non-commutative product table means no matrix hyperring exists
+        # in the commutative class; that is a documented obstruction, not
+        # a validation failure of a built instance
+        noncomm = isinstance(e.witness, dict) and e.witness.get("kind") == "noncommutative-product"
+        report.add(
+            name, None, "matrix-ring-valid",
+            {"tested": 1, "reason": str(e)} if noncomm else {"tested": 1},
+            SKIPPED if noncomm else ERROR,
+            e.witness if noncomm else {"message": str(e), "detail": e.witness},
+            "matrix construction", millis=_ms(t0, ctx.spec),
+        )
+        return
+    report.add(
+        name, None, "matrix-ring-valid", {"tested": 1, "size": model.ring.n},
+        HOLDS, None, "matrix construction", millis=_ms(t0, ctx.spec),
+    )
+    corner_bad = None
+    pairs = 0
+    t0 = time.perf_counter()
+    for a in range(ring.n):
+        for b in range(a, ring.n):
+            pairs += 1
+            if not construct.corner_product_agrees(model, a, b):
+                corner_bad = {"a": a, "b": b}
+                break
+        if corner_bad:
+            break
+    report.add(
+        name, None, "matrix-corner-products-agree", {"tested": pairs},
+        FAILS if corner_bad else HOLDS, corner_bad, "corner products",
+        millis=_ms(t0, ctx.spec),
+    )
+    mctx = _uv_facts_for(model.ring, ctx.spec)
+    for f in ctx.facts:
+        t1 = time.perf_counter()
+        mmask = model.full_entry_ideal(f.mask)
+        target = mctx.find(mmask)
+        if target is None:
+            report.add(
+                name, f.ideal.members(), "matrix-ideal-descent",
+                {"tested": 1}, FAILS,
+                {"defect": "entrywise ideal is not a proper hyperideal of the matrix ring"},
+                "matrix descent", millis=_ms(t1, ctx.spec),
+            )
+            continue
+        tested = 0
+        verdict = None
+        for uv, mv in target.uv_primary.items():
+            if not (mv.holds and target.c.holds):
+                continue
+            tested += 1
+            if not (f.uv_primary[uv].holds and f.c.holds):
+                verdict = fails(
+                    {
+                        "at": list(uv),
+                        "base_uv_witness": f.uv_primary[uv].witness,
+                        "base_c_witness": f.c.witness,
+                    },
+                    space="matrix descent",
+                    tested=tested,
+                )
+                break
+        if verdict is None:
+            verdict = holds(space="matrix descent", tested=tested)
+        report.add_verdict(
+            name, f.ideal.members(), "matrix-ideal-descent", {}, verdict,
+            millis=_ms(t1, ctx.spec),
+        )
+
+
+def run_localization_checks(ctx: RingContext, report: Report) -> None:
+    ring = ctx.ring
+    if not ring.has_identity:
+        return
+    name = ring.name
+    for smask in construct.canonical_mcs_list(ring):
+        s_members = _members(smask)
+        t0 = time.perf_counter()
+        try:
+            loc = construct.localize(ring, smask)
+        except ConstructionError as e:
+            report.add(
+                name, None, "localization-constructed",
+                {"tested": 1, "s": s_members}, ERROR,
+                {"message": str(e), "detail": e.witness}, "localization construction",
+                millis=_ms(t0, ctx.spec),
+            )
+            continue
+        report.add(
+            name, None, "localization-constructed",
+            {"tested": 1, "s": s_members, "classes": loc.ring.n},
+            HOLDS, None, "localization construction", millis=_ms(t0, ctx.spec),
+        )
+        lctx = _uv_facts_for(loc.ring, ctx.spec)
+        for f in ctx.facts:
+            t1 = time.perf_counter()
+            img = loc.ideal_image(f.mask)
+            limg = lctx.find(img)
+            # forward: C-hyperideal missing S descends with both arities dropped
+            if f.c.holds and not f.mask & smask:
+                tested = 0
+                verdict = None
+                for (u, v), v1 in f.uv_primary.items():
+                    if v < 2 or not v1.holds:
+                        continue
+                    tested += 1
+                    if limg is None:
+                        verdict = fails(
+                            {"image": _members(img), "defect": "localized ideal not proper"},
+                            space="localization forward", tested=tested,
+                        )
+                        break
+                    if not limg.uv_primary[(u - 1, v - 1)].holds:
+                        verdict = fails(
+                            {
+                                "s": s_members,
+                                "from": [u, v],
+                                "witness": limg.uv_primary[(u - 1, v - 1)].witness,
+                            },
+                            space="localization forward",
+                            tested=tested,
+                        )
+                        break
+                if verdict is None:
+                    verdict = holds(space="localization forward", tested=tested)
+                report.add_verdict(
+                    name, f.ideal.members(), "localization-forward",
+                    {"s": s_members}, verdict, millis=_ms(t1, ctx.spec),
+                )
+                # radical commutes with localization on these instances
+                if limg is not None:
+                    t2 = time.perf_counter()
+                    lrad = loc.ideal_image(f.rad_nil)
+                    rad_l = radical_nilpotent(loc.ring, img)
+                    report.add(
+                        name, f.ideal.members(), "radical-commutes-with-localization",
+                        {"tested": 1, "s": s_members},
+                        HOLDS if lrad == rad_l else FAILS,
+                        None
+                        if lrad == rad_l
+                        else {"localized_radical": _members(lrad), "radical_of_localized": _members(rad_l)},
+                        "localization radical", millis=_ms(t2, ctx.spec),
+                    )
+            # reverse: with the colon-closure missing S, the property lifts back
+            if f.c.holds and not construct.gamma_mask(ring, f.mask) & smask:
+                t2 = time.perf_counter()
+                tested = 0
+                verdict = None
+                for uv, _v1 in f.uv_primary.items():
+                    if limg is None or not limg.uv_primary[uv].holds:
+                        continue
+                    tested += 1
+                    if not f.uv_primary[uv].holds:
+                        verdict = fails(
+                            {"s": s_members, "at": list(uv), "witness": f.uv_primary[uv].witness},
+                            space="localization reverse",
+                            tested=tested,
+                        )
+                        break
+                if verdict is None:
+                    verdict = holds(space="localization reverse", tested=tested)
+                report.add_verdict(
+                    name, f.ideal.members(), "localization-reverse",
+                    {"s": s_members}, verdict, millis=_ms(t2, ctx.spec),
+                )
+
+
+# -- suite drivers -----------------------------------------------------------------
+
+
+def run_ring(ring: FiniteHyperring, spec: RingFamilySpec, report: Report) -> None:
+    t0 = time.perf_counter()
+    name = ring.name
+    vrep = ring.validate()
+    report.add(
+        name,
+        None,
+        "hyperring-axioms",
+        {"tested": 1, "strongly_distributive": vrep.strongly_distributive,
+         "has_identity": ring.has_identity},
+        HOLDS if vrep.ok else FAILS,
+        None if vrep.ok else {"failures": [f.describe() for f in vrep.failures]},
+        "axiom validation",
+        millis=_ms(t0, spec),
+    )
+    if not vrep.ok:
+        return
+    pool = bin(ring.unit_report().nonunits).count("1")
+    if estimated_multisets(pool, spec.u_max) > spec.tuple_budget:
+        report.incomplete = True
+        report.add(
+            name, None, "scan-budget",
+            {"tested": 0, "pool": pool, "u_max": spec.u_max},
+            SKIPPED, None, "multiset budget exceeded, ring skipped",
+            millis=_ms(t0, spec),
+        )
+        return
+    ctx = build_ring_context(ring, spec)
+    for f in ctx.facts:
+        for prop, fn in IDEAL_CHECKS:
+            t1 = time.perf_counter()
+            verdict = fn(ctx, f)
+            report.add_verdict(name, f.ideal.members(), prop, {}, verdict, millis=_ms(t1, spec))
+    check_equal_radical_intersections(ctx, report)
+    record_radical_comparison_on_non_c(ctx, report)
+    if spec.include_constructions:
+        run_quotient_checks(ctx, report)
+        run_matrix_checks(ctx, report)
+        run_localization_checks(ctx, report)
+
+
+def _ms(t0: float, spec: RingFamilySpec) -> Optional[int]:
+    if not spec.timings:
+        return None
+    return int((time.perf_counter() - t0) * 1000)
+
+
+def run_theorem_suite(spec: RingFamilySpec) -> Report:
+    report = Report()
+    for ring in enumerate_family(spec):
+        run_ring(ring, spec, report)
+    return report
+
+
+# -- golden integer examples ---------------------------------------------------------
+
+
+def run_golden_examples(mode: SplitMode = SplitMode.ANY) -> Report:
+    """Replay of the worked integer-ring computations with frozen expected
+    values; every row must hold."""
+    report = Report()
+    r23 = zphi.ZPhiRing((2, 3))
+    name23 = "zphi:2,3"
+
+    def expect(ideal, prop, params, observed, expected, space):
+        ok = observed == expected
+        report.add(
+            name23, ideal, prop,
+            {**params, "tested": 1, "observed": observed, "expected": expected},
+            HOLDS if ok else FAILS,
+            None if ok else {"observed": observed, "expected": expected},
+            space,
+        )
+
+    product_rows = [
+        ([2, 3], [12, 18]),
+        ([2, 2], [8, 12]),
+        ([2, 2, 3], [48, 72, 108]),
+        ([2, 2, 2, 3], [192, 288, 432, 648]),
+    ]
+    for factors, expected in product_rows:
+        observed = sorted(zphi.int_product(r23, factors))
+        expect(None, "hyperproduct-exact", {"factors": factors}, observed, expected,
+               "exact integer products")
+    membership_rows = [
+        ([2, 2, 2, 3], zphi.SUBSET),
+        ([2, 2], zphi.MIXED),
+        ([2, 2, 3], zphi.SUBSET),
+    ]
+    for factors, expected in membership_rows:
+        observed = zphi.principal_membership(12, zphi.int_product(r23, factors))
+        expect([12], "principal-membership", {"factors": factors}, observed, expected,
+               "membership against 12Z")
+    for a in (2, 3):
+        observed = zphi.radical_membership(r23, 12, a)
+        expect([12], "radical-membership", {"a": a}, observed, False,
+               "valuation criterion")
+
+    v42 = zphi.bounded_uv_primary_check(r23, 12, UVParams(4, 2), 50, mode=mode)
+    report.add(
+        name23, [12], "windowed-uv-primary",
+        {"u": 4, "v": 2, "window": 50, "tested": v42.tested, **v42.extra},
+        HOLDS if v42.status == INCONCLUSIVE else FAILS,
+        v42.witness, v42.checked_space,
+    )
+    v42p = zphi.bounded_uv_prime_check(r23, 12, UVParams(4, 2), 10, mode=mode)
+    _witness_row(report, r23, name23, 12, v42p, UVParams(4, 2), "prime", [2, 2, 2, 3], mode)
+    v32 = zphi.bounded_uv_primary_check(r23, 12, UVParams(3, 2), 10, mode=mode)
+    _witness_row(report, r23, name23, 12, v32, UVParams(3, 2), "primary", [2, 2, 3], mode)
+
+    r24 = zphi.ZPhiRing((2, 4))
+    name24 = "zphi:2,4"
+    inter = zphi.ideal_intersection([3, 5, 7])
+    report.add(
+        name24, [3, 5, 7], "principal-intersection",
+        {"tested": 1, "computed": inter, "printed_source_value": 150,
+         "matches_printed_value": inter == 150},
+        HOLDS if inter == 105 else FAILS,
+        None if inter == 105 else {"computed": inter, "expected": 105},
+        "lcm of generators, discrepancy with the printed value flagged",
+    )
+    for d in (3, 5, 7):
+        vd = zphi.bounded_uv_primary_check(r24, d, UVParams(3, 2), 30, mode=mode)
+        report.add(
+            name24, [d], "windowed-uv-primary",
+            {"u": 3, "v": 2, "window": 30, "tested": vd.tested, **vd.extra},
+            HOLDS if vd.status == INCONCLUSIVE else FAILS,
+            vd.witness, vd.checked_space,
+        )
+    v105 = zphi.bounded_uv_primary_check(r24, 105, UVParams(3, 2), 30, mode=mode)
+    _witness_row(report, r24, name24, 105, v105, UVParams(3, 2), "primary", [3, 5, 7], mode)
+    v150 = zphi.bounded_uv_primary_check(r24, 150, UVParams(3, 2), 30, mode=mode)
+    report.add(
+        name24, [150], "windowed-uv-primary",
+        {"u": 3, "v": 2, "window": 30, "tested": v150.tested},
+        HOLDS if v150.fails and zphi.replay_int_counterexample(
+            r24, 150, v150.witness["factors"], UVParams(3, 2), "primary", mode)
+        else FAILS,
+        v150.witness, v150.checked_space,
+    )
+    gens = [zphi.radical_profile(r24, d).generator for d in (3, 5, 7)]
+    distinct = len(set(gens)) == 3
+    report.add(
+        name24, [3, 5, 7], "radical-generators-distinct",
+        {"tested": 1, "generators": gens},
+        HOLDS if distinct else FAILS,
+        None if distinct else {"generators": gens},
+        "pairwise distinct radicals",
+    )
+    return report
+
+
+def _witness_row(report, ring, name, d, verdict, uv, variant, expected_factors, mode):
+    ok = (
+        verdict.fails
+        and verdict.witness.get("factors") == expected_factors
+        and zphi.replay_int_counterexample(ring, d, verdict.witness["factors"], uv, variant, mode)
+    )
+    prop = "windowed-uv-prime" if variant == "prime" else "windowed-uv-primary"
+    report.add(
+        name, [d], prop,
+        {"u": uv.u, "v": uv.v, "tested": verdict.tested,
+         "expected_witness": expected_factors, "replayed": ok},
+        HOLDS if ok else FAILS,
+        verdict.witness, verdict.checked_space,
+    )
+
+
+# -- randomized oracle validation ------------------------------------------------------
+
+
+def validate_radical_oracle(samples: int = 10000, seed: int = 20260813) -> Verdict:
+    """Random (a, d, Phi) instances: the valuation criterion must agree
+    with the direct bounded power search on every one."""
+    import random
+
+    rng = random.Random(seed)
+    primes = [2, 3, 5, 7]
+    for i in range(samples):
+        size = rng.randint(2, 4)
+        phi = tuple(rng.sample(primes, size))
+        ring = zphi.ZPhiRing(phi)
+        d = rng.randint(1, 1000)
+        a = rng.randint(-100, 100)
+        if a == 0:
+            a = 1
+        fast = zphi.radical_membership(ring, d, a)
+        slow = zphi.radical_membership_bruteforce(ring, d, a)
+        if fast != slow:
+            return fails(
+                {"phi": list(phi), "d": d, "a": a, "criterion": fast, "bruteforce": slow},
+                space=f"randomized oracle comparison seed={seed}",
+                tested=i + 1,
+            )
+    return holds(space=f"randomized oracle comparison seed={seed}", tested=samples)

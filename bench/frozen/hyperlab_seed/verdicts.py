@@ -1,0 +1,100 @@
+"""Shared verdict/result types for property deciders.
+
+Every decider answers with a Verdict rather than a bare bool so that a
+failure always travels with a machine-checkable witness and a "holds"
+always records how much space was actually searched (vacuous truths are
+visible as tested == 0).
+"""
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from enum import Enum
+from typing import Any, Optional
+
+HOLDS = "holds"
+FAILS = "fails"
+INCONCLUSIVE = "inconclusive"
+
+
+class UsageError(ValueError):
+    """Caller handed an argument outside the decider's domain."""
+
+
+class ParameterError(UsageError):
+    """Numeric parameters out of range (e.g. u <= v)."""
+
+
+class ConstructionError(RuntimeError):
+    """A derived structure failed its own validity checks.
+
+    Carries a witness describing the violating instance.
+    """
+
+    def __init__(self, message: str, witness: Any = None):
+        super().__init__(message)
+        self.witness = witness
+
+
+class ResourceError(RuntimeError):
+    """Requested object exceeds the configured size cap."""
+
+
+class SplitMode(Enum):
+    # Aggregation over the ways a product multiset splits into a v-part
+    # and a remainder.  ANY: some split must satisfy the disjunction
+    # (a counterexample multiset has every split failing).  ALL: every
+    # split must satisfy it (a single bad split is a counterexample).
+    ANY = "any"
+    ALL = "all"
+
+
+@dataclass(frozen=True)
+class UVParams:
+    u: int
+    v: int
+
+    def __post_init__(self):
+        if not (isinstance(self.u, int) and isinstance(self.v, int)):
+            raise ParameterError("u and v must be integers")
+        if not self.u > self.v >= 1:
+            raise ParameterError(f"need u > v >= 1, got u={self.u} v={self.v}")
+
+
+@dataclass
+class Verdict:
+    status: str
+    witness: Optional[dict] = None
+    checked_space: str = ""
+    tested: int = 0
+    extra: dict = field(default_factory=dict)
+
+    @property
+    def holds(self) -> bool:
+        return self.status == HOLDS
+
+    @property
+    def fails(self) -> bool:
+        return self.status == FAILS
+
+    def to_record(self) -> dict:
+        rec = {
+            "status": self.status,
+            "witness": self.witness,
+            "space": self.checked_space,
+            "tested": self.tested,
+        }
+        if self.extra:
+            rec["extra"] = dict(self.extra)
+        return rec
+
+
+def holds(space: str = "", tested: int = 0, **extra) -> Verdict:
+    return Verdict(HOLDS, None, space, tested, dict(extra))
+
+
+def fails(witness: dict, space: str = "", tested: int = 0, **extra) -> Verdict:
+    return Verdict(FAILS, witness, space, tested, dict(extra))
+
+
+def inconclusive(space: str = "", tested: int = 0, **extra) -> Verdict:
+    return Verdict(INCONCLUSIVE, None, space, tested, dict(extra))
