@@ -75,8 +75,16 @@ def _complement(ms: Sequence[int], part: Sequence[int]) -> tuple:
     return tuple(rest)
 
 
-def _splits(ms: tuple, v: int) -> list[tuple]:
-    return sorted(set(combinations(ms, v)))
+def _v_splits(ms: tuple, v: int) -> tuple[list[tuple], list[tuple]]:
+    """The v-parts of the sorted multiset ms in canonical order, and at the
+    same positions their remainders.  combinations() lists index subsets
+    in lexicographic order and their complements in the reverse order.  A
+    repeated factor repeats a split; the first occurrence of each distinct
+    v-part comes in sorted order, so the first failing split is the same
+    as over distinct v-parts."""
+    rests = list(combinations(ms, len(ms) - v))
+    rests.reverse()
+    return list(combinations(ms, v)), rests
 
 
 # -- prime / primary ----------------------------------------------------------
@@ -126,63 +134,204 @@ def is_primary(ring: FiniteHyperring, pmask: Mask, radmask: Mask) -> Verdict:
 # -- (u,v)-absorbing deciders -------------------------------------------------
 
 
-def _uv_scan(
+class _Times(dict):
+    """mask -> mask ∘ x for one element x, filled on first use; None (the
+    empty product) -> {x}."""
+
+    def __init__(self, ring: FiniteHyperring, x: int):
+        super().__init__({None: 1 << x})
+        self.mul, self.x = ring.mul_elem, x
+
+    def __missing__(self, m: Mask) -> Mask:
+        self[m] = out = self.mul(m, self.x)
+        return out
+
+
+class _PrefixSplits:
+    """Split states of the prefixes of the multiset last asked for.
+
+    The state of a multiset is, per v-part size j, the set of distinct
+    (v-part product, remainder product) pairs over its splits, None
+    standing for an empty part.  Multisets arrive in canonical order, so
+    consecutive ones share long prefixes and only the changed tail of the
+    prefix chain is rebuilt.  Products are left folds in sorted order, as
+    in `multiset_products`."""
+
+    def __init__(self, times: dict[int, _Times]):
+        self.times = times
+        self.prefix: tuple = ()
+        self.states: list[list[set]] = [[{(None, None)}]]
+
+    def of(self, prefix: tuple) -> list[set]:
+        if prefix != self.prefix:
+            keep = 0
+            while keep < len(self.prefix) and self.prefix[keep] == prefix[keep]:
+                keep += 1
+            del self.states[keep + 1 :]
+            for x in prefix[keep:]:
+                tx = self.times[x]
+                old = self.states[-1]
+                new = [set() for _ in range(len(old) + 1)]
+                for j, pairs in enumerate(old):
+                    new[j + 1].update([(tx[a], b) for a, b in pairs])
+                    new[j].update([(a, tx[b]) for a, b in pairs])
+                self.states.append(new)
+            self.prefix = prefix
+        return self.states[-1]
+
+
+def uv_scan(
     ring: FiniteHyperring,
-    pmask: Mask,
-    concl_mask: Mask,
-    uv: UVParams,
+    targets: Sequence[tuple[Mask, Mask, Mask]],
+    uvs: Sequence[tuple[int, int]],
     mode: SplitMode,
     pool: Sequence[int],
-    avoid_mask: Mask = 0,
-    label: str = "",
-) -> Verdict:
-    """Core scan shared by the absorbing deciders.
+    labels: tuple[str, str] = ("absorbing-primary", "absorbing-prime"),
+) -> tuple[list[dict], list[dict]]:
+    """The (u,v) scan kernel: one pass over the u-multisets of the sorted
+    `pool` per u decides every (target, v) pair, in two readings at once.
 
-    Hypothesis: full product of the u-multiset ⊆ P (and, when avoid_mask
-    is set, disjoint from it).  Disjunction per split: v-part product ⊆ P,
-    or remainder product ⊆ concl_mask.
+    A target is (P, rad, avoid).  Hypothesis: the full product of the
+    multiset lies in P and misses `avoid`.  Per split, the primary reading
+    asks for v-part ⊆ P or remainder ⊆ rad, the prime reading for v-part
+    ⊆ P or remainder ⊆ P.  ANY: a pair fails at a multiset where no split
+    satisfies its reading; ALL: where some split does not.  Returns, per
+    target, {(u, v): Verdict} for the primary and the prime reading, with
+    spaces labelled by `labels`.
+
+    Targets are bit-sliced: per distinct product mask m, T_P(m) and T_R(m)
+    are the bitsets of targets with m ⊆ P and m ⊆ rad, and bit t of the
+    primary reading sits next to bit n + t of the prime reading (n
+    targets).  A split then decides every pair in a few int operations:
+    v-part bits T_P|T_P<<n, or'ed with remainder bits T_R|T_P<<n.  The
+    splits of a multiset come from those of its prefix (the last factor
+    joins either part), deduped by product masks.  A witness is the first
+    failing multiset (ANY) or split (ALL) in canonical order; `tested`
+    counts the multisets meeting the hypothesis up to the witness, or in
+    total for a holding pair, from per-mask hit counts.
     """
-    u, v = uv.u, uv.v
-    prods = multiset_products(ring, u)
-    notp = ~pmask
-    hits = 0
-    space = f"{label or 'u-multisets'} u={u} v={v} pool={len(pool)} mode={mode.value}"
-    for ms in combinations_with_replacement(tuple(pool), u):
-        pm = prods[ms]
-        if pm & notp:
-            continue
-        if avoid_mask and pm & avoid_mask:
-            continue
-        hits += 1
-        if mode is SplitMode.ANY:
-            ok = False
-            for vpart in _splits(ms, v):
-                if not prods[vpart] & notp:
-                    ok = True
+    pool = tuple(pool)
+    prods = multiset_products(ring, max((u for u, _ in uvs), default=1))
+    n = len(targets)
+    everyone = (1 << n) - 1
+    vpart_bits: dict[Mask, int] = {}
+    rest_bits: dict[Mask, int] = {}
+    hit: dict[Mask, int] = {}
+    for m in set(prods.values()):
+        bp = br = bh = 0
+        for t, (pmask, radmask, avoid) in enumerate(targets):
+            if not m & ~pmask:
+                bp |= 1 << t
+                if not m & avoid:
+                    bh |= 1 << t
+            if not m & ~radmask:
+                br |= 1 << t
+        vpart_bits[m], rest_bits[m], hit[m] = bp | bp << n, br | bp << n, bh
+    times = {x: _Times(ring, x) for x in pool}
+    any_mode = mode is SplitMode.ANY
+    out = ([{} for _ in targets], [{} for _ in targets])
+    vs_of: dict[int, list[int]] = {}
+    for u, v in uvs:
+        vs_of.setdefault(u, []).append(v)
+    for u, vs in vs_of.items():
+        # open_[v]: the (reading, target) bits of pairs with no witness yet
+        open_ = {v: everyone | everyone << n for v in vs}
+        found: dict[tuple[int, int], tuple[dict, int]] = {}
+        counts: dict[Mask, int] = {}
+        prefix_splits = _PrefixSplits(times)
+        live = everyone
+        for ms in combinations_with_replacement(pool, u) if live else ():
+            pm = prods[ms]
+            h = hit[pm] & live
+            if not h:
+                continue
+            counts[pm] = counts.get(pm, 0) + 1
+            splits = prefix_splits.of(ms[:-1])
+            tx = times[ms[-1]]
+            closed = False
+            for v in vs:
+                need = (h | h << n) & open_[v]
+                if not need:
+                    continue
+                # ok: pairs that some split (ANY) or every split (ALL)
+                # satisfies; a v-part inside every needed P settles a split
+                if any_mode:
+                    ok = 0
+                    for a, b in splits[v - 1]:  # the last factor joins the v-part
+                        a = vpart_bits[tx[a]]
+                        if not need & ~a:
+                            ok = -1
+                            break
+                        ok |= a | rest_bits[b]
+                    else:
+                        for a, b in splits[v]:  # ... or the remainder
+                            a = vpart_bits[a]
+                            if not need & ~a:
+                                ok = -1
+                                break
+                            ok |= a | rest_bits[tx[b]]
+                else:
+                    ok = -1
+                    for a, b in splits[v - 1]:
+                        a = vpart_bits[tx[a]]
+                        if need & ~a:
+                            ok &= a | rest_bits[b]
+                    for a, b in splits[v]:
+                        a = vpart_bits[a]
+                        if need & ~a:
+                            ok &= a | rest_bits[tx[b]]
+                bad = need & ~ok
+                if not bad:
+                    continue
+                open_[v] &= ~bad
+                closed = True
+                for i in iter_bits(bad):
+                    if any_mode:
+                        witness = {"factors": list(ms)}
+                    else:
+                        vp, rest = next(
+                            (vp, rest)
+                            for vp, rest in zip(*_v_splits(ms, v))
+                            if not (vpart_bits[prods[vp]] | rest_bits[prods[rest]]) >> i & 1
+                        )
+                        witness = {"factors": list(vp + rest), "v_part": list(vp), "rest": list(rest)}
+                    t = i % n
+                    tested = sum(c for m, c in counts.items() if hit[m] >> t & 1)
+                    found[(i, v)] = (witness, tested)
+            if closed:
+                live = 0
+                for v in vs:
+                    live |= open_[v] | open_[v] >> n
+                live &= everyone
+                if not live:
                     break
-                if subset(prods[_complement(ms, vpart)], concl_mask):
-                    ok = True
-                    break
-            if not ok:
-                return fails(
-                    {"factors": list(ms)},
-                    space=space,
-                    tested=hits,
-                )
-        else:
-            for vpart in _splits(ms, v):
-                rest = _complement(ms, vpart)
-                if prods[vpart] & notp and not subset(prods[rest], concl_mask):
-                    return fails(
-                        {
-                            "factors": list(vpart + rest),
-                            "v_part": list(vpart),
-                            "rest": list(rest),
-                        },
-                        space=space,
-                        tested=hits,
-                    )
-    return holds(space=space, tested=hits)
+        total = [sum(c for m, c in counts.items() if hit[m] >> t & 1) for t in range(n)]
+        for k, label in enumerate(labels):
+            for t, verdicts in enumerate(out[k]):
+                for v in vs:
+                    space = f"{label} u={u} v={v} pool={len(pool)} mode={mode.value}"
+                    if (k * n + t, v) in found:
+                        witness, tested = found[(k * n + t, v)]
+                        verdicts[(u, v)] = fails(witness, space=space, tested=tested)
+                    else:
+                        verdicts[(u, v)] = holds(space=space, tested=total[t])
+    return out
+
+
+def _uv_one(
+    ring: FiniteHyperring,
+    target: tuple[Mask, Mask, Mask],
+    uv: UVParams,
+    mode: SplitMode,
+    pool: Optional[Sequence[int]],
+    label: str,
+) -> Verdict:
+    """One-target call of the kernel, primary reading (remainder ⊆ the
+    target's second mask)."""
+    if pool is None:
+        pool = elems_of(ring.unit_report().nonunits)
+    primary, _ = uv_scan(ring, [target], [(uv.u, uv.v)], mode, pool, labels=(label, label))
+    return primary[0][(uv.u, uv.v)]
 
 
 def is_uv_absorbing_primary(
@@ -197,9 +346,7 @@ def is_uv_absorbing_primary(
     remainder inside rad(P).  `pool` overrides the nonunit pool (used by
     the widened all-elements variant)."""
     _require_proper(ring, pmask)
-    if pool is None:
-        pool = elems_of(ring.unit_report().nonunits)
-    return _uv_scan(ring, pmask, radmask, uv, mode, pool, label="absorbing-primary")
+    return _uv_one(ring, (pmask, radmask, 0), uv, mode, pool, "absorbing-primary")
 
 
 def is_uv_absorbing_prime(
@@ -211,9 +358,7 @@ def is_uv_absorbing_prime(
 ) -> Verdict:
     """Same hypothesis, but the remainder must land in P itself."""
     _require_proper(ring, pmask)
-    if pool is None:
-        pool = elems_of(ring.unit_report().nonunits)
-    return _uv_scan(ring, pmask, pmask, uv, mode, pool, label="absorbing-prime")
+    return _uv_one(ring, (pmask, pmask, 0), uv, mode, pool, "absorbing-prime")
 
 
 def is_uv_absorbing_i_primary(
@@ -228,10 +373,7 @@ def is_uv_absorbing_i_primary(
     u-product must lie in P and miss I∘P entirely."""
     _require_proper(ring, pmask)
     ip = ideal_product(ring, imask, pmask).mask
-    pool = elems_of(ring.unit_report().nonunits)
-    verdict = _uv_scan(
-        ring, pmask, radmask, uv, mode, pool, avoid_mask=ip, label="absorbing-i-primary"
-    )
+    verdict = _uv_one(ring, (pmask, radmask, ip), uv, mode, None, "absorbing-i-primary")
     verdict.extra["ideal_product"] = elems_of(ip)
     return verdict
 
@@ -298,10 +440,10 @@ def replay_uv_counterexample(
         return bool(ring.hyperproduct(vpart) & ~pmask) and bool(
             ring.hyperproduct(rest) & ~concl_mask
         )
-    for vpart in _splits(ms, v):
+    for vpart, rest in zip(*_v_splits(ms, v)):
         if not ring.hyperproduct(vpart) & ~pmask:
             return False
-        if not ring.hyperproduct(_complement(ms, vpart)) & ~concl_mask:
+        if not ring.hyperproduct(rest) & ~concl_mask:
             return False
     return True
 

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
-from itertools import combinations, combinations_with_replacement
+from dataclasses import dataclass, field, replace
+from functools import cached_property
+from itertools import combinations
 from math import comb
 from typing import Callable, Optional, Sequence
 
@@ -73,9 +74,6 @@ class RingFamilySpec:
             raise ValueError("moduli must be at least 2")
         if self.u_max < 2 or self.tuple_budget < 1:
             raise ValueError("budgets must be positive")
-
-
-RECORD_KEYS = ("ring", "ideal", "property", "params", "status", "witness", "space")
 
 
 @dataclass
@@ -211,90 +209,13 @@ def compute_uv_matrices(
     u_max: int,
     mode: SplitMode,
 ) -> tuple[list[dict], list[dict]]:
-    """One scan over all nonunit multisets of size 2..u_max, classifying
-    every (ideal, u, v) pair for both the primary and prime readings.
-    Witnesses and tested counts match the single-property deciders, which
-    the tests cross-check."""
-    pool = tuple(elems_of(ring.unit_report().nonunits))
-    prods = classify.multiset_products(ring, u_max)
-    n_t = len(targets)
-    out_primary: list[dict] = [dict() for _ in range(n_t)]
-    out_prime: list[dict] = [dict() for _ in range(n_t)]
-    for u in range(2, u_max + 1):
-        vs = list(range(1, u))
-        open_p = {(t, v): True for t in range(n_t) for v in vs}
-        open_q = dict(open_p)
-        hits = [0] * n_t
-        wit_p: dict[tuple[int, int], tuple] = {}
-        wit_q: dict[tuple[int, int], tuple] = {}
-        for ms in combinations_with_replacement(pool, u):
-            pm = prods[ms]
-            splits_by_v: dict[int, list] = {}
-            for t, (pmask, radmask) in enumerate(targets):
-                if pm & ~pmask:
-                    continue
-                hits[t] += 1
-                for v in vs:
-                    need_p = open_p[(t, v)]
-                    need_q = open_q[(t, v)]
-                    if not (need_p or need_q):
-                        continue
-                    if v not in splits_by_v:
-                        parts = sorted(set(combinations(ms, v)))
-                        splits_by_v[v] = [
-                            (vp, classify._complement(ms, vp)) for vp in parts
-                        ]
-                    splits = splits_by_v[v]
-                    if mode is SplitMode.ANY:
-                        okp = okq = False
-                        for vp, rest in splits:
-                            if not prods[vp] & ~pmask or not prods[rest] & ~pmask:
-                                okp = okq = True
-                                break
-                            if not okp and not prods[rest] & ~radmask:
-                                okp = True
-                        if need_p and not okp:
-                            open_p[(t, v)] = False
-                            wit_p[(t, v)] = ({"factors": list(ms)}, hits[t])
-                        if need_q and not okq:
-                            open_q[(t, v)] = False
-                            wit_q[(t, v)] = ({"factors": list(ms)}, hits[t])
-                    else:
-                        for vp, rest in splits:
-                            if not prods[vp] & ~pmask:
-                                continue
-                            bad_p = bool(prods[rest] & ~radmask)
-                            bad_q = bool(prods[rest] & ~pmask)
-                            w = {
-                                "factors": list(vp + rest),
-                                "v_part": list(vp),
-                                "rest": list(rest),
-                            }
-                            if need_p and bad_p and (t, v) not in wit_p:
-                                open_p[(t, v)] = False
-                                wit_p[(t, v)] = (w, hits[t])
-                                need_p = False
-                            if need_q and bad_q and (t, v) not in wit_q:
-                                open_q[(t, v)] = False
-                                wit_q[(t, v)] = (w, hits[t])
-                                need_q = False
-                            if not (need_p or need_q or open_p[(t, v)] or open_q[(t, v)]):
-                                break
-        for t in range(n_t):
-            for v in vs:
-                space_p = f"absorbing-primary u={u} v={v} pool={len(pool)} mode={mode.value}"
-                space_q = f"absorbing-prime u={u} v={v} pool={len(pool)} mode={mode.value}"
-                if (t, v) in wit_p:
-                    w, at = wit_p[(t, v)]
-                    out_primary[t][(u, v)] = fails(w, space=space_p, tested=at)
-                else:
-                    out_primary[t][(u, v)] = holds(space=space_p, tested=hits[t])
-                if (t, v) in wit_q:
-                    w, at = wit_q[(t, v)]
-                    out_prime[t][(u, v)] = fails(w, space=space_q, tested=at)
-                else:
-                    out_prime[t][(u, v)] = holds(space=space_q, tested=hits[t])
-    return out_primary, out_prime
+    """Every (ideal, u, v) pair for u = 2..u_max over the nonunit pool, in
+    the primary and the prime reading, from one `classify.uv_scan` call
+    over all (P, rad) targets.  tests/test_uv_kernel.py checks every entry
+    against the one-target deciders, field for field, and against a
+    literal reference decider."""
+    pool = elems_of(ring.unit_report().nonunits)
+    return classify.uv_scan(ring, [(p, r, 0) for p, r in targets], uv_pairs(u_max), mode, pool)
 
 
 @dataclass
@@ -308,6 +229,22 @@ class RingContext:
 
     def find(self, mask: Mask) -> Optional[IdealFacts]:
         return self.by_mask.get(mask)
+
+    @cached_property
+    def full_pool_uv(self) -> dict[Mask, dict]:
+        """(u,v)-absorbing primary verdicts over the whole carrier, keyed by
+        ideal mask, for every ideal that meets the premises of
+        check_strong_c_unit_padding: one kernel call per ring, made when the
+        first such ideal is checked."""
+        checked = [f for f in self.facts if _unit_padding_gate(self, f) is None]
+        primary, _ = classify.uv_scan(
+            self.ring,
+            [(f.mask, f.rad_nil, 0) for f in checked],
+            uv_pairs(self.spec.u_max),
+            self.spec.mode,
+            range(self.ring.n),
+        )
+        return {f.mask: m for f, m in zip(checked, primary)}
 
 
 def estimated_multisets(pool_size: int, u_max: int) -> int:
@@ -534,10 +471,9 @@ def check_strong_c_radical(ctx: RingContext, f: IdealFacts) -> Verdict:
     return holds(space="strong C closure of radical", tested=1)
 
 
-def check_strong_c_unit_padding(ctx: RingContext, f: IdealFacts) -> Verdict:
-    """For a strong C-hyperideal containing some a with a+1 a nonunit, the
-    (u,v) condition quantified over nonunits is equivalent to the same
-    condition quantified over the whole carrier."""
+def _unit_padding_gate(ctx: RingContext, f: IdealFacts) -> Optional[Verdict]:
+    """The gated verdict of check_strong_c_unit_padding, or None when its
+    premises hold for f."""
     ring = ctx.ring
     rep = ring.unit_report()
     if not f.sc.holds or not rep.identities:
@@ -549,13 +485,21 @@ def check_strong_c_unit_padding(ctx: RingContext, f: IdealFacts) -> Verdict:
     )
     if not gate:
         return holds(space="gated on a+1 nonunit for some a in P", tested=0)
+    return None
+
+
+def check_strong_c_unit_padding(ctx: RingContext, f: IdealFacts) -> Verdict:
+    """For a strong C-hyperideal containing some a with a+1 a nonunit, the
+    (u,v) condition quantified over nonunits is equivalent to the same
+    condition quantified over the whole carrier."""
+    gated = _unit_padding_gate(ctx, f)
+    if gated is not None:
+        return gated
     tested = 0
-    all_pool = list(range(ring.n))
+    full_pool = ctx.full_pool_uv[f.mask]
     for (u, v), narrow in f.uv_primary.items():
         tested += 1
-        wide = classify.is_uv_absorbing_primary(
-            ring, f.mask, f.rad_nil, UVParams(u, v), mode=ctx.spec.mode, pool=all_pool
-        )
+        wide = full_pool[(u, v)]
         if narrow.holds != wide.holds:
             return fails(
                 {
@@ -819,16 +763,7 @@ def record_radical_comparison_on_non_c(ctx: RingContext, report: Report) -> None
 
 
 def _uv_facts_for(ring: FiniteHyperring, spec: RingFamilySpec) -> RingContext:
-    sub = RingFamilySpec(
-        moduli=(2,),
-        phi_sizes=(2,),
-        u_max=spec.u_max,
-        mode=spec.mode,
-        tuple_budget=spec.tuple_budget,
-        matrix_cap=spec.matrix_cap,
-        include_constructions=False,
-    )
-    return build_ring_context(ring, sub)
+    return build_ring_context(ring, replace(spec, include_constructions=False))
 
 
 def run_quotient_checks(ctx: RingContext, report: Report) -> None:

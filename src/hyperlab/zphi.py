@@ -17,6 +17,7 @@ from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 from typing import Iterable, Optional, Sequence
 
+from .classify import _complement
 from .verdicts import (
     ParameterError,
     SplitMode,
@@ -199,13 +200,6 @@ def _subset_q(modulus: int, plain_product: int) -> int:
     # product·W ⊆ modulus·ZZ  iff  (modulus / gcd(modulus, product)) divides
     # every member of W; the divisor is returned for a gcd comparison
     return modulus // math.gcd(modulus, plain_product)
-
-
-def _complement(ms: Sequence[int], part: Sequence[int]) -> tuple:
-    rest = list(ms)
-    for x in part:
-        rest.remove(x)
-    return tuple(rest)
 
 
 def bounded_uv_check(

@@ -1,5 +1,6 @@
 """Sweep harness report shape and determinism, oracle self-checks, and the
 command line interface driven through subprocesses."""
+import hashlib
 import json
 import os
 import subprocess
@@ -21,6 +22,14 @@ from hyperlab.harness import (
 from hyperlab.verdicts import SplitMode
 
 TINY = RingFamilySpec(moduli=(2, 3, 4), phi_sizes=(2,))
+
+# sha256 of the suite report on moduli 4-9, |Phi| = 2, constructions on:
+# every verdict, witness, tested count and space string of the (u,v) scan
+# and the construction contexts feeds it.  (mode, digest, fails rows)
+SUITE_DIGESTS = [
+    (SplitMode.ALL, "99c3e652087e451d925b75bf29e536ed9cc1ef7775c65bfece1722b820d3447f", 0),
+    (SplitMode.ANY, "2aa4a4aef9d3cae5db58fcfcf0266cfa1ec07f4b2330210978df8b4edda47db1", 3),
+]
 
 
 def run_cli(*args, env_extra=None):
@@ -78,6 +87,12 @@ class TestReportShape:
     def test_tiny_family_is_clean(self, tiny_report):
         assert tiny_report.violations == 0
         assert not tiny_report.incomplete
+
+    @pytest.mark.parametrize("mode,digest,violations", SUITE_DIGESTS, ids=["all", "any"])
+    def test_suite_report_is_pinned(self, mode, digest, violations):
+        report = run_theorem_suite(RingFamilySpec(moduli=(4, 5, 6, 7, 8, 9), phi_sizes=(2,), mode=mode))
+        assert report.violations == violations
+        assert hashlib.sha256(report.to_jsonl().encode()).hexdigest() == digest
 
 
 class TestFamily:

@@ -1,0 +1,138 @@
+"""The bit-sliced (u,v) scan kernel against the one-target deciders and
+against a literal reference decider written straight from the definition:
+frozenset products folded from the multiplication table, distinct v-parts
+in sorted order, remainders by multiset difference, no bitsets and no
+shared product cache."""
+from collections import Counter
+from itertools import combinations, combinations_with_replacement
+
+import pytest
+
+from hyperlab.classify import (
+    is_uv_absorbing_i_primary,
+    is_uv_absorbing_prime,
+    is_uv_absorbing_primary,
+    replay_uv_counterexample,
+    uv_scan,
+)
+from hyperlab.core import elems_of
+from hyperlab.harness import RingFamilySpec, compute_uv_matrices, enumerate_family, uv_pairs
+from hyperlab.ideals import enumerate_hyperideals, ideal_product, radical_nilpotent
+from hyperlab.verdicts import FAILS, HOLDS, SplitMode, UVParams
+
+FAMILY = RingFamilySpec(moduli=(4, 5, 6, 7, 8, 9), phi_sizes=(2,))
+U_MAX = 5
+# the full-pool and avoid scans run the same kernel at smaller arity
+U_MAX_WIDE = 4
+
+
+class Reference:
+    """Literal (u,v) decider over one ring and one element pool."""
+
+    def __init__(self, ring, pool):
+        self.table = [[frozenset(elems_of(ring.hmul[a][b])) for b in range(ring.n)] for a in range(ring.n)]
+        self.pool = tuple(pool)
+        self.products = {}
+        self.rows = {}
+
+    def product(self, xs: tuple) -> frozenset:
+        if xs not in self.products:
+            out = frozenset(xs[:1])
+            for x in xs[1:]:
+                out = frozenset(z for s in out for z in self.table[s][x])
+            self.products[xs] = out
+        return self.products[xs]
+
+    def splits(self, u, v):
+        """Every u-multiset in canonical order with its product and its
+        (v-part, remainder, v-part product, remainder product) splits, one
+        per distinct v-part, in sorted order."""
+        if (u, v) not in self.rows:
+            self.rows[(u, v)] = [
+                (ms, self.product(ms), [
+                    (vp, rest, self.product(vp), self.product(rest))
+                    for vp in sorted(set(combinations(ms, v)))
+                    for rest in [tuple(sorted((Counter(ms) - Counter(vp)).elements()))]
+                ])
+                for ms in combinations_with_replacement(self.pool, u)
+            ]
+        return self.rows[(u, v)]
+
+    def decide(self, pmask, concl_mask, u, v, mode, avoid_mask=0):
+        """(status, witness, tested): the multisets whose product lies in P
+        and misses `avoid` are tested in canonical order; a split passes
+        when its v-part product lies in P or its remainder product in the
+        conclusion set."""
+        p, concl, avoid = (frozenset(elems_of(m)) for m in (pmask, concl_mask, avoid_mask))
+        tested = 0
+        for ms, total, splits in self.splits(u, v):
+            if not total <= p or total & avoid:
+                continue
+            tested += 1
+            passes = [pv <= p or pr <= concl for _, _, pv, pr in splits]
+            if mode is SplitMode.ANY and not any(passes):
+                return FAILS, {"factors": list(ms)}, tested
+            if mode is SplitMode.ALL and not all(passes):
+                vp, rest, _, _ = splits[passes.index(False)]
+                return FAILS, {"factors": list(vp + rest), "v_part": list(vp), "rest": list(rest)}, tested
+        return HOLDS, None, tested
+
+
+def assert_matches_reference(ring, ref, verdict, pmask, concl_mask, u, v, mode, avoid_mask=0):
+    expected = ref.decide(pmask, concl_mask, u, v, mode, avoid_mask)
+    assert (verdict.status, verdict.witness, verdict.tested) == expected, (ring.name, elems_of(pmask), u, v)
+    if verdict.fails:
+        assert replay_uv_counterexample(ring, pmask, concl_mask, verdict.witness["factors"], v, mode=mode)
+
+
+def family():
+    for ring in enumerate_family(FAMILY):
+        proper = [b for b in enumerate_hyperideals(ring).ideals if b.proper]
+        yield ring, [(b.mask, radical_nilpotent(ring, b.mask)) for b in proper]
+
+
+@pytest.mark.parametrize("mode", list(SplitMode))
+def test_matrix_matches_one_target_deciders_and_reference(mode):
+    for ring, targets in family():
+        nonunits = elems_of(ring.unit_report().nonunits)
+        ref = Reference(ring, nonunits)
+        mat_p, mat_q = compute_uv_matrices(ring, targets, U_MAX, mode)
+        for (pmask, rad), row_p, row_q in zip(targets, mat_p, mat_q):
+            assert list(row_p) == list(row_q) == uv_pairs(U_MAX)
+            for u, v in uv_pairs(U_MAX):
+                uv = UVParams(u, v)
+                assert row_p[(u, v)] == is_uv_absorbing_primary(ring, pmask, rad, uv, mode=mode)
+                assert row_q[(u, v)] == is_uv_absorbing_prime(ring, pmask, uv, mode=mode)
+                assert_matches_reference(ring, ref, row_p[(u, v)], pmask, rad, u, v, mode)
+                assert_matches_reference(ring, ref, row_q[(u, v)], pmask, pmask, u, v, mode)
+
+
+@pytest.mark.parametrize("mode", list(SplitMode))
+def test_full_pool_and_avoid_paths(mode):
+    """The full-element pool (the unit-padding check's scan) and the I∘P
+    avoid set of the i-primary variant, as multi-target kernel calls and as
+    one-target deciders."""
+    for ring, targets in family():
+        nonunits = elems_of(ring.unit_report().nonunits)
+        carrier = list(range(ring.n))
+        ref_wide, ref = Reference(ring, carrier), Reference(ring, nonunits)
+        wide, _ = uv_scan(ring, [(p, r, 0) for p, r in targets], uv_pairs(U_MAX_WIDE), mode, carrier)
+        for (pmask, rad), row in zip(targets, wide):
+            for u, v in uv_pairs(U_MAX_WIDE):
+                one = is_uv_absorbing_primary(ring, pmask, rad, UVParams(u, v), mode=mode, pool=carrier)
+                assert row[(u, v)] == one
+                assert_matches_reference(ring, ref_wide, one, pmask, rad, u, v, mode)
+        avoided = [
+            (p, r, ideal_product(ring, i, p).mask, i) for p, r in targets for i, _ in targets
+        ]
+        rows, _ = uv_scan(ring, [(p, r, a) for p, r, a, _ in avoided], uv_pairs(U_MAX_WIDE), mode, nonunits)
+        for (pmask, rad, avoid, imask), row in zip(avoided, rows):
+            for u, v in uv_pairs(U_MAX_WIDE):
+                one = is_uv_absorbing_i_primary(ring, pmask, imask, rad, UVParams(u, v), mode=mode)
+                assert one.extra == {"ideal_product": elems_of(avoid)}
+                assert (row[(u, v)].status, row[(u, v)].witness, row[(u, v)].tested) == (
+                    one.status,
+                    one.witness,
+                    one.tested,
+                )
+                assert_matches_reference(ring, ref, one, pmask, rad, u, v, mode, avoid)
