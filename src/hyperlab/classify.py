@@ -33,6 +33,7 @@ from .verdicts import (
     UVParams,
     Verdict,
     fails,
+    first_failure,
     holds,
 )
 
@@ -493,46 +494,29 @@ def check_v1v_characterization(
         clause_i = is_uv_absorbing_primary(ring, pmask, radmask, uv, mode=mode)
 
     # (ii) every colon by a v-product that escapes P stays inside rad(P)
-    clause_ii = None
-    tested = 0
-    seen: dict[Mask, Mask] = {}
-    for ms in combinations_with_replacement(nonunits, v):
-        pm = prods[ms]
-        if not pm & notp:
-            continue
-        tested += 1
-        if pm not in seen:
-            seen[pm] = colon(ring, pmask, pm)
-        if seen[pm] & ~radmask:
-            clause_ii = fails(
-                {"factors": list(ms), "colon": elems_of(seen[pm])},
-                space="v-multisets with product escaping P",
-                tested=tested,
-            )
-            break
-    if clause_ii is None:
-        clause_ii = holds(space="v-multisets with product escaping P", tested=tested)
+    def clause_ii_cases():
+        colons: dict[Mask, Mask] = {}
+        for ms in combinations_with_replacement(nonunits, v):
+            pm = prods[ms]
+            if not pm & notp:
+                continue
+            if pm not in colons:
+                colons[pm] = colon(ring, pmask, pm)
+            yield {"factors": list(ms), "colon": elems_of(colons[pm])} if colons[pm] & ~radmask else None
+
+    clause_ii = first_failure("v-multisets with product escaping P", clause_ii_cases())
 
     # (iii) product ∘ Q ⊆ P forces the product into P or Q into rad(P)
-    clause_iii = None
-    tested = 0
-    for ms in combinations_with_replacement(nonunits, v):
-        pm = prods[ms]
-        for q in lattice.ideals:
-            if ring.set_mul(pm, q.mask) & notp:
-                continue
-            tested += 1
-            if pm & notp and q.mask & ~radmask:
-                clause_iii = fails(
-                    {"factors": list(ms), "ideal": q.members()},
-                    space="v-multisets times hyperideals",
-                    tested=tested,
-                )
-                break
-        if clause_iii is not None:
-            break
-    if clause_iii is None:
-        clause_iii = holds(space="v-multisets times hyperideals", tested=tested)
+    def clause_iii_cases():
+        absorbed: dict[Mask, list[HyperIdeal]] = {}
+        for ms in combinations_with_replacement(nonunits, v):
+            pm = prods[ms]
+            if pm not in absorbed:
+                absorbed[pm] = [q for q in lattice.ideals if not ring.set_mul(pm, q.mask) & notp]
+            for q in absorbed[pm]:
+                yield {"factors": list(ms), "ideal": q.members()} if pm & notp and q.mask & ~radmask else None
+
+    clause_iii = first_failure("v-multisets times hyperideals", clause_iii_cases())
 
     # (iv) products of v+1 proper hyperideals, aggregated like the element
     # deciders: remainder ideal must fall into rad(P)
@@ -541,46 +525,24 @@ def check_v1v_characterization(
     for size in range(2, v + 2):
         for idxs in combinations_with_replacement(range(len(proper)), size):
             iprod[idxs] = ring.set_mul(iprod[idxs[:-1]], proper[idxs[-1]])
-    clause_iv = None
-    tested = 0
-    for idxs in combinations_with_replacement(range(len(proper)), v + 1):
-        if iprod[idxs] & notp:
-            continue
-        tested += 1
+
+    def clause_iv_witness(idxs: tuple) -> Optional[dict]:
         choices = sorted(set(idxs))
         if mode is SplitMode.ANY:
-            ok = False
-            for q in choices:
-                rest = _complement(idxs, (q,))
-                if not iprod[rest] & notp or subset(proper[q], radmask):
-                    ok = True
-                    break
-            if not ok:
-                clause_iv = fails(
-                    {"ideals": [elems_of(proper[i]) for i in idxs]},
-                    space="(v+1)-multisets of proper hyperideals",
-                    tested=tested,
-                )
-                break
-        else:
-            done = False
-            for q in choices:
-                rest = _complement(idxs, (q,))
-                if iprod[rest] & notp and proper[q] & ~radmask:
-                    clause_iv = fails(
-                        {
-                            "ideals": [elems_of(proper[i]) for i in rest],
-                            "last": elems_of(proper[q]),
-                        },
-                        space="(v+1)-multisets of proper hyperideals",
-                        tested=tested,
-                    )
-                    done = True
-                    break
-            if done:
-                break
-    if clause_iv is None:
-        clause_iv = holds(space="(v+1)-multisets of proper hyperideals", tested=tested)
+            if any(not iprod[_complement(idxs, (q,))] & notp or subset(proper[q], radmask) for q in choices):
+                return None
+            return {"ideals": [elems_of(proper[i]) for i in idxs]}
+        for q in choices:
+            rest = _complement(idxs, (q,))
+            if iprod[rest] & notp and proper[q] & ~radmask:
+                return {"ideals": [elems_of(proper[i]) for i in rest], "last": elems_of(proper[q])}
+        return None
+
+    clause_iv = first_failure("(v+1)-multisets of proper hyperideals", (
+        clause_iv_witness(idxs)
+        for idxs in combinations_with_replacement(range(len(proper)), v + 1)
+        if not iprod[idxs] & notp
+    ))
 
     return CharacterizationReport(v, clause_i, clause_ii, clause_iii, clause_iv)
 

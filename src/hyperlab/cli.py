@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Optional, Sequence
 
@@ -63,19 +62,6 @@ def _mode(text: str) -> SplitMode:
         return SplitMode(text)
     except ValueError as exc:
         raise UsageError(f"mode must be 'any' or 'all', got {text!r}") from exc
-
-
-def _workers_from_env() -> int:
-    raw = os.environ.get("HYPERLAB_WORKERS")
-    if raw is None:
-        return 1
-    try:
-        w = int(raw)
-    except ValueError as exc:
-        raise UsageError(f"HYPERLAB_WORKERS must be an integer, got {raw!r}") from exc
-    if w < 1:
-        raise UsageError("HYPERLAB_WORKERS must be positive")
-    return w
 
 
 def _emit(report: Report, args) -> None:
@@ -244,7 +230,6 @@ def cmd_check(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    _workers_from_env()  # validated; execution is serial and order-canonical
     spec = RingFamilySpec(
         moduli=_parse_moduli(args.moduli),
         phi_sizes=tuple(_parse_int_list(args.phi_sizes, "phi sizes")),

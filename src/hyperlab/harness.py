@@ -35,6 +35,7 @@ from .verdicts import (
     UVParams,
     Verdict,
     fails,
+    first_failure,
     holds,
 )
 
@@ -195,9 +196,6 @@ class IdealFacts:
     def mask(self) -> Mask:
         return self.ideal.mask
 
-    def holds_at(self, u: int, v: int) -> bool:
-        return self.uv_primary[(u, v)].holds
-
 
 def uv_pairs(u_max: int) -> list[tuple[int, int]]:
     return [(u, v) for u in range(2, u_max + 1) for v in range(1, u)]
@@ -281,10 +279,6 @@ def build_ring_context(ring: FiniteHyperring, spec: RingFamilySpec) -> RingConte
 # -- theorem checks --------------------------------------------------------------
 
 
-def _members(mask: Mask) -> list[int]:
-    return elems_of(mask)
-
-
 def check_radical_of_uv_primary_is_prime(ctx: RingContext, f: IdealFacts) -> Verdict:
     """A C-hyperideal that is (u,v)-absorbing primary for some u > v must
     have a prime radical.
@@ -309,13 +303,13 @@ def check_radical_of_uv_primary_is_prime(ctx: RingContext, f: IdealFacts) -> Ver
     target = ctx.find(rad)
     if target is None:
         return fails(
-            {"radical": _members(rad), "defect": "not a hyperideal"},
+            {"radical": elems_of(rad), "defect": "not a hyperideal"},
             space="radical primality",
             tested=len(holding),
         )
     if not target.prime:
         return fails(
-            {"radical": _members(rad), "defect": "not prime", "holding": holding},
+            {"radical": elems_of(rad), "defect": "not prime", "holding": holding},
             space="radical primality",
             tested=len(holding),
         )
@@ -326,52 +320,39 @@ def check_uv_arity_monotone(ctx: RingContext, f: IdealFacts) -> Verdict:
     """holds(u,v) must propagate to (u+1,v+1) and to (w,v) for w up to u+3
     within the scan cap."""
     u_max = ctx.spec.u_max
-    tested = 0
-    for (u, v), verdict in f.uv_primary.items():
-        if not verdict.holds:
-            continue
-        succ = [(u + 1, v + 1)] + [(w, v) for w in range(u + 1, min(u + 3, u_max) + 1)]
-        for uv2 in succ:
-            if uv2[0] > u_max:
+
+    def cases():
+        for (u, v), verdict in f.uv_primary.items():
+            if not verdict.holds:
                 continue
-            tested += 1
-            if not f.uv_primary[uv2].holds:
-                return fails(
-                    {"from": [u, v], "to": list(uv2), "witness": f.uv_primary[uv2].witness},
-                    space="arity monotonicity",
-                    tested=tested,
-                )
-    return holds(space="arity monotonicity", tested=tested)
+            for uv2 in [(u + 1, v + 1)] + [(w, v) for w in range(u + 1, min(u + 3, u_max) + 1)]:
+                if uv2[0] <= u_max:
+                    to = f.uv_primary[uv2]
+                    yield None if to.holds else {"from": [u, v], "to": list(uv2), "witness": to.witness}
+
+    return first_failure("arity monotonicity", cases())
 
 
 def check_uv_prime_implies_primary(ctx: RingContext, f: IdealFacts) -> Verdict:
-    tested = 0
-    for uv, verdict in f.uv_prime.items():
-        if not verdict.holds:
-            continue
-        tested += 1
-        if not f.uv_primary[uv].holds:
-            return fails(
-                {"at": list(uv), "witness": f.uv_primary[uv].witness},
-                space="prime strengthens primary",
-                tested=tested,
-            )
-    return holds(space="prime strengthens primary", tested=tested)
+    return first_failure("prime strengthens primary", (
+        None if f.uv_primary[uv].holds else {"at": list(uv), "witness": f.uv_primary[uv].witness}
+        for uv, verdict in f.uv_prime.items()
+        if verdict.holds
+    ))
+
+
+def _all_uv_hold(space: str, uv_primary: dict, **head) -> Verdict:
+    """Every (u,v) verdict holds; a failure is reported with `head` first."""
+    return first_failure(space, (
+        None if verdict.holds else {**head, "at": list(uv), "witness": verdict.witness}
+        for uv, verdict in uv_primary.items()
+    ))
 
 
 def check_primary_implies_uv(ctx: RingContext, f: IdealFacts) -> Verdict:
     if not f.primary.holds:
         return holds(space="gated on primary", tested=0)
-    tested = 0
-    for uv, verdict in f.uv_primary.items():
-        tested += 1
-        if not verdict.holds:
-            return fails(
-                {"at": list(uv), "witness": verdict.witness},
-                space="primary implies every (u,v)",
-                tested=tested,
-            )
-    return holds(space="primary implies every (u,v)", tested=tested)
+    return _all_uv_hold("primary implies every (u,v)", f.uv_primary)
 
 
 def check_one_absorbing_matches(ctx: RingContext, f: IdealFacts) -> Verdict:
@@ -399,29 +380,24 @@ def check_colon_drops_arity(ctx: RingContext, f: IdealFacts) -> Verdict:
     if not ring.has_identity:
         return skipped("ring has no identity", space="standing identity hypothesis")
     pool = elems_of(ring.unit_report().nonunits & ~f.mask)
-    tested = 0
-    for (u, v), verdict in f.uv_primary.items():
-        if v < 2 or not verdict.holds:
-            continue
-        for x in pool:
-            tested += 1
-            cmask = colon(ring, f.mask, 1 << x)
-            target = ctx.find(cmask)
-            if target is None:
-                defect = "full carrier" if cmask == ring.full_mask else "not a hyperideal"
-                return fails(
-                    {"x": x, "colon": _members(cmask), "defect": defect, "from": [u, v]},
-                    space="colon arity descent",
-                    tested=tested,
-                )
-            inner = target.uv_primary[(u - 1, v - 1)]
-            if not inner.holds:
-                return fails(
-                    {"x": x, "colon": _members(cmask), "from": [u, v], "witness": inner.witness},
-                    space="colon arity descent",
-                    tested=tested,
-                )
-    return holds(space="colon arity descent", tested=tested)
+
+    def cases():
+        for (u, v), verdict in f.uv_primary.items():
+            if v < 2 or not verdict.holds:
+                continue
+            for x in pool:
+                cmask = colon(ring, f.mask, 1 << x)
+                target = ctx.find(cmask)
+                if target is None:
+                    defect = "full carrier" if cmask == ring.full_mask else "not a hyperideal"
+                    yield {"x": x, "colon": elems_of(cmask), "defect": defect, "from": [u, v]}
+                    continue
+                inner = target.uv_primary[(u - 1, v - 1)]
+                yield None if inner.holds else {
+                    "x": x, "colon": elems_of(cmask), "from": [u, v], "witness": inner.witness
+                }
+
+    return first_failure("colon arity descent", cases())
 
 
 def check_prime_times_maximal(ctx: RingContext, f: IdealFacts) -> Verdict:
@@ -434,20 +410,11 @@ def check_prime_times_maximal(ctx: RingContext, f: IdealFacts) -> Verdict:
     target = ctx.find(pm)
     if target is None:
         return fails(
-            {"product": _members(pm), "defect": "not a proper hyperideal"},
+            {"product": elems_of(pm), "defect": "not a proper hyperideal"},
             space="prime times maximal",
             tested=1,
         )
-    tested = 0
-    for uv, verdict in target.uv_primary.items():
-        tested += 1
-        if not verdict.holds:
-            return fails(
-                {"product": _members(pm), "at": list(uv), "witness": verdict.witness},
-                space="prime times maximal",
-                tested=tested,
-            )
-    return holds(space="prime times maximal", tested=tested)
+    return _all_uv_hold("prime times maximal", target.uv_primary, product=elems_of(pm))
 
 
 def check_strong_c_radical(ctx: RingContext, f: IdealFacts) -> Verdict:
@@ -457,14 +424,14 @@ def check_strong_c_radical(ctx: RingContext, f: IdealFacts) -> Verdict:
     rad = f.rad_nil
     if not ideals_mod.is_subgroup(ctx.ring, rad):
         return fails(
-            {"radical": _members(rad), "defect": "not a subgroup"},
+            {"radical": elems_of(rad), "defect": "not a subgroup"},
             space="strong C closure of radical",
             tested=1,
         )
     inner = ideals_mod.is_strong_c_hyperideal(ctx.ring, rad)
     if not inner.holds:
         return fails(
-            {"radical": _members(rad), "witness": inner.witness},
+            {"radical": elems_of(rad), "witness": inner.witness},
             space="strong C closure of radical",
             tested=1,
         )
@@ -495,23 +462,19 @@ def check_strong_c_unit_padding(ctx: RingContext, f: IdealFacts) -> Verdict:
     gated = _unit_padding_gate(ctx, f)
     if gated is not None:
         return gated
-    tested = 0
     full_pool = ctx.full_pool_uv[f.mask]
-    for (u, v), narrow in f.uv_primary.items():
-        tested += 1
-        wide = full_pool[(u, v)]
-        if narrow.holds != wide.holds:
-            return fails(
-                {
-                    "at": [u, v],
-                    "nonunit_pool": narrow.status,
-                    "full_pool": wide.status,
-                    "witness": wide.witness or narrow.witness,
-                },
-                space="unit padding equivalence",
-                tested=tested,
-            )
-    return holds(space="unit padding equivalence", tested=tested)
+
+    def cases():
+        for (u, v), narrow in f.uv_primary.items():
+            wide = full_pool[(u, v)]
+            yield None if narrow.holds == wide.holds else {
+                "at": [u, v],
+                "nonunit_pool": narrow.status,
+                "full_pool": wide.status,
+                "witness": wide.witness or narrow.witness,
+            }
+
+    return first_failure("unit padding equivalence", cases())
 
 
 def check_nonlocal_arity_descent(ctx: RingContext, f: IdealFacts) -> Verdict:
@@ -522,26 +485,28 @@ def check_nonlocal_arity_descent(ctx: RingContext, f: IdealFacts) -> Verdict:
         return skipped("ring has no identity", space="standing identity hypothesis")
     if ctx.lattice.local or not f.sc.holds:
         return holds(space="gated on nonlocal ring and strong C", tested=0)
-    u_max = ctx.spec.u_max
-    tested = 0
-    for u, v in uv_pairs(u_max):
-        if u + 1 > u_max:
-            continue
-        for premise in ((u + 1, v + 1), (u + 1, v)):
-            if not f.uv_primary[premise].holds:
-                continue
-            tested += 1
-            if not f.uv_primary[(u, v)].holds:
-                return fails(
-                    {
-                        "premise": list(premise),
-                        "conclusion": [u, v],
-                        "witness": f.uv_primary[(u, v)].witness,
-                    },
-                    space="nonlocal arity descent",
-                    tested=tested,
-                )
-    return holds(space="nonlocal arity descent", tested=tested)
+    return first_failure("nonlocal arity descent", (
+        None if f.uv_primary[(u, v)].holds else {
+            "premise": list(premise), "conclusion": [u, v], "witness": f.uv_primary[(u, v)].witness
+        }
+        for u, v in uv_pairs(ctx.spec.u_max - 1)
+        for premise in ((u + 1, v + 1), (u + 1, v))
+        if f.uv_primary[premise].holds
+    ))
+
+
+def _uv_matches_primary(space: str, f: IdealFacts, v_min: int) -> Verdict:
+    """Each (u,v) verdict with v >= v_min agrees with the primary one."""
+    return first_failure(space, (
+        None if verdict.holds == f.primary.holds else {
+            "at": [u, v],
+            "uv_status": verdict.status,
+            "primary_status": f.primary.status,
+            "witness": verdict.witness or f.primary.witness,
+        }
+        for (u, v), verdict in f.uv_primary.items()
+        if v >= v_min
+    ))
 
 
 def check_nonlocal_equals_primary(ctx: RingContext, f: IdealFacts) -> Verdict:
@@ -551,23 +516,7 @@ def check_nonlocal_equals_primary(ctx: RingContext, f: IdealFacts) -> Verdict:
         return skipped("ring has no identity", space="standing identity hypothesis")
     if ctx.lattice.local or not f.sc.holds:
         return holds(space="gated on nonlocal ring and strong C", tested=0)
-    tested = 0
-    for (u, v), verdict in f.uv_primary.items():
-        if v < 2:
-            continue
-        tested += 1
-        if verdict.holds != f.primary.holds:
-            return fails(
-                {
-                    "at": [u, v],
-                    "uv_status": verdict.status,
-                    "primary_status": f.primary.status,
-                    "witness": verdict.witness or f.primary.witness,
-                },
-                space="nonlocal equivalence with primary",
-                tested=tested,
-            )
-    return holds(space="nonlocal equivalence with primary", tested=tested)
+    return _uv_matches_primary("nonlocal equivalence with primary", f, 2)
 
 
 def check_arity_gap_forces_local(ctx: RingContext, f: IdealFacts) -> Verdict:
@@ -575,61 +524,42 @@ def check_arity_gap_forces_local(ctx: RingContext, f: IdealFacts) -> Verdict:
     primary forces a local ring whose maximal hyperideal is the radical."""
     if not f.sc.holds:
         return holds(space="gated on strong C", tested=0)
-    u_max = ctx.spec.u_max
-    tested = 0
-    for u, v in uv_pairs(u_max):
-        if u + 1 > u_max:
-            continue
-        if not (f.uv_primary[(u + 1, v)].holds and not f.uv_primary[(u, v)].holds):
-            continue
-        tested += 1
-        if not ctx.lattice.local:
-            return fails(
-                {"premise": [u + 1, v], "gap_at": [u, v], "defect": "ring not local"},
-                space="arity gap forces local",
-                tested=tested,
-            )
-        mmask = ctx.lattice.maximals()[0].mask
-        if f.rad_nil != mmask:
-            return fails(
-                {
-                    "premise": [u + 1, v],
-                    "gap_at": [u, v],
-                    "radical": _members(f.rad_nil),
-                    "maximal": _members(mmask),
-                },
-                space="arity gap forces local",
-                tested=tested,
-            )
-    return holds(space="arity gap forces local", tested=tested)
+
+    def cases():
+        for u, v in uv_pairs(ctx.spec.u_max - 1):
+            if not (f.uv_primary[(u + 1, v)].holds and not f.uv_primary[(u, v)].holds):
+                continue
+            if not ctx.lattice.local:
+                yield {"premise": [u + 1, v], "gap_at": [u, v], "defect": "ring not local"}
+                continue
+            mmask = ctx.lattice.maximals()[0].mask
+            yield None if f.rad_nil == mmask else {
+                "premise": [u + 1, v],
+                "gap_at": [u, v],
+                "radical": elems_of(f.rad_nil),
+                "maximal": elems_of(mmask),
+            }
+
+    return first_failure("arity gap forces local", cases())
 
 
 def check_top_arity_four_way(ctx: RingContext, f: IdealFacts) -> Verdict:
     """The four faces of the (v+1,v) property must agree on C-hyperideals."""
     if not f.c.holds:
         return holds(space="gated on C-hyperideals", tested=0)
-    tested = 0
-    for v in range(1, ctx.spec.u_max):
-        tested += 1
-        rep = classify.check_v1v_characterization(
-            ctx.ring,
-            f.mask,
-            f.rad_nil,
-            v,
-            mode=ctx.spec.mode,
-            clause_i=f.uv_primary[(v + 1, v)],
-        )
-        if not rep.equivalent:
-            return fails(
-                {
-                    "v": v,
-                    "booleans": list(rep.booleans()),
-                    "witnesses": [rep.i.witness, rep.ii.witness, rep.iii.witness, rep.iv.witness],
-                },
-                space="four-way characterization",
-                tested=tested,
+
+    def cases():
+        for v in range(1, ctx.spec.u_max):
+            rep = classify.check_v1v_characterization(
+                ctx.ring, f.mask, f.rad_nil, v, mode=ctx.spec.mode, clause_i=f.uv_primary[(v + 1, v)]
             )
-    return holds(space="four-way characterization", tested=tested)
+            yield None if rep.equivalent else {
+                "v": v,
+                "booleans": list(rep.booleans()),
+                "witnesses": [rep.i.witness, rep.ii.witness, rep.iii.witness, rep.iv.witness],
+            }
+
+    return first_failure("four-way characterization", cases())
 
 
 def check_divided_equals_primary(ctx: RingContext, f: IdealFacts) -> Verdict:
@@ -637,21 +567,7 @@ def check_divided_equals_primary(ctx: RingContext, f: IdealFacts) -> Verdict:
     the primary ones."""
     if not ctx.divided.holds or not f.c.holds:
         return holds(space="gated on divided ring and C-hyperideal", tested=0)
-    tested = 0
-    for (u, v), verdict in f.uv_primary.items():
-        tested += 1
-        if verdict.holds != f.primary.holds:
-            return fails(
-                {
-                    "at": [u, v],
-                    "uv_status": verdict.status,
-                    "primary_status": f.primary.status,
-                    "witness": verdict.witness or f.primary.witness,
-                },
-                space="divided equivalence with primary",
-                tested=tested,
-            )
-    return holds(space="divided equivalence with primary", tested=tested)
+    return _uv_matches_primary("divided equivalence with primary", f, 1)
 
 
 def check_radical_forms_agree(ctx: RingContext, f: IdealFacts) -> Verdict:
@@ -661,7 +577,7 @@ def check_radical_forms_agree(ctx: RingContext, f: IdealFacts) -> Verdict:
         return holds(space="gated on C-hyperideals", tested=0)
     if f.rad_nil != f.rad_pi:
         return fails(
-            {"nilpotent": _members(f.rad_nil), "prime_intersection": _members(f.rad_pi)},
+            {"nilpotent": elems_of(f.rad_nil), "prime_intersection": elems_of(f.rad_pi)},
             space="radical form agreement",
             tested=1,
         )
@@ -690,7 +606,6 @@ IDEAL_CHECKS: list[tuple[str, Callable[[RingContext, IdealFacts], Verdict]]] = [
 def check_equal_radical_intersections(ctx: RingContext, report: Report) -> None:
     """Pairs of (u,v)-absorbing primary C-hyperideals with equal radicals:
     the intersection keeps the property."""
-    name = ctx.ring.name
     for i, f1 in enumerate(ctx.facts):
         for f2 in ctx.facts[i + 1 :]:
             if not (f1.c.holds and f2.c.holds and f1.rad_nil == f2.rad_nil):
@@ -698,38 +613,19 @@ def check_equal_radical_intersections(ctx: RingContext, report: Report) -> None:
             t0 = time.perf_counter()
             inter = f1.mask & f2.mask
             target = ctx.find(inter)
-            tested = 0
-            verdict: Verdict
-            verdict = None
-            for uv, v1 in f1.uv_primary.items():
-                if not (v1.holds and f2.uv_primary[uv].holds):
-                    continue
-                tested += 1
-                if target is None:
-                    verdict = fails(
-                        {"components": [f1.ideal.members(), f2.ideal.members()],
-                         "defect": "intersection not in lattice"},
-                        space="equal-radical intersections", tested=tested,
-                    )
-                    break
-                if not target.uv_primary[uv].holds:
-                    verdict = fails(
-                        {
-                            "components": [f1.ideal.members(), f2.ideal.members()],
-                            "at": list(uv),
-                            "witness": target.uv_primary[uv].witness,
-                        },
-                        space="equal-radical intersections",
-                        tested=tested,
-                    )
-                    break
-            if verdict is None:
-                verdict = holds(space="equal-radical intersections", tested=tested)
+            components = [f1.ideal.members(), f2.ideal.members()]
+            verdict = first_failure("equal-radical intersections", (
+                {"components": components, "defect": "intersection not in lattice"} if target is None
+                else None if target.uv_primary[uv].holds
+                else {"components": components, "at": list(uv), "witness": target.uv_primary[uv].witness}
+                for uv, v1 in f1.uv_primary.items()
+                if v1.holds and f2.uv_primary[uv].holds
+            ))
             report.add_verdict(
-                name,
-                _members(inter),
+                ctx.ring.name,
+                elems_of(inter),
                 "equal-radical-intersection-stays-uv-primary",
-                {"components": [f1.ideal.members(), f2.ideal.members()]},
+                {"components": components},
                 verdict,
                 millis=_ms(t0, ctx.spec),
             )
@@ -748,8 +644,8 @@ def record_radical_comparison_on_non_c(ctx: RingContext, report: Report) -> None
             "radical-forms-compared",
             {
                 "tested": 1,
-                "nilpotent": _members(f.rad_nil),
-                "prime_intersection": _members(f.rad_pi),
+                "nilpotent": elems_of(f.rad_nil),
+                "prime_intersection": elems_of(f.rad_pi),
                 "equal": f.rad_nil == f.rad_pi,
             },
             HOLDS,
@@ -764,6 +660,24 @@ def record_radical_comparison_on_non_c(ctx: RingContext, report: Report) -> None
 
 def _uv_facts_for(ring: FiniteHyperring, spec: RingFamilySpec) -> RingContext:
     return build_ring_context(ring, replace(spec, include_constructions=False))
+
+
+def _hom_transfer(side: str, g: IdealFacts, mask: Mask, target: Optional[IdealFacts]) -> Verdict:
+    """g carried across the quotient projection to the ideal `mask` (its
+    "image" or "preimage"): wherever g is (u,v)-absorbing primary, the
+    target must be a C-hyperideal that is too."""
+    return first_failure(f"{side} transfer", (
+        {side: elems_of(mask), "defect": f"{side} not a proper hyperideal"} if target is None
+        else None if target.uv_primary[uv].holds and target.c.holds
+        else {
+            side: elems_of(mask),
+            "at": list(uv),
+            "uv_witness": target.uv_primary[uv].witness,
+            "c_witness": target.c.witness,
+        }
+        for uv, v1 in g.uv_primary.items()
+        if v1.holds
+    ))
 
 
 def run_quotient_checks(ctx: RingContext, report: Report) -> None:
@@ -795,80 +709,21 @@ def run_quotient_checks(ctx: RingContext, report: Report) -> None:
             )
             continue
         qctx = _uv_facts_for(q, ctx.spec)
-        # image direction: ideals above the kernel push forward
-        for g in ctx.facts:
-            if not subset(f.mask, g.mask) or not g.c.holds:
-                continue
-            t1 = time.perf_counter()
-            img = hom.image_mask(g.mask)
-            target = qctx.find(img)
-            tested = 0
-            verdict = None
-            for uv, v1 in g.uv_primary.items():
-                if not v1.holds:
+        # ideals above the kernel push forward, ideals of the quotient pull back
+        directions = (
+            ("image", [g for g in ctx.facts if subset(f.mask, g.mask)], hom.image_mask, qctx),
+            ("preimage", qctx.facts, hom.preimage_mask, ctx),
+        )
+        for side, sources, carry, other in directions:
+            for g in sources:
+                if not g.c.holds:
                     continue
-                tested += 1
-                if target is None:
-                    verdict = fails(
-                        {"image": _members(img), "defect": "image not a proper hyperideal"},
-                        space="image transfer", tested=tested,
-                    )
-                    break
-                if not (target.uv_primary[uv].holds and target.c.holds):
-                    verdict = fails(
-                        {
-                            "image": _members(img),
-                            "at": list(uv),
-                            "uv_witness": target.uv_primary[uv].witness,
-                            "c_witness": target.c.witness,
-                        },
-                        space="image transfer",
-                        tested=tested,
-                    )
-                    break
-            if verdict is None:
-                verdict = holds(space="image transfer", tested=tested)
-            report.add_verdict(
-                name, g.ideal.members(), "good-hom-image-transfer",
-                {"kernel": f.ideal.members()}, verdict, millis=_ms(t1, ctx.spec),
-            )
-        # preimage direction: ideals of the quotient pull back
-        for g in qctx.facts:
-            if not g.c.holds:
-                continue
-            t1 = time.perf_counter()
-            pre = hom.preimage_mask(g.mask)
-            target = ctx.find(pre)
-            tested = 0
-            verdict = None
-            for uv, v1 in g.uv_primary.items():
-                if not v1.holds:
-                    continue
-                tested += 1
-                if target is None:
-                    verdict = fails(
-                        {"preimage": _members(pre), "defect": "preimage not a proper hyperideal"},
-                        space="preimage transfer", tested=tested,
-                    )
-                    break
-                if not (target.uv_primary[uv].holds and target.c.holds):
-                    verdict = fails(
-                        {
-                            "preimage": _members(pre),
-                            "at": list(uv),
-                            "uv_witness": target.uv_primary[uv].witness,
-                            "c_witness": target.c.witness,
-                        },
-                        space="preimage transfer",
-                        tested=tested,
-                    )
-                    break
-            if verdict is None:
-                verdict = holds(space="preimage transfer", tested=tested)
-            report.add_verdict(
-                name, g.ideal.members(), "good-hom-preimage-transfer",
-                {"kernel": f.ideal.members()}, verdict, millis=_ms(t1, ctx.spec),
-            )
+                t1 = time.perf_counter()
+                mask = carry(g.mask)
+                report.add_verdict(
+                    name, g.ideal.members(), f"good-hom-{side}-transfer", {"kernel": f.ideal.members()},
+                    _hom_transfer(side, g, mask, other.find(mask)), millis=_ms(t1, ctx.spec),
+                )
 
 
 def run_matrix_checks(ctx: RingContext, report: Report) -> None:
@@ -896,22 +751,13 @@ def run_matrix_checks(ctx: RingContext, report: Report) -> None:
         name, None, "matrix-ring-valid", {"tested": 1, "size": model.ring.n},
         HOLDS, None, "matrix construction", millis=_ms(t0, ctx.spec),
     )
-    corner_bad = None
-    pairs = 0
     t0 = time.perf_counter()
-    for a in range(ring.n):
-        for b in range(a, ring.n):
-            pairs += 1
-            if not construct.corner_product_agrees(model, a, b):
-                corner_bad = {"a": a, "b": b}
-                break
-        if corner_bad:
-            break
-    report.add(
-        name, None, "matrix-corner-products-agree", {"tested": pairs},
-        FAILS if corner_bad else HOLDS, corner_bad, "corner products",
-        millis=_ms(t0, ctx.spec),
-    )
+    corners = first_failure("corner products", (
+        None if construct.corner_product_agrees(model, a, b) else {"a": a, "b": b}
+        for a in range(ring.n)
+        for b in range(a, ring.n)
+    ))
+    report.add_verdict(name, None, "matrix-corner-products-agree", {}, corners, millis=_ms(t0, ctx.spec))
     mctx = _uv_facts_for(model.ring, ctx.spec)
     for f in ctx.facts:
         t1 = time.perf_counter()
@@ -925,25 +771,12 @@ def run_matrix_checks(ctx: RingContext, report: Report) -> None:
                 "matrix descent", millis=_ms(t1, ctx.spec),
             )
             continue
-        tested = 0
-        verdict = None
-        for uv, mv in target.uv_primary.items():
-            if not (mv.holds and target.c.holds):
-                continue
-            tested += 1
-            if not (f.uv_primary[uv].holds and f.c.holds):
-                verdict = fails(
-                    {
-                        "at": list(uv),
-                        "base_uv_witness": f.uv_primary[uv].witness,
-                        "base_c_witness": f.c.witness,
-                    },
-                    space="matrix descent",
-                    tested=tested,
-                )
-                break
-        if verdict is None:
-            verdict = holds(space="matrix descent", tested=tested)
+        verdict = first_failure("matrix descent", (
+            None if f.uv_primary[uv].holds and f.c.holds
+            else {"at": list(uv), "base_uv_witness": f.uv_primary[uv].witness, "base_c_witness": f.c.witness}
+            for uv, mv in target.uv_primary.items()
+            if mv.holds and target.c.holds
+        ))
         report.add_verdict(
             name, f.ideal.members(), "matrix-ideal-descent", {}, verdict,
             millis=_ms(t1, ctx.spec),
@@ -956,7 +789,7 @@ def run_localization_checks(ctx: RingContext, report: Report) -> None:
         return
     name = ring.name
     for smask in construct.canonical_mcs_list(ring):
-        s_members = _members(smask)
+        s_members = elems_of(smask)
         t0 = time.perf_counter()
         try:
             loc = construct.localize(ring, smask)
@@ -980,31 +813,13 @@ def run_localization_checks(ctx: RingContext, report: Report) -> None:
             limg = lctx.find(img)
             # forward: C-hyperideal missing S descends with both arities dropped
             if f.c.holds and not f.mask & smask:
-                tested = 0
-                verdict = None
-                for (u, v), v1 in f.uv_primary.items():
-                    if v < 2 or not v1.holds:
-                        continue
-                    tested += 1
-                    if limg is None:
-                        verdict = fails(
-                            {"image": _members(img), "defect": "localized ideal not proper"},
-                            space="localization forward", tested=tested,
-                        )
-                        break
-                    if not limg.uv_primary[(u - 1, v - 1)].holds:
-                        verdict = fails(
-                            {
-                                "s": s_members,
-                                "from": [u, v],
-                                "witness": limg.uv_primary[(u - 1, v - 1)].witness,
-                            },
-                            space="localization forward",
-                            tested=tested,
-                        )
-                        break
-                if verdict is None:
-                    verdict = holds(space="localization forward", tested=tested)
+                verdict = first_failure("localization forward", (
+                    {"image": elems_of(img), "defect": "localized ideal not proper"} if limg is None
+                    else None if limg.uv_primary[(u - 1, v - 1)].holds
+                    else {"s": s_members, "from": [u, v], "witness": limg.uv_primary[(u - 1, v - 1)].witness}
+                    for (u, v), v1 in f.uv_primary.items()
+                    if v >= 2 and v1.holds
+                ))
                 report.add_verdict(
                     name, f.ideal.members(), "localization-forward",
                     {"s": s_members}, verdict, millis=_ms(t1, ctx.spec),
@@ -1020,27 +835,18 @@ def run_localization_checks(ctx: RingContext, report: Report) -> None:
                         HOLDS if lrad == rad_l else FAILS,
                         None
                         if lrad == rad_l
-                        else {"localized_radical": _members(lrad), "radical_of_localized": _members(rad_l)},
+                        else {"localized_radical": elems_of(lrad), "radical_of_localized": elems_of(rad_l)},
                         "localization radical", millis=_ms(t2, ctx.spec),
                     )
             # reverse: with the colon-closure missing S, the property lifts back
             if f.c.holds and not construct.gamma_mask(ring, f.mask) & smask:
                 t2 = time.perf_counter()
-                tested = 0
-                verdict = None
-                for uv, _v1 in f.uv_primary.items():
-                    if limg is None or not limg.uv_primary[uv].holds:
-                        continue
-                    tested += 1
-                    if not f.uv_primary[uv].holds:
-                        verdict = fails(
-                            {"s": s_members, "at": list(uv), "witness": f.uv_primary[uv].witness},
-                            space="localization reverse",
-                            tested=tested,
-                        )
-                        break
-                if verdict is None:
-                    verdict = holds(space="localization reverse", tested=tested)
+                verdict = first_failure("localization reverse", (
+                    None if f.uv_primary[uv].holds
+                    else {"s": s_members, "at": list(uv), "witness": f.uv_primary[uv].witness}
+                    for uv in f.uv_primary
+                    if limg is not None and limg.uv_primary[uv].holds
+                ))
                 report.add_verdict(
                     name, f.ideal.members(), "localization-reverse",
                     {"s": s_members}, verdict, millis=_ms(t2, ctx.spec),

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Optional
+from typing import Any, Iterable, Optional
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -94,6 +94,17 @@ def holds(space: str = "", tested: int = 0, **extra) -> Verdict:
 
 def fails(witness: dict, space: str = "", tested: int = 0, **extra) -> Verdict:
     return Verdict(FAILS, witness, space, tested, dict(extra))
+
+
+def first_failure(space: str, cases: Iterable[Optional[dict]]) -> Verdict:
+    """Walk `cases`, each None for a case that passes or a witness dict for
+    one that fails: `fails` at the first witness, with `tested` counting the
+    cases up to and including it, else `holds` with `tested` counting all."""
+    tested = 0
+    for tested, witness in enumerate(cases, 1):
+        if witness is not None:
+            return fails(witness, space=space, tested=tested)
+    return holds(space=space, tested=tested)
 
 
 def inconclusive(space: str = "", tested: int = 0, **extra) -> Verdict:

@@ -1,5 +1,8 @@
 """Deciders for prime, primary, divided, and the (u,v)-absorbing family,
 including the two split readings and witness replay."""
+import hashlib
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +19,7 @@ from hyperlab.classify import (
     replay_uv_counterexample,
 )
 from hyperlab.core import elems_of, mask_of, subset
+from hyperlab.harness import RingFamilySpec, enumerate_family
 from hyperlab.ideals import enumerate_hyperideals, radical_nilpotent
 from hyperlab.verdicts import ParameterError, SplitMode, UVParams
 
@@ -34,6 +38,9 @@ Z6U_SPLIT_TABLE = {
     (5, 1): {"factors": [3, 2, 2, 2, 2], "v_part": [3], "rest": [2, 2, 2, 2]},
     (5, 2): {"factors": [3, 3, 2, 2, 2], "v_part": [3, 3], "rest": [2, 2, 2]},
 }
+
+# sha256 of the clause rows built in TestCharacterization.test_clauses_pinned_on_family
+CLAUSE_DIGEST = "768f6ea6d8659556b273d18d90478229ef0a23ca492de52118a2604e95be1f66"
 
 
 class TestUVParams:
@@ -193,6 +200,25 @@ class TestCharacterization:
         assert [c.status for c in clauses] == ["holds"] * 4
         assert [c.tested for c in clauses] == [10, 2, 14, 6]
         assert rep.v == 1
+
+    def test_clauses_pinned_on_family(self):
+        # clauses (ii)-(iv) on every proper ideal of moduli 4-9, |Phi| = 2,
+        # v = 1..3, both modes: status, witness, tested and space of each
+        rows = []
+        rings = enumerate_family(RingFamilySpec(moduli=(4, 5, 6, 7, 8, 9), phi_sizes=(2,)))
+        for mode in (SplitMode.ALL, SplitMode.ANY):
+            for ring in rings:
+                for b in enumerate_hyperideals(ring).proper():
+                    rad = radical_nilpotent(ring, b.mask)
+                    for v in (1, 2, 3):
+                        rep = check_v1v_characterization(ring, b.mask, rad, v, mode=mode)
+                        for c in (rep.ii, rep.iii, rep.iv):
+                            rows.append(json.dumps(
+                                [ring.name, b.members(), v, mode.value, c.status, c.witness, c.tested, c.checked_space]
+                            ))
+        assert len(rows) == 4392
+        assert sum('"fails"' in r for r in rows) == 196
+        assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == CLAUSE_DIGEST
 
 
 class TestDivided:

@@ -2,19 +2,24 @@
 command line interface driven through subprocesses."""
 import hashlib
 import json
-import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
-from hyperlab import verdicts
-from hyperlab.core import parse_ring_spec
+from hyperlab import construct, harness, verdicts
+from hyperlab.core import FiniteHyperring, mask_of, parse_ring_spec
 from hyperlab.harness import (
     Report,
     RingFamilySpec,
+    build_ring_context,
+    check_equal_radical_intersections,
     enumerate_family,
     run_golden_examples,
+    run_localization_checks,
+    run_matrix_checks,
+    run_quotient_checks,
     run_ring,
     run_theorem_suite,
     validate_radical_oracle,
@@ -31,16 +36,47 @@ SUITE_DIGESTS = [
     (SplitMode.ANY, "2aa4a4aef9d3cae5db58fcfcf0266cfa1ec07f4b2330210978df8b4edda47db1", 3),
 ]
 
+# The same report with a fixed pattern of (u,v) matrix entries flipped (see
+# _flipped_uv_matrices): 17 properties then fail, so the digest pins the
+# witness and the tested count that every theorem and transfer walk reports
+# on its failing branch, which the clean suite never reaches.
+FLIPPED_DIGESTS = [
+    (SplitMode.ALL, "37fa9f0f44049c99a475b6996cde9277814e40a33bceb41c678263d0cd8d5a9e", 1162),
+    (SplitMode.ANY, "c01ad54aed363158a75b05182059aa4b1f7b1472371ad08160825cb6da30b2df", 1172),
+]
 
-def run_cli(*args, env_extra=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
+
+def _flip(verdict, uv):
+    if verdict.holds:
+        return verdicts.Verdict(
+            verdicts.FAILS, {"flipped": list(uv)}, verdict.checked_space, verdict.tested, dict(verdict.extra)
+        )
+    if verdict.fails:
+        return verdicts.Verdict(verdicts.HOLDS, None, verdict.checked_space, verdict.tested, dict(verdict.extra))
+    return verdict
+
+
+def _flipped_uv_matrices(real):
+    def compute(ring, targets, u_max, mode):
+        primary, prime = real(ring, targets, u_max, mode)
+        primary = [dict(m) for m in primary]
+        prime = [dict(m) for m in prime]
+        for t, (p, _rad) in enumerate(targets):
+            for u, v in list(primary[t]):
+                if (7 * p + 3 * u + v + ring.n) % 5 == 0:
+                    primary[t][(u, v)] = _flip(primary[t][(u, v)], (u, v))
+                if (5 * p + u + 3 * v + ring.n) % 7 == 0:
+                    prime[t][(u, v)] = _flip(prime[t][(u, v)], (u, v))
+        return primary, prime
+
+    return compute
+
+
+def run_cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "hyperlab", *args],
         capture_output=True,
         text=True,
-        env=env,
         timeout=600,
     )
 
@@ -93,6 +129,159 @@ class TestReportShape:
         report = run_theorem_suite(RingFamilySpec(moduli=(4, 5, 6, 7, 8, 9), phi_sizes=(2,), mode=mode))
         assert report.violations == violations
         assert hashlib.sha256(report.to_jsonl().encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("mode,digest,violations", FLIPPED_DIGESTS, ids=["all", "any"])
+    def test_flipped_suite_report_is_pinned(self, monkeypatch, mode, digest, violations):
+        monkeypatch.setattr(harness, "compute_uv_matrices", _flipped_uv_matrices(harness.compute_uv_matrices))
+        report = run_theorem_suite(RingFamilySpec(moduli=(4, 5, 6, 7, 8, 9), phi_sizes=(2,), mode=mode))
+        assert report.violations == violations
+        assert len({r["property"] for r in report.records if r["status"] == "fails"}) == 17
+        assert hashlib.sha256(report.to_jsonl().encode()).hexdigest() == digest
+
+
+def _rows(report, *props):
+    return [json.dumps(r) for r in report.records if r["property"] in props]
+
+
+class TestTransferBranches:
+    """Failing branches that no ring of the family reaches, hit by
+    tampering with a built context or a construction."""
+
+    def test_intersection_missing_and_failing_target(self):
+        ctx = build_ring_context(parse_ring_spec("z8:1,3"), RingFamilySpec())
+        del ctx.by_mask[mask_of({0})]
+        target = ctx.by_mask[mask_of({0, 4})]
+        planted = dict(target.uv_primary)
+        planted[(3, 2)] = verdicts.fails({"planted": [3, 2]}, space="planted")
+        ctx.by_mask[target.mask] = replace(target, uv_primary=planted)
+        report = Report()
+        check_equal_radical_intersections(ctx, report)
+        prop = "equal-radical-intersection-stays-uv-primary"
+        space = "equal-radical intersections"
+        missing = "intersection not in lattice"
+        assert report.records == [
+            {"ring": "z8:1,3", "ideal": [0], "property": prop,
+             "params": {"components": [[0], [0, 4]], "tested": 1}, "status": "fails",
+             "witness": {"components": [[0], [0, 4]], "defect": missing}, "space": space},
+            {"ring": "z8:1,3", "ideal": [0], "property": prop,
+             "params": {"components": [[0], [0, 2, 4, 6]], "tested": 1}, "status": "fails",
+             "witness": {"components": [[0], [0, 2, 4, 6]], "defect": missing}, "space": space},
+            {"ring": "z8:1,3", "ideal": [0, 4], "property": prop,
+             "params": {"components": [[0, 4], [0, 2, 4, 6]], "tested": 3}, "status": "fails",
+             "witness": {"components": [[0, 4], [0, 2, 4, 6]], "at": [3, 2], "witness": {"planted": [3, 2]}},
+             "space": space},
+        ]
+        assert [list(r["witness"]) for r in report.records] == [
+            ["components", "defect"], ["components", "defect"], ["components", "at", "witness"]
+        ]
+
+    @pytest.fixture
+    def empty_derived_lookup(self, monkeypatch):
+        real = harness._uv_facts_for
+
+        def facts_for(ring, spec):
+            ctx = real(ring, spec)
+            ctx.by_mask.clear()
+            return ctx
+
+        monkeypatch.setattr(harness, "_uv_facts_for", facts_for)
+
+    def test_image_and_preimage_target_missing(self, empty_derived_lookup):
+        ctx = build_ring_context(parse_ring_spec("z4:1,3"), RingFamilySpec())
+        ctx.by_mask.clear()
+        report = Report()
+        run_quotient_checks(ctx, report)
+
+        def row(ideal, kernel, side, members):
+            return json.dumps({
+                "ring": "z4:1,3", "ideal": ideal, "property": f"good-hom-{side}-transfer",
+                "params": {"kernel": kernel, "tested": 1}, "status": "fails",
+                "witness": {side: members, "defect": f"{side} not a proper hyperideal"},
+                "space": f"{side} transfer",
+            })
+
+        assert _rows(report, "good-hom-image-transfer", "good-hom-preimage-transfer") == [
+            row([0], [0], "image", [0]),
+            row([0, 2], [0], "image", [0, 2]),
+            row([0], [0], "preimage", [0]),
+            row([0, 2], [0], "preimage", [0, 2]),
+            row([0, 2], [0, 2], "image", [0]),
+            row([0], [0, 2], "preimage", [0, 2]),
+        ]
+
+    def test_image_and_preimage_target_not_c(self, monkeypatch):
+        planted = verdicts.fails({"planted": "c"}, space="planted")
+
+        def not_c(ctx):
+            ctx.by_mask = {m: replace(g, c=planted) for m, g in ctx.by_mask.items()}
+            return ctx
+
+        real = harness._uv_facts_for
+        monkeypatch.setattr(harness, "_uv_facts_for", lambda ring, spec: not_c(real(ring, spec)))
+        ctx = not_c(build_ring_context(parse_ring_spec("z4:1,3"), RingFamilySpec()))
+        report = Report()
+        run_quotient_checks(ctx, report)
+
+        def row(ideal, kernel, side, members):
+            return json.dumps({
+                "ring": "z4:1,3", "ideal": ideal, "property": f"good-hom-{side}-transfer",
+                "params": {"kernel": kernel, "tested": 1}, "status": "fails",
+                "witness": {side: members, "at": [2, 1], "uv_witness": None, "c_witness": {"planted": "c"}},
+                "space": f"{side} transfer",
+            })
+
+        assert _rows(report, "good-hom-image-transfer", "good-hom-preimage-transfer") == [
+            row([0], [0], "image", [0]),
+            row([0, 2], [0], "image", [0, 2]),
+            row([0], [0], "preimage", [0]),
+            row([0, 2], [0], "preimage", [0, 2]),
+            row([0, 2], [0, 2], "image", [0]),
+            row([0], [0, 2], "preimage", [0, 2]),
+        ]
+
+    def test_matrix_corner_and_descent_failures(self, monkeypatch):
+        # the family's only matrix candidate is refused as noncommutative;
+        # a base with the null product builds a 16-element matrix ring
+        base = FiniteHyperring.from_element_table(2, [[0, 1], [1, 0]], [[[0], [0]], [[0], [0]]], name="null-z2")
+        real = construct.corner_product_agrees
+        monkeypatch.setattr(construct, "corner_product_agrees", lambda model, a, b: (a, b) != (0, 1) and real(model, a, b))
+        ctx = build_ring_context(base, RingFamilySpec(moduli=(2,)))
+        planted = dict(ctx.facts[0].uv_primary)
+        planted[(3, 2)] = verdicts.fails({"planted": [3, 2]}, space="planted")
+        ctx.facts[0] = replace(ctx.facts[0], uv_primary=planted)
+        report = Report()
+        run_matrix_checks(ctx, report)
+        assert report.to_jsonl().splitlines() == [json.dumps(r) for r in [
+            {"ring": "null-z2", "ideal": None, "property": "matrix-ring-valid",
+             "params": {"tested": 1, "size": 16}, "status": "holds", "witness": None,
+             "space": "matrix construction"},
+            {"ring": "null-z2", "ideal": None, "property": "matrix-corner-products-agree",
+             "params": {"tested": 2}, "status": "fails", "witness": {"a": 0, "b": 1},
+             "space": "corner products"},
+            {"ring": "null-z2", "ideal": [0], "property": "matrix-ideal-descent",
+             "params": {"tested": 3}, "status": "fails",
+             "witness": {"at": [3, 2], "base_uv_witness": {"planted": [3, 2]}, "base_c_witness": None},
+             "space": "matrix descent"},
+        ]]
+
+    def test_localization_forward_target_missing(self, empty_derived_lookup):
+        ctx = build_ring_context(parse_ring_spec("z6:1,5"), RingFamilySpec())
+        report = Report()
+        run_localization_checks(ctx, report)
+        s = [1, 3, 5]
+        assert _rows(report, "localization-forward", "localization-reverse",
+                     "radical-commutes-with-localization") == [json.dumps(r) for r in [
+            {"ring": "z6:1,5", "ideal": [0], "property": "localization-forward",
+             "params": {"s": s, "tested": 0}, "status": "holds", "witness": None,
+             "space": "localization forward"},
+            {"ring": "z6:1,5", "ideal": [0, 2, 4], "property": "localization-forward",
+             "params": {"s": s, "tested": 1}, "status": "fails",
+             "witness": {"image": [0], "defect": "localized ideal not proper"},
+             "space": "localization forward"},
+            {"ring": "z6:1,5", "ideal": [0, 2, 4], "property": "localization-reverse",
+             "params": {"s": s, "tested": 0}, "status": "holds", "witness": None,
+             "space": "localization reverse"},
+        ]]
 
 
 class TestFamily:
@@ -244,14 +433,6 @@ class TestCLI:
         assert proc.returncode == 0
         assert "records=" in proc.stdout
         assert out.read_text().count("[holds]") == 4
-
-    def test_workers_env_validated(self):
-        proc = run_cli(
-            "sweep", "--moduli", "2..2", "--phi-sizes", "2",
-            env_extra={"HYPERLAB_WORKERS": "0"},
-        )
-        assert proc.returncode == 2
-        assert "HYPERLAB_WORKERS" in proc.stderr
 
     def test_small_sweep_deterministic(self):
         args = ("sweep", "--moduli", "2..3", "--phi-sizes", "2", "--json")
