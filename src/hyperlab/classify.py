@@ -14,17 +14,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
-from .core import FiniteHyperring, Mask, elems_of, iter_bits, mask_of, subset
+from .core import FiniteHyperring, Mask, elems_of, iter_bits, subset
 from .ideals import (
     HyperIdeal,
     colon,
     enumerate_hyperideals,
     generate,
     ideal_product,
-    is_hyperideal,
-    radical_prime_intersection,
 )
 from .verdicts import (
     ParameterError,

@@ -13,7 +13,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import classify, zphi
-from .core import FiniteHyperring, TableFormatError, elems_of, mask_of, parse_ring_spec
+from .core import TableFormatError, elems_of, mask_of, parse_ring_spec
 from .harness import (
     Report,
     RingFamilySpec,
@@ -24,7 +24,6 @@ from .ideals import (
     enumerate_hyperideals,
     is_hyperideal,
     radical_nilpotent,
-    radical_prime_intersection,
     is_c_hyperideal,
     is_strong_c_hyperideal,
 )

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product as cartesian
-from typing import Optional, Sequence
+from typing import Optional
 
-from .core import FiniteHyperring, Mask, elems_of, iter_bits, mask_of, subset
-from .ideals import is_hyperideal, is_subgroup
+from .core import FiniteHyperring, Mask, elems_of, iter_bits, subset
+from .ideals import is_hyperideal
 from .verdicts import ConstructionError, ResourceError, UsageError
 
 
@@ -29,9 +29,6 @@ class GoodHom:
     target: FiniteHyperring
     mapping: tuple[int, ...]
 
-    def apply(self, x: int) -> int:
-        return self.mapping[x]
-
     def image_mask(self, mask: Mask) -> Mask:
         out = 0
         for x in iter_bits(mask):
@@ -44,12 +41,6 @@ class GoodHom:
             if mask >> self.mapping[x] & 1:
                 out |= 1 << x
         return out
-
-    def kernel_mask(self) -> Mask:
-        return self.preimage_mask(1 << self.target.zero)
-
-    def is_surjective(self) -> bool:
-        return self.image_mask(self.source.full_mask) == self.target.full_mask
 
 
 def check_good_hom(hom: GoodHom) -> list[dict]:
@@ -303,9 +294,6 @@ class LocalizedRing:
     class_of: dict[tuple[int, int], int] = field(repr=False)
     one: int = 0  # identity of the base used for the localization map
 
-    def fraction_class(self, x: int, r: int) -> int:
-        return self.class_of[(x, r)]
-
     def localization_hom(self) -> GoodHom:
         return GoodHom(
             self.base, self.ring, tuple(self.class_of[(a, self.one)] for a in range(self.base.n))
@@ -331,77 +319,65 @@ def localize(ring: FiniteHyperring, smask: Mask) -> LocalizedRing:
         raise UsageError("localization requires a multiplicatively closed set")
     s_elems = elems_of(smask)
     pairs = tuple((a, s) for a in range(ring.n) for s in s_elems)
-    pidx = {p: k for k, p in enumerate(pairs)}
-    hp = ring.hyperproduct
-
-    def related(p1: tuple[int, int], p2: tuple[int, int]) -> bool:
-        x, r = p1
-        y, s = p2
-        return any(hp((t, r, y)) == hp((t, s, x)) for t in s_elems)
-
-    adj = [[False] * len(pairs) for _ in pairs]
-    for i, p1 in enumerate(pairs):
-        adj[i][i] = True
+    hm = ring.hmul
+    # (x, r) ~ (y, s) iff t∘r∘y == t∘s∘x for some t in S; trip[r][y]
+    # holds t∘r∘y for every t in S, in the order of s_elems
+    trip = {r: [tuple(ring.mul_elem(hm[t][r], y) for t in s_elems) for y in range(ring.n)] for r in s_elems}
+    # rows[i]: bitmask of the pairs related to pairs[i]
+    rows = [1 << i for i in range(len(pairs))]
+    for i, (x, r) in enumerate(pairs):
         for j in range(i + 1, len(pairs)):
-            adj[i][j] = adj[j][i] = related(p1, pairs[j])
-    for i in range(len(pairs)):
-        for j in range(len(pairs)):
-            if not adj[i][j]:
-                continue
-            for k in range(len(pairs)):
-                if adj[j][k] and not adj[i][k]:
-                    raise ConstructionError(
-                        "localization relation is not transitive",
-                        witness={"p1": pairs[i], "p2": pairs[j], "p3": pairs[k]},
-                    )
+            y, s = pairs[j]
+            if any(a == b for a, b in zip(trip[r][y], trip[s][x])):
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    # transitive iff every related row is contained in its own row
+    for i, row in enumerate(rows):
+        for j in iter_bits(row):
+            extra = rows[j] & ~row
+            if extra:
+                raise ConstructionError(
+                    "localization relation is not transitive",
+                    witness={"p1": pairs[i], "p2": pairs[j], "p3": pairs[(extra & -extra).bit_length() - 1]},
+                )
     class_of: dict[tuple[int, int], int] = {}
     class_members: list[list[tuple[int, int]]] = []
     for i, p in enumerate(pairs):
         if p in class_of:
             continue
-        cid = len(class_members)
-        bucket = [pairs[j] for j in range(len(pairs)) if adj[i][j]]
-        class_members.append(bucket)
+        bucket = [pairs[j] for j in iter_bits(rows[i])]
         for q in bucket:
-            class_of[q] = cid
+            class_of[q] = len(class_members)
+        class_members.append(bucket)
     qn = len(class_members)
 
-    def add_result(p1: tuple[int, int], p2: tuple[int, int]) -> Mask:
-        x, r = p1
-        y, s = p2
+    def fraction_classes(nums: Mask, dens: Mask) -> Mask:
+        """Classes of the fractions a/c for a in nums and c in dens."""
         out = 0
-        for a in iter_bits(ring.hmul[r][y]):
-            for b in iter_bits(ring.hmul[s][x]):
-                num = ring.add[a][b]
-                for c in iter_bits(ring.hmul[r][s]):
-                    out |= 1 << class_of[(num, c)]
-        return out
-
-    def mul_result(p1: tuple[int, int], p2: tuple[int, int]) -> Mask:
-        x, r = p1
-        y, s = p2
-        out = 0
-        for a in iter_bits(ring.hmul[x][y]):
-            for b in iter_bits(ring.hmul[r][s]):
-                out |= 1 << class_of[(a, b)]
+        for a in iter_bits(nums):
+            for c in iter_bits(dens):
+                out |= 1 << class_of[(a, c)]
         return out
 
     qadd = [[0] * qn for _ in range(qn)]
     qhmul = [[0] * qn for _ in range(qn)]
     for ci in range(qn):
         for cj in range(ci, qn):
-            ref_add = ref_mul = None
-            for p1 in class_members[ci]:
-                for p2 in class_members[cj]:
-                    got_add = add_result(p1, p2)
-                    got_mul = mul_result(p1, p2)
-                    if ref_add is None:
-                        ref_add, ref_mul = got_add, got_mul
-                    elif (got_add, got_mul) != (ref_add, ref_mul):
+            ref = None
+            for x, r in class_members[ci]:
+                for y, s in class_members[cj]:
+                    got = (
+                        fraction_classes(ring.set_add(hm[r][y], hm[s][x]), hm[r][s]),
+                        fraction_classes(hm[x][y], hm[r][s]),
+                    )
+                    if ref is None:
+                        ref = got
+                    elif got != ref:
                         raise ConstructionError(
                             "fraction operations depend on representatives",
-                            witness={"class_pair": (ci, cj), "p1": p1, "p2": p2},
+                            witness={"class_pair": (ci, cj), "p1": (x, r), "p2": (y, s)},
                         )
+            ref_add, ref_mul = ref
             if bin(ref_add).count("1") != 1:
                 raise ConstructionError(
                     "fraction addition is not single valued",

@@ -9,7 +9,7 @@ exhaustive sweeps.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .verdicts import UsageError

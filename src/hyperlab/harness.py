@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 from math import comb
@@ -658,10 +658,6 @@ def record_radical_comparison_on_non_c(ctx: RingContext, report: Report) -> None
 # -- construction checks ----------------------------------------------------------
 
 
-def _uv_facts_for(ring: FiniteHyperring, spec: RingFamilySpec) -> RingContext:
-    return build_ring_context(ring, replace(spec, include_constructions=False))
-
-
 def _hom_transfer(side: str, g: IdealFacts, mask: Mask, target: Optional[IdealFacts]) -> Verdict:
     """g carried across the quotient projection to the ideal `mask` (its
     "image" or "preimage"): wherever g is (u,v)-absorbing primary, the
@@ -708,7 +704,7 @@ def run_quotient_checks(ctx: RingContext, report: Report) -> None:
                 millis=_ms(t0, ctx.spec),
             )
             continue
-        qctx = _uv_facts_for(q, ctx.spec)
+        qctx = build_ring_context(q, ctx.spec)
         # ideals above the kernel push forward, ideals of the quotient pull back
         directions = (
             ("image", [g for g in ctx.facts if subset(f.mask, g.mask)], hom.image_mask, qctx),
@@ -758,7 +754,7 @@ def run_matrix_checks(ctx: RingContext, report: Report) -> None:
         for b in range(a, ring.n)
     ))
     report.add_verdict(name, None, "matrix-corner-products-agree", {}, corners, millis=_ms(t0, ctx.spec))
-    mctx = _uv_facts_for(model.ring, ctx.spec)
+    mctx = build_ring_context(model.ring, ctx.spec)
     for f in ctx.facts:
         t1 = time.perf_counter()
         mmask = model.full_entry_ideal(f.mask)
@@ -806,7 +802,7 @@ def run_localization_checks(ctx: RingContext, report: Report) -> None:
             {"tested": 1, "s": s_members, "classes": loc.ring.n},
             HOLDS, None, "localization construction", millis=_ms(t0, ctx.spec),
         )
-        lctx = _uv_facts_for(loc.ring, ctx.spec)
+        lctx = build_ring_context(loc.ring, ctx.spec)
         for f in ctx.facts:
             t1 = time.perf_counter()
             img = loc.ideal_image(f.mask)

@@ -1,5 +1,10 @@
 """Derived structures: quotients with their canonical maps, matrix
 carriers, multiplicatively closed sets, and localization."""
+import hashlib
+import json
+import random
+from collections import Counter
+
 import pytest
 
 from hyperlab.construct import (
@@ -26,6 +31,21 @@ def ordinary_ring(n, name="ord"):
     add = [[(i + j) % n for j in range(n)] for i in range(n)]
     hmul = [[[(i * j) % n] for j in range(n)] for i in range(n)]
     return FiniteHyperring.from_element_table(n, add, hmul, name=f"{name}-z{n}")
+
+
+def zn_table_ring(n, hmul_masks):
+    add = [[(i + j) % n for j in range(n)] for i in range(n)]
+    return FiniteHyperring(n, add, hmul_masks, name=f"table-z{n}")
+
+
+def localize_outcome(ring, smask):
+    """Everything localize decides: the class map and both tables when it
+    builds, the message and witness when it refuses."""
+    try:
+        loc = localize(ring, smask)
+    except ConstructionError as e:
+        return ["refused", str(e), e.witness]
+    return ["built", sorted(loc.class_of.items()), loc.ring.add, loc.ring.hmul]
 
 
 def null_product_ring(n=2):
@@ -144,6 +164,55 @@ class TestLocalize:
     def test_identity_required(self, z6a):
         with pytest.raises(UsageError, match="identity"):
             localize(z6a, mask_of({2}))
+
+    @pytest.mark.parametrize("n,hmul,smask,message,witness", [
+        (3, [[4, 7, 4], [7, 6, 6], [4, 6, 4]], 6,
+         "localization relation is not transitive",
+         {"p1": (0, 1), "p2": (0, 2), "p3": (2, 2)}),
+        (3, [[3, 5, 6], [5, 7, 6], [6, 6, 6]], 7,
+         "fraction operations depend on representatives",
+         {"class_pair": (0, 0), "p1": (0, 0), "p2": (1, 0)}),
+        (4, [[2, 9, 11, 9], [9, 2, 13, 11], [11, 13, 9, 14], [9, 11, 14, 7]], 2,
+         "fraction addition is not single valued",
+         {"class_pair": (0, 0), "classes": [0, 2, 3]}),
+        (3, [[5, 1, 5], [1, 2, 4], [5, 4, 2]], 2,
+         "localized ring failed validation",
+         ["hmul-associativity violated at (0, 0, 2)",
+          "sign-rule violated at (0, 0)",
+          "weak-distributivity violated at (1, 1, 0)"]),
+    ], ids=["not-transitive", "representatives", "not-single-valued", "validation"])
+    def test_refusal_branches(self, n, hmul, smask, message, witness):
+        with pytest.raises(ConstructionError) as exc:
+            localize(zn_table_ring(n, hmul), smask)
+        assert str(exc.value) == message
+        assert exc.value.witness == witness
+
+    def test_random_tables_pinned(self):
+        # random symmetric product tables on Z_3..Z_5 with 1 forced to be
+        # an identity, localized at every canonical MCS: every outcome
+        # (classes, tables, refusal message and witness) is pinned
+        rng = random.Random(7)
+        outcomes = []
+        for _ in range(3000):
+            n = rng.choice([3, 4, 5])
+            hm = [[0] * n for _ in range(n)]
+            for a in range(n):
+                for b in range(a, n):
+                    hm[a][b] = hm[b][a] = rng.randrange(1, 1 << n)
+            for a in range(n):
+                hm[1][a] |= 1 << a
+                hm[a][1] = hm[1][a]
+            ring = zn_table_ring(n, hm)
+            outcomes.extend(localize_outcome(ring, s) for s in canonical_mcs_list(ring))
+        kinds = Counter(o[1] if o[0] == "refused" else "built" for o in outcomes)
+        assert kinds == {
+            "built": 432,
+            "localization relation is not transitive": 2568,
+            "fraction addition is not single valued": 335,
+            "fraction operations depend on representatives": 135,
+        }
+        digest = hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()
+        assert digest == "26277d1dea0e58e1b9f10ad01826303b389e881459cbec3e831c4b938ace8730"
 
 
 class TestHoms:

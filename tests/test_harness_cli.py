@@ -177,14 +177,14 @@ class TestTransferBranches:
 
     @pytest.fixture
     def empty_derived_lookup(self, monkeypatch):
-        real = harness._uv_facts_for
+        real = harness.build_ring_context
 
         def facts_for(ring, spec):
             ctx = real(ring, spec)
             ctx.by_mask.clear()
             return ctx
 
-        monkeypatch.setattr(harness, "_uv_facts_for", facts_for)
+        monkeypatch.setattr(harness, "build_ring_context", facts_for)
 
     def test_image_and_preimage_target_missing(self, empty_derived_lookup):
         ctx = build_ring_context(parse_ring_spec("z4:1,3"), RingFamilySpec())
@@ -216,8 +216,8 @@ class TestTransferBranches:
             ctx.by_mask = {m: replace(g, c=planted) for m, g in ctx.by_mask.items()}
             return ctx
 
-        real = harness._uv_facts_for
-        monkeypatch.setattr(harness, "_uv_facts_for", lambda ring, spec: not_c(real(ring, spec)))
+        real = harness.build_ring_context
+        monkeypatch.setattr(harness, "build_ring_context", lambda ring, spec: not_c(real(ring, spec)))
         ctx = not_c(build_ring_context(parse_ring_spec("z4:1,3"), RingFamilySpec()))
         report = Report()
         run_quotient_checks(ctx, report)
