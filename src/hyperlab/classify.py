@@ -518,11 +518,15 @@ def check_v1v_characterization(
 
     # (iv) products of v+1 proper hyperideals, aggregated like the element
     # deciders: remainder ideal must fall into rad(P)
+    # the table does not depend on P, so it is built once per (ring, v)
     proper = [b.mask for b in lattice.proper()]
-    iprod: dict[tuple, Mask] = {(i,): m for i, m in enumerate(proper)}
-    for size in range(2, v + 2):
-        for idxs in combinations_with_replacement(range(len(proper)), size):
-            iprod[idxs] = ring.set_mul(iprod[idxs[:-1]], proper[idxs[-1]])
+    iprod: Optional[dict[tuple, Mask]] = ring._cache.get(("iprod", v))
+    if iprod is None:
+        iprod = {(i,): m for i, m in enumerate(proper)}
+        for size in range(2, v + 2):
+            for idxs in combinations_with_replacement(range(len(proper)), size):
+                iprod[idxs] = ring.set_mul(iprod[idxs[:-1]], proper[idxs[-1]])
+        ring._cache[("iprod", v)] = iprod
 
     def clause_iv_witness(idxs: tuple) -> Optional[dict]:
         choices = sorted(set(idxs))

@@ -12,9 +12,10 @@ never a proof.  A found counterexample is exact and final.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, islice
 from typing import Iterable, Sequence
 
 from .classify import _complement
@@ -218,7 +219,21 @@ def bounded_uv_check(
     every split through the {0} product.  Multisets avoiding ±1 are
     scanned before those containing them, so reported witnesses prefer
     factors of absolute value at least 2; the union of the two passes
-    covers every nonunit multiset in the window.
+    covers every nonunit multiset in the window.  Each pass runs in
+    nondecreasing order over the pool 2, -2, 3, -3, ... (1, -1 in front
+    in the second).
+
+    Whether x·W ⊆ mZZ holds, for m = d or the radical generator (which
+    divides d), depends only on the valuations of x at the primes p | d,
+    capped at their exponents in d.  So the premise and every split are
+    decided once per multiset of capped-valuation classes, and `tested`,
+    the number of integer multisets in the window whose hyperproduct lies
+    in dZZ, sums the multinomial counts of the classes that meet the
+    premise; ±1 form a class of their own so the second pass is counted
+    apart.  A pass is walked multiset by multiset only when it is known
+    to hold a counterexample, to report the first one in the order above
+    with `tested` counted up to it, so the cost of a scan that finds none
+    does not grow with window**u.
     """
     if window < 2:
         raise ParameterError("window must be at least 2")
@@ -233,51 +248,73 @@ def bounded_uv_check(
         size: _gcd_of(phi_power_products(ring, size - 1))
         for size in range(1, u)
     }
-    unit_set = units(ring)
 
     def split_ok(vpart: tuple, rest: tuple) -> bool:
         if g_parts[v] % _subset_q(d, math.prod(vpart)) == 0:
             return True
         return g_parts[u - v] % _subset_q(concl_mod, math.prod(rest)) == 0
 
-    base_pool = [s * k for k in range(2, window + 1) for s in (1, -1)]
-    phases: list[tuple[list[int], bool]] = [(base_pool, False)]
-    if 1 not in unit_set:
-        phases.append(([1, -1] + base_pool, True))
+    def breaks(ms: tuple) -> bool:
+        oks = (split_ok(vp, _complement(ms, vp)) for vp in set(combinations(ms, v)))
+        return not any(oks) if mode is SplitMode.ANY else not all(oks)
 
-    hits = 0
+    # The second pass is the start of the nondecreasing order over pool, up
+    # to the first multiset without ±1.  Its walk never gets that far: a
+    # failing class multiset holding ±1 has a member holding only 1s there.
+    base_pool = [s * k for k in range(2, window + 1) for s in (1, -1)]
+    passes = [base_pool]
+    pool = base_pool
+    if 1 not in units(ring):
+        pool = [1, -1] + base_pool
+        passes.append(pool)
+
+    # Class label of each element: its capped valuation vector, None for ±1.
+    # A class multiset is keyed by the sum of (u+1)**label over its members,
+    # unique because no label occurs more than u times.
+    primes = _factorize(d)
+    caps = {x: None if abs(x) == 1 else tuple(min(_vp(x, p), e) for p, e in primes) for x in pool}
+    label = {cap: i for i, cap in enumerate(dict.fromkeys(caps.values()))}
+    sizes = Counter(label[cap] for cap in caps.values())
+    reps = [math.prod(p**k for (p, _e), k in zip(primes, cap or ())) for cap in label]
+    weight = {x: (u + 1) ** label[cap] for x, cap in caps.items()}
+
+    unit = label.get(None)  # a class multiset holding ±1 is in the second pass
+    broken: dict[int, bool] = {}  # class multisets meeting the premise
+    hits = [0, 0]  # integer multisets meeting the premise, per pass
+    failing = [False, False]
+    for cm in combinations_with_replacement(range(len(reps)), u):
+        ms = tuple(reps[c] for c in cm)
+        if g_total % _subset_q(d, math.prod(ms)):
+            continue
+        second = unit in cm
+        broken[sum((u + 1) ** c for c in cm)] = bad = breaks(ms)
+        hits[second] += math.prod(math.comb(sizes[c] + k - 1, k) for c, k in Counter(cm).items())
+        failing[second] |= bad
+
+    def witness(ms: tuple) -> dict:
+        if mode is SplitMode.ANY:
+            return {"factors": list(ms)}
+        vp = next(vp for vp in sorted(set(combinations(ms, v))) if not split_ok(vp, _complement(ms, vp)))
+        rest = _complement(ms, vp)
+        return {"factors": list(vp + rest), "v_part": list(vp), "rest": list(rest)}
+
     space = f"nonunit multisets |x|<={window} u={u} v={v} mode={mode.value}"
-    for pool, need_unit_scale in phases:
-        for ms in combinations_with_replacement(pool, u):
-            if need_unit_scale and abs(ms[0]) != 1:
-                break  # remaining multisets were covered by the first pass
-            if g_total % _subset_q(d, math.prod(ms)):
+    tested = 0
+    for scan_pool, count, has_failure in zip(passes, hits, failing):
+        if not has_failure:
+            tested += count
+            continue
+        keys = map(sum, combinations_with_replacement([weight[x] for x in scan_pool], u))
+        for pos, bad in enumerate(map(broken.get, keys)):
+            if bad is None:
                 continue
-            hits += 1
-            vparts = sorted(set(combinations(ms, v)))
-            if mode is SplitMode.ANY:
-                if not any(split_ok(vp, _complement(ms, vp)) for vp in vparts):
-                    return fails(
-                        {"factors": list(ms)},
-                        space=space,
-                        tested=hits,
-                        window=window,
-                        variant=variant,
-                    )
-            else:
-                for vp in vparts:
-                    rest = _complement(ms, vp)
-                    if not split_ok(vp, rest):
-                        return fails(
-                            {"factors": list(vp + rest), "v_part": list(vp), "rest": list(rest)},
-                            space=space,
-                            tested=hits,
-                            window=window,
-                            variant=variant,
-                        )
+            tested += 1
+            if bad:
+                ms = next(islice(combinations_with_replacement(scan_pool, u), pos, None))
+                return fails(witness(ms), space=space, tested=tested, window=window, variant=variant)
     return inconclusive(
         space=space,
-        tested=hits,
+        tested=tested,
         window=window,
         variant=variant,
         note=f"no counterexample with all |x_i| <= {window}",

@@ -425,6 +425,16 @@ class TestCLI:
         rec = json.loads(proc.stdout.splitlines()[0])
         assert rec["witness"] == {"factors": [2, 2, 3]}
 
+    def test_zphi_window_1000(self):
+        proc = run_cli(
+            "zphi", "--prop", "uv-primary", "--d", "12",
+            "--u", "4", "--v", "2", "--window", "1000", "--json",
+        )
+        assert proc.returncode == 0
+        rec = json.loads(proc.stdout.splitlines()[0])
+        assert rec["status"] == "inconclusive"
+        assert rec["params"]["tested"] == 435412941375
+
     def test_out_file_gets_body(self, tmp_path):
         out = tmp_path / "rows.txt"
         proc = run_cli(

@@ -1,6 +1,9 @@
 """Integer hyperrings induced by a finite multiplier set: exact products,
 principal-ideal membership, the valuation radical, and windowed
 counterexample search."""
+import math
+from itertools import combinations, combinations_with_replacement, product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +12,7 @@ from hyperlab.core import elems_of, parse_ring_spec
 from hyperlab.verdicts import SplitMode, UVParams
 from hyperlab.zphi import (
     ZPhiRing,
+    bounded_uv_check,
     bounded_uv_primary_check,
     bounded_uv_prime_check,
     ideal_intersection,
@@ -168,3 +172,126 @@ class TestWindowedChecks:
         assert principal_membership(12, int_product(r23, [2, 3])) != "subset"
         assert not radical_membership(r23, 12, 2)
         assert not radical_membership(r23, 12, 3)
+
+
+def _literal_scan(ring, d, uv, window, variant, mode, memo):
+    """The windowed scan written straight from the definitions: full
+    hyperproduct sets tested element by element against dZZ and rad(dZZ),
+    every distinct v-part of every nonunit multiset in nondecreasing order
+    over 2, -2, 3, -3, ..., then, when 1 is not a unit, the multisets over
+    1, -1, 2, -2, ... that contain ±1.  No gcd shortcut and no valuation
+    classes; `memo` only remembers each integer multiset's own split facts."""
+    u, v = uv.u, uv.v
+
+    def inside(xs):
+        key = ("d", tuple(sorted(xs)))
+        if key not in memo:
+            memo[key] = principal_membership(d, int_product(ring, xs)) == "subset"
+        return memo[key]
+
+    def conclusion(xs):
+        if variant == "prime":
+            return inside(xs)
+        key = ("rad", tuple(sorted(xs)))
+        if key not in memo:
+            memo[key] = all(radical_membership(ring, d, a) for a in int_product(ring, xs))
+        return memo[key]
+
+    def rest_of(ms, part):
+        rest = list(ms)
+        for x in part:
+            rest.remove(x)
+        return tuple(rest)
+
+    base = [s * k for k in range(2, window + 1) for s in (1, -1)]
+    scans = [combinations_with_replacement(base, u)]
+    if 1 not in units(ring):
+        scans.append(
+            ms for ms in combinations_with_replacement([1, -1] + base, u) if 1 in ms or -1 in ms
+        )
+
+    def facts(ms):
+        # premise met, the failing splits in sorted v-part order, and the
+        # number of splits
+        if not inside(ms):
+            return False, [], 0
+        splits = [(vp, rest_of(ms, vp)) for vp in sorted(set(combinations(ms, v)))]
+        bad = [(vp, rest) for vp, rest in splits if not (inside(vp) or conclusion(rest))]
+        return True, bad, len(splits)
+
+    space = f"nonunit multisets |x|<={window} u={u} v={v} mode={mode.value}"
+    extra = {"window": window, "variant": variant}
+    tested = 0
+    known = memo.setdefault((variant, v), {})
+    for scan in scans:
+        for ms in scan:
+            if ms not in known:
+                known[ms] = facts(ms)
+            hit, bad, n_splits = known[ms]
+            tested += hit
+            if mode is SplitMode.ANY and hit and len(bad) == n_splits:
+                witness = {"factors": list(ms)}
+            elif mode is SplitMode.ALL and bad:
+                vp, rest = bad[0]
+                witness = {"factors": list(vp + rest), "v_part": list(vp), "rest": list(rest)}
+            else:
+                continue
+            return {"status": "fails", "witness": witness, "space": space, "tested": tested, "extra": extra}
+    extra["note"] = f"no counterexample with all |x_i| <= {window}"
+    return {"status": "inconclusive", "witness": None, "space": space, "tested": tested, "extra": extra}
+
+
+# identity 1 (units ±1), identity -1 with a negative multiplier, no identity,
+# every multiplier even (rad(dZZ) is wider than the squarefree part), and a
+# negative non-unit multiplier; d = 1 and d with repeated primes (at window 2
+# the only counterexamples for d = 4 contain ±1)
+REFERENCE_PHIS = [(2, 3), (1, 2), (-1, 2), (2, 4), (-2, 6)]
+REFERENCE_DS = [1, 4, 12]
+
+
+class TestWindowedReference:
+    @pytest.mark.parametrize("phi", REFERENCE_PHIS, ids=str)
+    def test_matches_literal_scan_on_every_small_window(self, phi):
+        ring = ZPhiRing(phi)
+        statuses = set()
+        for d in REFERENCE_DS:
+            memo: dict = {}
+            for (u, v), window, variant, mode in product(
+                [(u, v) for u in range(2, 5) for v in range(1, u)],
+                range(2, 13),
+                ("primary", "prime"),
+                SplitMode,
+            ):
+                uv = UVParams(u, v)
+                got = bounded_uv_check(ring, d, uv, window, variant=variant, mode=mode).to_record()
+                assert got == _literal_scan(ring, d, uv, window, variant, mode, memo), (
+                    d, u, v, window, variant, mode
+                )
+                statuses.add(got["status"])
+        assert statuses == {"fails", "inconclusive"}
+
+    def test_window_1000_counts_every_multiset(self, r23):
+        # 435,412,941,375 = C(2003, 4) minus the 4-multisets of the 2,000
+        # nonzero |x| <= 1000 whose product misses 12ZZ (W = {8, 12, 18, 27}
+        # has gcd 1, so the premise is 12 | product), by inclusion-exclusion
+        # over "not divisible by 4" and "not divisible by 3"
+        pool = [x for x in range(-1000, 1001) if x]
+
+        def multisets(n, k):
+            return math.comb(n + k - 1, k)
+
+        def missing_4(xs):
+            odd = sum(1 for x in xs if x % 2)
+            twice = sum(1 for x in xs if x % 4 == 2)
+            return multisets(odd, 4) + twice * multisets(odd, 3)
+
+        prime_to_3 = [x for x in pool if x % 3]
+        missing = missing_4(pool) + multisets(len(prime_to_3), 4) - missing_4(prime_to_3)
+        assert multisets(len(pool), 4) - missing == 435_412_941_375
+
+        v = bounded_uv_primary_check(r23, 12, UVParams(4, 2), window=1000)
+        assert v.status == "inconclusive"
+        assert v.tested == 435_412_941_375
+        prime = bounded_uv_prime_check(r23, 12, UVParams(4, 2), window=1000)
+        assert prime.fails
+        assert prime.witness == {"factors": [2, 2, 2, 3]}
