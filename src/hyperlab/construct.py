@@ -2,10 +2,12 @@
 localizations S^{-1}A, and transfer of classifications along good
 homomorphisms.
 
-Every construction validates its output.  Where the underlying theory
-asserts well-definedness (quotient products on cosets, localization
-operations on equivalence classes), this module checks it per instance
-and raises ConstructionError with a witness instead of assuming it.
+Every construction validates its output; a quotient whose table is its
+parent's (the quotient by {0}) takes the parent's validation report.
+Where the underlying theory asserts well-definedness (quotient products
+on cosets, localization operations on equivalence classes), this module
+checks it per instance and raises ConstructionError with a witness
+instead of assuming it.
 """
 from __future__ import annotations
 
@@ -113,7 +115,7 @@ def quotient(ring: FiniteHyperring, pmask: Mask) -> tuple[FiniteHyperring, GoodH
                     witness={"x": x, "y": y, "rep_x": reps[coset_of[x]], "rep_y": reps[coset_of[y]]},
                 )
     q = FiniteHyperring(qn, qadd, qhmul, name=f"{ring.name or 'ring'}/({qn} cosets)")
-    report = q.validate()
+    report = ring.validate() if q.table_key() == ring.table_key() else q.validate()
     if not report.ok:
         raise ConstructionError(
             "quotient is not a hyperring", witness=[f.describe() for f in report.failures]

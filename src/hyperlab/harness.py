@@ -276,6 +276,13 @@ def build_ring_context(ring: FiniteHyperring, spec: RingFamilySpec) -> RingConte
     return ctx
 
 
+def derived_context(ctx: RingContext, ring: FiniteHyperring) -> RingContext:
+    """The context of a ring derived from ctx.ring.  A derived ring whose
+    table is its parent's (the quotient by {0}) reuses the parent's context:
+    transfer checks read only `.facts` and `.find()`, never `.ring.name`."""
+    return ctx if ring.table_key() == ctx.ring.table_key() else build_ring_context(ring, ctx.spec)
+
+
 # -- theorem checks --------------------------------------------------------------
 
 
@@ -704,7 +711,7 @@ def run_quotient_checks(ctx: RingContext, report: Report) -> None:
                 millis=_ms(t0, ctx.spec),
             )
             continue
-        qctx = build_ring_context(q, ctx.spec)
+        qctx = derived_context(ctx, q)
         # ideals above the kernel push forward, ideals of the quotient pull back
         directions = (
             ("image", [g for g in ctx.facts if subset(f.mask, g.mask)], hom.image_mask, qctx),
@@ -754,7 +761,7 @@ def run_matrix_checks(ctx: RingContext, report: Report) -> None:
         for b in range(a, ring.n)
     ))
     report.add_verdict(name, None, "matrix-corner-products-agree", {}, corners, millis=_ms(t0, ctx.spec))
-    mctx = build_ring_context(model.ring, ctx.spec)
+    mctx = derived_context(ctx, model.ring)
     for f in ctx.facts:
         t1 = time.perf_counter()
         mmask = model.full_entry_ideal(f.mask)
@@ -802,7 +809,7 @@ def run_localization_checks(ctx: RingContext, report: Report) -> None:
             {"tested": 1, "s": s_members, "classes": loc.ring.n},
             HOLDS, None, "localization construction", millis=_ms(t0, ctx.spec),
         )
-        lctx = build_ring_context(loc.ring, ctx.spec)
+        lctx = derived_context(ctx, loc.ring)
         for f in ctx.facts:
             t1 = time.perf_counter()
             img = loc.ideal_image(f.mask)

@@ -67,6 +67,20 @@ class TestQuotient:
         quot, _ = quotient(z8, mask_of({0}))
         assert quot.n == z8.n
         assert quot.table_key() == z8.table_key()
+        assert quot.validate() == z8.validate()
+
+    def test_quotient_by_zero_of_invalid_table(self):
+        # {0} is a hyperideal of this table, but the table fails the axioms:
+        # the quotient by {0} repeats the table and refuses with its failures
+        ring = zn_table_ring(3, [[1, 1, 1], [1, 4, 5], [1, 5, 7]])
+        with pytest.raises(ConstructionError) as exc:
+            quotient(ring, mask_of({0}))
+        assert str(exc.value) == "quotient is not a hyperring"
+        assert exc.value.witness == [
+            "hmul-associativity violated at (1, 1, 2)",
+            "sign-rule violated at (1, 1)",
+            "weak-distributivity violated at (1, 1, 1)",
+        ]
 
     def test_full_carrier_rejected(self, z8):
         with pytest.raises(UsageError, match="full carrier"):

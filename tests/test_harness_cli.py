@@ -284,6 +284,33 @@ class TestTransferBranches:
         ]]
 
 
+class TestDerivedContexts:
+    @pytest.mark.parametrize("spec,derived", [
+        ("z8:1,3", ["z8:1,3/(4 cosets)", "z8:1,3/(2 cosets)"]),
+        ("z9:0,1", ["z9:0,1/(3 cosets)", "loc(z9:0,1,2)"]),
+    ])
+    def test_parent_table_reuses_parent_context(self, monkeypatch, spec, derived):
+        real = harness.build_ring_context
+        built = []
+
+        def recording(ring, family):
+            built.append(ring)
+            return real(ring, family)
+
+        monkeypatch.setattr(harness, "build_ring_context", recording)
+        ring = parse_ring_spec(spec)
+        report = Report()
+        run_ring(ring, RingFamilySpec(), report)
+        assert built[0] is ring
+        # A/{0} repeats the parent's table and is not built again; quotients
+        # by nonzero ideals and built localizations still are
+        assert all(d.table_key() != ring.table_key() for d in built[1:])
+        assert [d.name for d in built[1:]] == derived
+        assert {r["ring"] for r in report.records} == {spec}
+        by_zero = [r for r in report.records if r["property"] == "quotient-is-hyperring" and r["ideal"] == [0]]
+        assert [(r["status"], r["params"]) for r in by_zero] == [("holds", {"tested": 1, "cosets": ring.n})]
+
+
 class TestFamily:
     def test_enumeration_is_deduplicated(self):
         family = enumerate_family(TINY)
