@@ -46,22 +46,25 @@ def _require_proper(ring: FiniteHyperring, pmask: Mask) -> None:
 # -- multiset product cache ---------------------------------------------------
 
 
-def multiset_products(ring: FiniteHyperring, max_size: int) -> dict[tuple, Mask]:
-    """Hyperproduct masks for every nondecreasing element tuple of length
-    <= max_size, built once per ring and grown on demand."""
-    cache = ring._cache.setdefault("msprod", {"size": 0, "prods": {}})
+def multiset_products(
+    ring: FiniteHyperring, max_size: int, pool: Optional[Sequence[int]] = None
+) -> dict[tuple, Mask]:
+    """Hyperproduct masks for every nondecreasing tuple over the sorted
+    `pool` (None: the whole carrier) of length <= max_size, built once per
+    (ring, pool) and grown on demand."""
+    pool = tuple(range(ring.n) if pool is None else pool)
+    cache = ring._cache.setdefault(("msprod", pool), {"size": 0, "prods": {}})
     prods: dict[tuple, Mask] = cache["prods"]
     if cache["size"] >= max_size:
         return prods
     lo = cache["size"]
-    carrier = range(ring.n)
     if lo == 0:
-        for a in carrier:
+        for a in pool:
             prods[(a,)] = 1 << a
         lo = 1
+    mul = ring.mul_elem
     for size in range(lo + 1, max_size + 1):
-        mul = ring.mul_elem
-        for ms in combinations_with_replacement(carrier, size):
+        for ms in combinations_with_replacement(pool, size):
             prods[ms] = mul(prods[ms[:-1]], ms[-1])
     cache["size"] = max(cache["size"], max_size)
     return prods
@@ -147,7 +150,8 @@ class _Times(dict):
 
 
 class _PrefixSplits:
-    """Split states of the prefixes of the multiset last asked for.
+    """Split states of the multiset last asked for, given as indices into
+    `times`, and of its prefixes.
 
     The state of a multiset is, per v-part size j, the set of distinct
     (v-part product, remainder product) pairs over its splits, None
@@ -156,7 +160,7 @@ class _PrefixSplits:
     prefix chain is rebuilt.  Products are left folds in sorted order, as
     in `multiset_products`."""
 
-    def __init__(self, times: dict[int, _Times]):
+    def __init__(self, times: Sequence[_Times]):
         self.times = times
         self.prefix: tuple = ()
         self.states: list[list[set]] = [[{(None, None)}]]
@@ -179,6 +183,63 @@ class _PrefixSplits:
         return self.states[-1]
 
 
+class _TargetBits(dict):
+    """mask m -> (v-part bits, remainder bits, hypothesis bits) of m over
+    the targets (P, rad, avoid), filled on first use.  With T_P, T_R and H
+    the bitsets of the targets where m ⊆ P, m ⊆ rad, and m ⊆ P misses
+    avoid, they are T_P | T_P << n, T_R | T_P << n and H | H << n for n
+    targets: bit t is the primary reading of target t, bit n + t its prime
+    reading.  A split is ok where its v-part bits or its remainder bits
+    are set."""
+
+    def __init__(self, targets: Sequence[tuple[Mask, Mask, Mask]]):
+        super().__init__()
+        self.targets = targets
+
+    def __missing__(self, m: Mask) -> tuple[int, int, int]:
+        bp = br = bh = 0
+        for t, (pmask, radmask, avoid) in enumerate(self.targets):
+            if not m & ~pmask:
+                bp |= 1 << t
+                if not m & avoid:
+                    bh |= 1 << t
+            if not m & ~radmask:
+                br |= 1 << t
+        n = len(self.targets)
+        self[m] = out = (bp | bp << n, br | bp << n, bh | bh << n)
+        return out
+
+
+class _Slots(dict):
+    """mask m -> one field of `_TargetBits` for m ∘ x, for every pool
+    element x at once: slot k, 2n bits wide, holds the field of m ∘ pool[k].
+    None (the empty product) -> the field of {x} in each slot."""
+
+    def __init__(self, bits: _TargetBits, times: Sequence[_Times], field: int):
+        super().__init__()
+        self.bits, self.times, self.field = bits, times, field
+        self.width = 2 * len(bits.targets)
+
+    def __missing__(self, m: Optional[Mask]) -> int:
+        out = 0
+        for k, tx in enumerate(self.times):
+            out |= self.bits[tx[m]][self.field] << self.width * k
+        self[m] = out
+        return out
+
+
+class _Repeated(dict):
+    """mask m -> one field of `_TargetBits` for m, repeated in every slot."""
+
+    def __init__(self, bits: _TargetBits, ones: int, field: int):
+        super().__init__()
+        self.bits, self.ones, self.field = bits, ones, field
+
+    def __missing__(self, m: Mask) -> int:
+        self[m] = out = self.bits[m][self.field] * self.ones
+        return out
+
+
 def uv_scan(
     ring: FiniteHyperring,
     targets: Sequence[tuple[Mask, Mask, Mask]],
@@ -198,113 +259,109 @@ def uv_scan(
     target, {(u, v): Verdict} for the primary and the prime reading, with
     spaces labelled by `labels`.
 
-    Targets are bit-sliced: per distinct product mask m, T_P(m) and T_R(m)
-    are the bitsets of targets with m ⊆ P and m ⊆ rad, and bit t of the
-    primary reading sits next to bit n + t of the prime reading (n
-    targets).  A split then decides every pair in a few int operations:
-    v-part bits T_P|T_P<<n, or'ed with remainder bits T_R|T_P<<n.  The
-    splits of a multiset come from those of its prefix (the last factor
-    joins either part), deduped by product masks.  A witness is the first
-    failing multiset (ANY) or split (ALL) in canonical order; `tested`
+    Targets are bit-sliced (`_TargetBits`), and so is the last factor: a
+    u-multiset is a (u-2)-prefix, a factor y and a last factor x >= y, and
+    `_Slots` packs the bits of m ∘ x for every pool element x into one int,
+    one 2n-bit slot per x.  y and x each join the v-part or the remainder,
+    so a split (a, b) of the prefix with a v-part of size v-2, v-1 or v
+    gives the splits (a∘y∘x, b), (a∘y, b∘x), (a∘x, b∘y) and (a, b∘y∘x) of
+    every multiset (prefix, y, x) in a few int operations.  Multisets come
+    prefix-major with x ascending, which is canonical order, so a pair's
+    witness is its lowest failing slot in the first (prefix, y) that has
+    one: the multiset (ANY) or its first failing split (ALL).  `tested`
     counts the multisets meeting the hypothesis up to the witness, or in
-    total for a holding pair, from per-mask hit counts.
+    total for a holding pair, by popcounts of the packed hypothesis bits.
     """
     pool = tuple(pool)
-    prods = multiset_products(ring, max((u for u, _ in uvs), default=1))
-    n = len(targets)
-    everyone = (1 << n) - 1
-    vpart_bits: dict[Mask, int] = {}
-    rest_bits: dict[Mask, int] = {}
-    hit: dict[Mask, int] = {}
-    for m in set(prods.values()):
-        bp = br = bh = 0
-        for t, (pmask, radmask, avoid) in enumerate(targets):
-            if not m & ~pmask:
-                bp |= 1 << t
-                if not m & avoid:
-                    bh |= 1 << t
-            if not m & ~radmask:
-                br |= 1 << t
-        vpart_bits[m], rest_bits[m], hit[m] = bp | bp << n, br | bp << n, bh
-    times = {x: _Times(ring, x) for x in pool}
+    n, size = len(targets), len(pool)
+    width = 2 * n
+    both = (1 << width) - 1
+    ones = sum(1 << width * k for k in range(size))  # bit 0 of every slot
+    from_slot = [both * ones >> width * k << width * k for k in range(size)]
+    prods = multiset_products(ring, max((u for u, _ in uvs), default=2) - 1, pool)
+    bits = _TargetBits(targets)
+    times = [_Times(ring, x) for x in pool]  # by slot
+    vb_x, rb_x, hb_x = (_Slots(bits, times, field) for field in range(3))
+    vb_rep, rb_rep = (_Repeated(bits, ones, field) for field in range(2))
     any_mode = mode is SplitMode.ANY
     out = ([{} for _ in targets], [{} for _ in targets])
     vs_of: dict[int, list[int]] = {}
     for u, v in uvs:
         vs_of.setdefault(u, []).append(v)
     for u, vs in vs_of.items():
-        # open_[v]: the (reading, target) bits of pairs with no witness yet
-        open_ = {v: everyone | everyone << n for v in vs}
+        # open_[v]: the (reading, target) bits of pairs with no witness
+        # yet, in every slot; live: their union over v
+        open_ = dict.fromkeys(vs, both * ones)
+        live = both * ones if n else 0
         found: dict[tuple[int, int], tuple[dict, int]] = {}
-        counts: dict[Mask, int] = {}
+        # packed hypothesis bits of a (prefix, y) block -> blocks seen
+        counts: dict[int, int] = {}
         prefix_splits = _PrefixSplits(times)
-        live = everyone
-        for ms in combinations_with_replacement(pool, u) if live else ():
-            pm = prods[ms]
-            h = hit[pm] & live
-            if not h:
-                continue
-            counts[pm] = counts.get(pm, 0) + 1
-            splits = prefix_splits.of(ms[:-1])
-            tx = times[ms[-1]]
-            closed = False
-            for v in vs:
-                need = (h | h << n) & open_[v]
-                if not need:
+        for head_at in combinations_with_replacement(range(size), u - 2):
+            if not live:
+                break
+            head = tuple(pool[i] for i in head_at)
+            # lv[j + 1]: the prefix's splits with a v-part of size j
+            lv = ((), *prefix_splits.of(head_at), ())
+            pm = prods[head] if head else None
+            for y in range(head_at[-1] if head else 0, size):
+                ty = times[y]
+                hb = hb_x[ty[pm]] & from_slot[y]
+                if not hb & live:
                     continue
-                # ok: pairs that some split (ANY) or every split (ALL)
-                # satisfies; a v-part inside every needed P settles a split
-                if any_mode:
-                    ok = 0
-                    for a, b in splits[v - 1]:  # the last factor joins the v-part
-                        a = vpart_bits[tx[a]]
-                        if not need & ~a:
-                            ok = -1
-                            break
-                        ok |= a | rest_bits[b]
-                    else:
-                        for a, b in splits[v]:  # ... or the remainder
-                            a = vpart_bits[a]
-                            if not need & ~a:
-                                ok = -1
-                                break
-                            ok |= a | rest_bits[tx[b]]
-                else:
-                    ok = -1
-                    for a, b in splits[v - 1]:
-                        a = vpart_bits[tx[a]]
-                        if need & ~a:
-                            ok &= a | rest_bits[b]
-                    for a, b in splits[v]:
-                        a = vpart_bits[a]
-                        if need & ~a:
-                            ok &= a | rest_bits[tx[b]]
-                bad = need & ~ok
-                if not bad:
-                    continue
-                open_[v] &= ~bad
-                closed = True
-                for i in iter_bits(bad):
-                    if any_mode:
-                        witness = {"factors": list(ms)}
-                    else:
-                        vp, rest = next(
-                            (vp, rest)
-                            for vp, rest in zip(*_v_splits(ms, v))
-                            if not (vpart_bits[prods[vp]] | rest_bits[prods[rest]]) >> i & 1
-                        )
-                        witness = {"factors": list(vp + rest), "v_part": list(vp), "rest": list(rest)}
-                    t = i % n
-                    tested = sum(c for m, c in counts.items() if hit[m] >> t & 1)
-                    found[(i, v)] = (witness, tested)
-            if closed:
-                live = 0
+                closed = False
                 for v in vs:
-                    live |= open_[v] | open_[v] >> n
-                live &= everyone
-                if not live:
-                    break
-        total = [sum(c for m, c in counts.items() if hit[m] >> t & 1) for t in range(n)]
+                    need = hb & open_[v]
+                    if not need:
+                        continue
+                    # ok: the pairs that some split (ANY) or every split
+                    # (ALL) satisfies, per slot x
+                    if any_mode:
+                        ok = 0
+                        for a, b in lv[v - 1]:  # y and x join the v-part
+                            ok |= vb_x[ty[a]] | rb_rep[b]
+                        for a, b in lv[v]:  # one joins the v-part, one the remainder
+                            ok |= vb_rep[ty[a]] | rb_x[b] | vb_x[a] | rb_rep[ty[b]]
+                        for a, b in lv[v + 1]:  # y and x join the remainder
+                            ok |= vb_rep[a] | rb_x[ty[b]]
+                    else:
+                        ok = -1
+                        for a, b in lv[v - 1]:
+                            ok &= vb_x[ty[a]] | rb_rep[b]
+                        for a, b in lv[v]:
+                            ok &= (vb_rep[ty[a]] | rb_x[b]) & (vb_x[a] | rb_rep[ty[b]])
+                        for a, b in lv[v + 1]:
+                            ok &= vb_rep[a] | rb_x[ty[b]]
+                    bad = need & ~ok
+                    closed = closed or bool(bad)
+                    while bad:
+                        k = ((bad & -bad).bit_length() - 1) // width
+                        first = bad >> width * k & both  # failing first at x = pool[k]
+                        bad &= ~(first * ones)
+                        open_[v] &= ~(first * ones)
+                        ms = head + (pool[y], pool[k])
+                        for i in iter_bits(first):
+                            if any_mode:
+                                witness = {"factors": list(ms)}
+                            else:
+                                vp, rest = next(
+                                    (vp, rest)
+                                    for vp, rest in zip(*_v_splits(ms, v))
+                                    if not (bits[prods[vp]][0] | bits[prods[rest]][1]) >> i & 1
+                                )
+                                witness = {"factors": list(vp + rest), "v_part": list(vp), "rest": list(rest)}
+                            t = i % n
+                            tested = sum(c * (g >> t & ones).bit_count() for g, c in counts.items())
+                            tested += (hb >> t & ones & ((1 << width * (k + 1)) - 1)).bit_count()
+                            found[(i, v)] = (witness, tested)
+                counts[hb] = counts.get(hb, 0) + 1
+                if closed:
+                    live = 0
+                    for v in vs:
+                        live |= open_[v]
+                    if not live:
+                        break
+        total = [sum(c * (g >> t & ones).bit_count() for g, c in counts.items()) for t in range(n)]
         for k, label in enumerate(labels):
             for t, verdicts in enumerate(out[k]):
                 for v in vs:
@@ -485,7 +542,7 @@ def check_v1v_characterization(
     uv = UVParams(v + 1, v)
     lattice = enumerate_hyperideals(ring)
     nonunits = elems_of(ring.unit_report().nonunits)
-    prods = multiset_products(ring, v + 1)
+    prods = multiset_products(ring, v, nonunits)
     notp = ~pmask
 
     if clause_i is None:

@@ -469,6 +469,9 @@ def check_strong_c_unit_padding(ctx: RingContext, f: IdealFacts) -> Verdict:
     gated = _unit_padding_gate(ctx, f)
     if gated is not None:
         return gated
+    budget = ctx.spec.tuple_budget
+    if estimated_multisets(ctx.ring.n, ctx.spec.u_max) > budget:
+        return skipped("multiset budget exceeded", space=f"full-carrier scan over tuple budget {budget}")
     full_pool = ctx.full_pool_uv[f.mask]
 
     def cases():

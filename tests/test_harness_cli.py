@@ -36,6 +36,15 @@ SUITE_DIGESTS = [
     (SplitMode.ANY, "2aa4a4aef9d3cae5db58fcfcf0266cfa1ec07f4b2330210978df8b4edda47db1", 3),
 ]
 
+# sha256 of the suite report on Z_12, |Phi| = 2, constructions off (the
+# benchmark's `sweep-core` slice): the 28 rings without an identity scan all
+# 12 elements as nonunits, and the unit-padding check scans the full
+# carrier, so these pin the kernel on 12-slot pools.  (mode, digest, fails)
+Z12_SUITE_DIGESTS = [
+    (SplitMode.ALL, "6af7721c32db65105441a267f47da4eb27daf4811bef0aa7662747f10c1e038a", 0),
+    (SplitMode.ANY, "92ba63225e34c395dc5afa61208d907c53c3b667abf584bf688cdcb08cff80c9", 40),
+]
+
 # The same report with a fixed pattern of (u,v) matrix entries flipped (see
 # _flipped_uv_matrices): 17 properties then fail, so the digest pins the
 # witness and the tested count that every theorem and transfer walk reports
@@ -127,6 +136,14 @@ class TestReportShape:
     @pytest.mark.parametrize("mode,digest,violations", SUITE_DIGESTS, ids=["all", "any"])
     def test_suite_report_is_pinned(self, mode, digest, violations):
         report = run_theorem_suite(RingFamilySpec(moduli=(4, 5, 6, 7, 8, 9), phi_sizes=(2,), mode=mode))
+        assert report.violations == violations
+        assert hashlib.sha256(report.to_jsonl().encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("mode,digest,violations", Z12_SUITE_DIGESTS, ids=["all", "any"])
+    def test_z12_suite_report_is_pinned(self, mode, digest, violations):
+        report = run_theorem_suite(
+            RingFamilySpec(moduli=(12,), phi_sizes=(2,), include_constructions=False, mode=mode)
+        )
         assert report.violations == violations
         assert hashlib.sha256(report.to_jsonl().encode()).hexdigest() == digest
 
@@ -309,6 +326,44 @@ class TestDerivedContexts:
         assert {r["ring"] for r in report.records} == {spec}
         by_zero = [r for r in report.records if r["property"] == "quotient-is-hyperring" and r["ideal"] == [0]]
         assert [(r["status"], r["params"]) for r in by_zero] == [("holds", {"tested": 1, "cosets": ring.n})]
+
+
+class TestScanBudget:
+    """z10:1,3 has an identity and 6 nonunits: its nonunit scan up to u = 5
+    counts 455 multisets, its full-carrier scan 2,992."""
+
+    RING = "z10:1,3"
+    EVENS = [0, 2, 4, 6, 8]  # the one ideal that meets the unit-padding premises
+
+    def test_ring_over_budget_is_one_skipped_row(self):
+        report = Report()
+        run_ring(parse_ring_spec(self.RING), RingFamilySpec(tuple_budget=454), report)
+        assert [r["property"] for r in report.records] == ["hyperring-axioms", "scan-budget"]
+        assert report.records[-1]["status"] == "skipped"
+        assert report.records[-1]["params"] == {"tested": 0, "pool": 6, "u_max": 5}
+        assert report.incomplete
+
+    @pytest.mark.parametrize("budget", [455, 2991])
+    def test_full_carrier_scan_over_budget_is_skipped(self, budget):
+        ring = parse_ring_spec(self.RING)
+        ctx = build_ring_context(ring, RingFamilySpec(tuple_budget=budget))
+        verdict = harness.check_strong_c_unit_padding(ctx, ctx.find(mask_of(self.EVENS)))
+        assert verdict.status == "skipped"
+        assert verdict.checked_space == f"full-carrier scan over tuple budget {budget}"
+        assert "full_pool_uv" not in vars(ctx)  # nothing was scanned
+        report = Report()
+        run_ring(ring, RingFamilySpec(tuple_budget=budget), report)
+        padding = {
+            tuple(r["ideal"]): r["status"] for r in report.records if r["property"] == "strong-c-unit-padding"
+        }
+        assert padding.pop(tuple(self.EVENS)) == "skipped"
+        assert set(padding.values()) == {"holds"}
+
+    def test_full_carrier_scan_within_budget_runs(self):
+        ctx = build_ring_context(parse_ring_spec(self.RING), RingFamilySpec(tuple_budget=2992))
+        verdict = harness.check_strong_c_unit_padding(ctx, ctx.find(mask_of(self.EVENS)))
+        assert verdict.holds and verdict.tested > 0
+        assert "full_pool_uv" in vars(ctx)
 
 
 class TestFamily:

@@ -15,7 +15,7 @@ from hyperlab.classify import (
     replay_uv_counterexample,
     uv_scan,
 )
-from hyperlab.core import elems_of
+from hyperlab.core import elems_of, mask_of, parse_ring_spec
 from hyperlab.harness import RingFamilySpec, compute_uv_matrices, enumerate_family, uv_pairs
 from hyperlab.ideals import enumerate_hyperideals, ideal_product, radical_nilpotent
 from hyperlab.verdicts import FAILS, HOLDS, SplitMode, UVParams
@@ -85,10 +85,25 @@ def assert_matches_reference(ring, ref, verdict, pmask, concl_mask, u, v, mode, 
         assert replay_uv_counterexample(ring, pmask, concl_mask, verdict.witness["factors"], v, mode=mode)
 
 
+def proper_targets(ring):
+    return [(b.mask, radical_nilpotent(ring, b.mask)) for b in enumerate_hyperideals(ring).ideals if b.proper]
+
+
 def family():
     for ring in enumerate_family(FAMILY):
-        proper = [b for b in enumerate_hyperideals(ring).ideals if b.proper]
-        yield ring, [(b.mask, radical_nilpotent(ring, b.mask)) for b in proper]
+        yield ring, proper_targets(ring)
+
+
+def assert_matrix_matches_reference(ring, targets, uvs, mode, pool):
+    """Both readings of one kernel call over `pool`, for every target and
+    (u, v) in `uvs`, field for field against the literal reference."""
+    ref = Reference(ring, pool)
+    mat_p, mat_q = uv_scan(ring, [(p, r, 0) for p, r in targets], uvs, mode, pool)
+    for (pmask, rad), row_p, row_q in zip(targets, mat_p, mat_q):
+        assert list(row_p) == list(row_q) == uvs
+        for u, v in uvs:
+            assert_matches_reference(ring, ref, row_p[(u, v)], pmask, rad, u, v, mode)
+            assert_matches_reference(ring, ref, row_q[(u, v)], pmask, pmask, u, v, mode)
 
 
 @pytest.mark.parametrize("mode", list(SplitMode))
@@ -136,3 +151,51 @@ def test_full_pool_and_avoid_paths(mode):
                     one.tested,
                 )
                 assert_matches_reference(ring, ref, one, pmask, rad, u, v, mode, avoid)
+
+
+# Rings without an identity, so all 12 elements are nonunits, each with 5
+# proper ideals: 12 slots of 2 * 5 bits, 120-bit packed ints.
+Z12_WITHOUT_IDENTITY = ("z12:4,9", "z12:3,10", "z12:0,10", "z12:2,4")
+
+
+@pytest.mark.parametrize("mode", list(SplitMode))
+@pytest.mark.parametrize("spec", Z12_WITHOUT_IDENTITY)
+def test_twelve_slot_pools(spec, mode):
+    ring = parse_ring_spec(spec)
+    targets = proper_targets(ring)
+    pool = elems_of(ring.unit_report().nonunits)
+    assert (ring.has_identity, len(pool), len(targets)) == (False, 12, 5)
+    assert_matrix_matches_reference(ring, targets, uv_pairs(U_MAX_WIDE), mode, pool)
+
+
+@pytest.mark.parametrize("mode", list(SplitMode))
+def test_one_element_pool(mode):
+    ring = parse_ring_spec("z5:1,2")
+    pool = elems_of(ring.unit_report().nonunits)
+    assert pool == [0]
+    assert_matrix_matches_reference(ring, proper_targets(ring), uv_pairs(U_MAX), mode, pool)
+
+
+@pytest.mark.parametrize("mode", list(SplitMode))
+def test_u2_alone_has_an_empty_prefix(mode):
+    ring = parse_ring_spec("z12:4,9")
+    assert_matrix_matches_reference(ring, proper_targets(ring), [(2, 1)], mode, list(range(ring.n)))
+
+
+def test_lower_of_two_failing_slots_is_the_witness():
+    """z6:0,3 has no identity, so its pool is all 6 elements.  P = {0}
+    fails (3,1) under ALL at [1,1,2] and again at [1,1,4]: two slots of the
+    block with prefix [1] and y = 1.  The witness is the lower slot, and
+    `tested` stops there, at 22 of the 23 multisets that meet the
+    hypothesis up to the block's end."""
+    ring = parse_ring_spec("z6:0,3")
+    pmask, rad = mask_of([0]), mask_of([0, 2, 4])
+    assert radical_nilpotent(ring, pmask) == rad
+    pool = list(range(ring.n))
+    (verdict,), _ = uv_scan(ring, [(pmask, rad, 0)], [(3, 1)], SplitMode.ALL, pool)
+    assert verdict[(3, 1)].witness == {"factors": [2, 1, 1], "v_part": [2], "rest": [1, 1]}
+    assert verdict[(3, 1)].tested == 22
+    # [1,1,4] fails too, and it is the next multiset to meet the hypothesis
+    assert replay_uv_counterexample(ring, pmask, rad, [4, 1, 1], 1, mode=SplitMode.ALL)
+    hits = [ms for ms, total, _ in Reference(ring, pool).splits(3, 1) if total == {0}]
+    assert (hits.index((1, 1, 2)), hits.index((1, 1, 4))) == (21, 22)
