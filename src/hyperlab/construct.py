@@ -12,6 +12,7 @@ instead of assuming it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import product as cartesian
 from typing import Optional
 
@@ -320,19 +321,33 @@ def localize(ring: FiniteHyperring, smask: Mask) -> LocalizedRing:
     if not is_mcs(ring, smask):
         raise UsageError("localization requires a multiplicatively closed set")
     s_elems = elems_of(smask)
-    pairs = tuple((a, s) for a in range(ring.n) for s in s_elems)
+    n, k = ring.n, len(s_elems)
+    pairs = tuple((a, s) for a in range(n) for s in s_elems)
     hm = ring.hmul
-    # (x, r) ~ (y, s) iff t∘r∘y == t∘s∘x for some t in S; trip[r][y]
-    # holds t∘r∘y for every t in S, in the order of s_elems
-    trip = {r: [tuple(ring.mul_elem(hm[t][r], y) for t in s_elems) for y in range(ring.n)] for r in s_elems}
-    # rows[i]: bitmask of the pairs related to pairs[i]
-    rows = [1 << i for i in range(len(pairs))]
-    for i, (x, r) in enumerate(pairs):
-        for j in range(i + 1, len(pairs)):
-            y, s = pairs[j]
-            if any(a == b for a, b in zip(trip[r][y], trip[s][x])):
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
+    # (x, r) ~ (y, s) iff t∘r∘y == t∘s∘x for some t in S.  trip[t][r][y]
+    # holds t∘r∘y, with t and r as indices into s_elems; many (t, r) share
+    # the set t∘r, so its products with every y are made once per set
+    products = cache(lambda m: tuple(ring.mul_elem(m, y) for y in range(n)))
+    trip = [[products(hm[t][r]) for r in s_elems] for t in s_elems]
+    # den_masks[t][x] maps each value t∘s∘x to the mask of the indices s
+    # giving it
+    den_masks = [[{} for _ in range(n)] for _ in range(k)]
+    for t in range(k):
+        for s in range(k):
+            for x, value in enumerate(trip[t][s]):
+                den_masks[t][x][value] = den_masks[t][x].get(value, 0) | 1 << s
+    # rows[i]: bitmask of the pairs related to pairs[i].  Pair (y, s) is
+    # bit y·k + s, so the row of (x, r) ORs den_masks[t][x][t∘r∘y] into
+    # y's block, over every t and y
+    rows = []
+    for x in range(n):
+        for r in range(k):
+            row = 0
+            for t in range(k):
+                by_value = den_masks[t][x]
+                for y, value in enumerate(trip[t][r]):
+                    row |= by_value.get(value, 0) << y * k
+            rows.append(row)
     # transitive iff every related row is contained in its own row
     for i, row in enumerate(rows):
         for j in iter_bits(row):
@@ -353,6 +368,11 @@ def localize(ring: FiniteHyperring, smask: Mask) -> LocalizedRing:
         class_members.append(bucket)
     qn = len(class_members)
 
+    # memos for this call only: fraction_classes reads this relation's
+    # class_of
+    numerators = cache(ring.set_add)
+
+    @cache
     def fraction_classes(nums: Mask, dens: Mask) -> Mask:
         """Classes of the fractions a/c for a in nums and c in dens."""
         out = 0
@@ -369,7 +389,7 @@ def localize(ring: FiniteHyperring, smask: Mask) -> LocalizedRing:
             for x, r in class_members[ci]:
                 for y, s in class_members[cj]:
                     got = (
-                        fraction_classes(ring.set_add(hm[r][y], hm[s][x]), hm[r][s]),
+                        fraction_classes(numerators(hm[r][y], hm[s][x]), hm[r][s]),
                         fraction_classes(hm[x][y], hm[r][s]),
                     )
                     if ref is None:

@@ -163,9 +163,10 @@ class FiniteHyperring:
     def set_add(self, m1: Mask, m2: Mask) -> Mask:
         out = 0
         add = self.add
+        bs = elems_of(m2)
         for a in iter_bits(m1):
             row = add[a]
-            for b in iter_bits(m2):
+            for b in bs:
                 out |= 1 << row[b]
         return out
 
@@ -254,6 +255,10 @@ class FiniteHyperring:
 
         # semihypergroup associativity, set-extended:
         #   union over t in (b∘c) of a∘t  ==  union over s in (a∘b) of s∘c
+        # left is memoized on (a, b∘c) and right on (a∘b, c): the two keys
+        # stay apart, so a table that is not commutative keeps its witness
+        lefts: dict[tuple[int, Mask], Mask] = {}
+        rights: dict[tuple[Mask, int], Mask] = {}
         ok = True
         for a in range(n):
             rowa = hm[a]
@@ -261,12 +266,14 @@ class FiniteHyperring:
                 ab = rowa[b]
                 rowb = hm[b]
                 for c in range(n):
-                    left = 0
-                    for t in iter_bits(rowb[c]):
-                        left |= rowa[t]
-                    right = 0
-                    for s in iter_bits(ab):
-                        right |= hm[s][c]
+                    key = (a, rowb[c])
+                    left = lefts.get(key)
+                    if left is None:
+                        left = lefts[key] = self.set_mul(1 << a, rowb[c])
+                    key = (ab, c)
+                    right = rights.get(key)
+                    if right is None:
+                        right = rights[key] = self.mul_elem(ab, c)
                     if left != right:
                         failures.append(AxiomFailure("hmul-associativity", (a, b, c)))
                         ok = False
@@ -280,10 +287,11 @@ class FiniteHyperring:
         if self.neg is not None and self.zero is not None:
             # sign rule: (-a)∘b == -(a∘b)
             neg = self.neg
+            negs = {m: self.set_neg(m) for m in {m for row in hm for m in row}}
             ok = True
             for a in range(n):
                 for b in range(n):
-                    if hm[neg[a]][b] != self.set_neg(hm[a][b]):
+                    if hm[neg[a]][b] != negs[hm[a][b]]:
                         failures.append(AxiomFailure("sign-rule", (a, b)))
                         ok = False
                         break
@@ -293,12 +301,16 @@ class FiniteHyperring:
             # is the strongly-distributive flag
             strongly = True
             ok = True
+            sums: dict[tuple[Mask, Mask], Mask] = {}
             for a in range(n):
                 for b in range(n):
                     s = add[a][b]
                     for c in range(n):
                         lhs = hm[s][c]
-                        rhs = self.set_add(hm[a][c], hm[b][c])
+                        key = (hm[a][c], hm[b][c])
+                        rhs = sums.get(key)
+                        if rhs is None:
+                            rhs = sums[key] = self.set_add(*key)
                         if lhs & ~rhs:
                             failures.append(AxiomFailure("weak-distributivity", (a, b, c)))
                             ok = False
@@ -350,12 +362,15 @@ class FiniteHyperring:
 
     def table_key(self) -> bytes:
         """Canonical bytes for deduplicating rings with identical structure."""
+        if "table_key" in self._cache:
+            return self._cache["table_key"]
         parts = [self.n.to_bytes(2, "big")]
         for row in self.add:
             parts.extend(x.to_bytes(2, "big") for x in row)
         for row in self.hmul:
             parts.extend(m.to_bytes((self.n + 7) // 8, "big") for m in row)
-        return b"".join(parts)
+        key = self._cache["table_key"] = b"".join(parts)
+        return key
 
     def __repr__(self):
         return f"FiniteHyperring({self.name!r}, n={self.n})"

@@ -41,6 +41,7 @@ from .verdicts import (
 
 SKIPPED = "skipped"
 ERROR = "error"
+BUDGET_EXCEEDED = "multiset budget exceeded"
 
 
 def skipped(reason: str, space: str = "") -> Verdict:
@@ -108,6 +109,10 @@ class Report:
         return rec
 
     def add_verdict(self, ring: str, ideal, prop: str, params: dict, verdict: Verdict, millis=None) -> dict:
+        """Add the verdict's row; a row skipped for the budget marks the
+        report incomplete."""
+        if verdict.status == SKIPPED and verdict.extra.get("reason") == BUDGET_EXCEEDED:
+            self.incomplete = True
         merged = dict(params)
         merged["tested"] = verdict.tested
         for k, v in verdict.extra.items():
@@ -471,7 +476,7 @@ def check_strong_c_unit_padding(ctx: RingContext, f: IdealFacts) -> Verdict:
         return gated
     budget = ctx.spec.tuple_budget
     if estimated_multisets(ctx.ring.n, ctx.spec.u_max) > budget:
-        return skipped("multiset budget exceeded", space=f"full-carrier scan over tuple budget {budget}")
+        return skipped(BUDGET_EXCEEDED, space=f"full-carrier scan over tuple budget {budget}")
     full_pool = ctx.full_pool_uv[f.mask]
 
     def cases():

@@ -22,6 +22,7 @@ from hyperlab.construct import (
     quotient,
 )
 from hyperlab.core import FiniteHyperring, elems_of, mask_of
+from hyperlab.harness import RingFamilySpec, enumerate_family
 from hyperlab.verdicts import ConstructionError, ResourceError, UsageError
 
 EVENS8 = mask_of({0, 2, 4, 6})
@@ -227,6 +228,20 @@ class TestLocalize:
         }
         digest = hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()
         assert digest == "26277d1dea0e58e1b9f10ad01826303b389e881459cbec3e831c4b938ace8730"
+
+    def test_default_family_pinned(self):
+        # every canonical MCS of every default-family ring with an identity:
+        # the ring, the MCS and every outcome are pinned
+        outcomes = [
+            [ring.name, s, localize_outcome(ring, s)]
+            for ring in enumerate_family(RingFamilySpec())
+            if ring.has_identity
+            for s in canonical_mcs_list(ring)
+        ]
+        kinds = Counter(o[1] if o[0] == "refused" else "built" for _, _, o in outcomes)
+        assert kinds == {"built": 498, "fraction addition is not single valued": 634}
+        digest = hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()
+        assert digest == "5d721ee58b1ccffb64777021a5691031cc17dcf70e112114ec3f7ecef3c6e1b9"
 
 
 class TestHoms:

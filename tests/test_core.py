@@ -1,6 +1,9 @@
 """Carrier-level behavior: table construction, axiom validation, masks,
 iterated hyperproducts, and unit detection."""
+import hashlib
 import json
+import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -129,6 +132,72 @@ class TestValidation:
         assert not report.ok
         assert report.failures
         assert all(f.axiom and isinstance(f.witness, tuple) for f in report.failures)
+
+    def test_random_tables_pinned(self):
+        # seeded tables on Z_2..Z_5: Z_n/Phi rings, the same with one product
+        # cell changed on both sides or on one (not commutative), random
+        # products (symmetric or not), and additive tables that are not
+        # groups; every report (ok, the strongly flag, each failure's axiom
+        # and witness) is pinned
+        rng = random.Random(11)
+        reports = []
+        for _ in range(4000):
+            n = rng.randrange(2, 6)
+            add = [[(a + b) % n for b in range(n)] for a in range(n)]
+            phi = rng.sample(range(n), rng.randrange(2, n + 1))
+            hm = [list(row) for row in FiniteHyperring.zn_phi(n, phi).hmul]
+            kind = rng.randrange(7)
+            a, b = rng.randrange(n), rng.randrange(n)
+            if kind == 1:
+                hm[a][b] = hm[b][a] = rng.randrange(1, 1 << n)
+            elif kind == 2:
+                hm[a][b] = rng.randrange(1, 1 << n)
+            elif kind == 3:
+                for x in range(n):
+                    for y in range(x, n):
+                        hm[x][y] = hm[y][x] = rng.randrange(1, 1 << n)
+            elif kind == 4:
+                hm = [[rng.randrange(1, 1 << n) for _ in range(n)] for _ in range(n)]
+            elif kind == 5:
+                add[a][b] = rng.randrange(n)
+            elif kind == 6:
+                add = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+            report = FiniteHyperring(n, add, hm).validate()
+            reports.append([
+                report.ok,
+                report.strongly_distributive,
+                [[f.axiom, list(f.witness)] for f in report.failures],
+            ])
+        counts = Counter(f[0] for r in reports for f in r[2])
+        counts.update("strongly" if r[1] else "weakly" for r in reports if r[0])
+        assert counts == {
+            "weakly": 977,
+            "strongly": 87,
+            "additive-identity": 553,
+            "additive-inverse": 115,
+            "additive-commutativity": 747,
+            "additive-associativity": 840,
+            "hmul-commutativity": 835,
+            "hmul-associativity": 1686,
+            "sign-rule": 1650,
+            "weak-distributivity": 1881,
+        }
+        digest = hashlib.sha256(json.dumps(reports).encode()).hexdigest()
+        assert digest == "137dd61f2a63a90138af26c49a576d7ebed5d93dd52ae47e95c373187bc0198e"
+
+
+class TestTableKey:
+    def test_computed_once_per_ring(self, z8):
+        ring = FiniteHyperring(z8.n, z8.add, z8.hmul)
+        assert "table_key" not in ring._cache
+        key = ring.table_key()
+        assert key == z8.table_key()
+        assert ring._cache["table_key"] is key
+        assert ring.table_key() is key
+
+    def test_differs_with_the_table(self, z8):
+        other = FiniteHyperring.zn_phi(8, [1, 5])
+        assert other.table_key() != z8.table_key()
 
 
 class TestHyperproduct:

@@ -358,12 +358,16 @@ class TestScanBudget:
         }
         assert padding.pop(tuple(self.EVENS)) == "skipped"
         assert set(padding.values()) == {"holds"}
+        assert report.incomplete
 
     def test_full_carrier_scan_within_budget_runs(self):
         ctx = build_ring_context(parse_ring_spec(self.RING), RingFamilySpec(tuple_budget=2992))
         verdict = harness.check_strong_c_unit_padding(ctx, ctx.find(mask_of(self.EVENS)))
         assert verdict.holds and verdict.tested > 0
         assert "full_pool_uv" in vars(ctx)
+        report = Report()
+        run_ring(ctx.ring, RingFamilySpec(tuple_budget=2992), report)
+        assert not report.incomplete
 
 
 class TestFamily:
