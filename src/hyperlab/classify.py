@@ -19,6 +19,7 @@ from typing import Optional, Sequence
 from .core import FiniteHyperring, Mask, elems_of, iter_bits, subset
 from .ideals import (
     HyperIdeal,
+    _prime_pair_witness,
     colon,
     enumerate_hyperideals,
     generate,
@@ -95,19 +96,9 @@ def _v_splits(ms: tuple, v: int) -> tuple[list[tuple], list[tuple]]:
 def is_prime(ring: FiniteHyperring, pmask: Mask) -> Verdict:
     """x ∘ y ⊆ P forces x in P or y in P, over all pairs."""
     _require_proper(ring, pmask)
-    hm = ring.hmul
-    notp = ~pmask
-    tested = 0
-    for x in range(ring.n):
-        if pmask >> x & 1:
-            continue
-        row = hm[x]
-        for y in range(x, ring.n):
-            if pmask >> y & 1:
-                continue
-            if row[y] & notp == 0:
-                tested += 1
-                return fails({"x": x, "y": y}, space="all element pairs", tested=tested)
+    pair = _prime_pair_witness(ring, pmask)
+    if pair is not None:
+        return fails({"x": pair[0], "y": pair[1]}, space="all element pairs", tested=1)
     return holds(space="all element pairs", tested=ring.n * ring.n)
 
 

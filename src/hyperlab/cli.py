@@ -13,7 +13,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import classify, zphi
-from .core import TableFormatError, elems_of, mask_of, parse_ring_spec
+from .core import FiniteHyperring, Mask, TableFormatError, elems_of, mask_of, parse_ring_spec
 from .harness import (
     Report,
     RingFamilySpec,
@@ -54,6 +54,14 @@ def _parse_moduli(text: str) -> tuple[int, ...]:
         except ValueError as exc:
             raise UsageError(f"bad moduli range: {text!r}") from exc
     return tuple(_parse_int_list(text, "moduli"))
+
+
+def _ideal_mask(ring: FiniteHyperring, text: str, what: str) -> Mask:
+    members = _parse_int_list(text, what)
+    outside = [x for x in members if not 0 <= x < ring.n]
+    if outside:
+        raise UsageError(f"{what} member {outside[0]} outside the carrier 0..{ring.n - 1}")
+    return mask_of(members)
 
 
 def _mode(text: str) -> SplitMode:
@@ -166,7 +174,7 @@ def cmd_check(args) -> int:
 
     if args.ideal is None:
         raise UsageError(f"--ideal is required for property {prop!r}")
-    pmask = mask_of(_parse_int_list(args.ideal, "ideal"))
+    pmask = _ideal_mask(ring, args.ideal, "ideal")
     if not is_hyperideal(ring, pmask):
         raise UsageError(f"{args.ideal!r} is not a hyperideal of {args.ring}")
     rad = radical_nilpotent(ring, pmask)
@@ -214,7 +222,7 @@ def cmd_check(args) -> int:
     elif prop == "uv-i-primary":
         if args.aux_ideal is None:
             raise UsageError("--aux-ideal is required for uv-i-primary")
-        imask = mask_of(_parse_int_list(args.aux_ideal, "aux ideal"))
+        imask = _ideal_mask(ring, args.aux_ideal, "aux ideal")
         if not is_hyperideal(ring, imask):
             raise UsageError(f"{args.aux_ideal!r} is not a hyperideal of {args.ring}")
         verdict = classify.is_uv_absorbing_i_primary(ring, pmask, imask, rad, uv, mode=mode)
@@ -240,11 +248,9 @@ def cmd_sweep(args) -> int:
         u_max=args.u_max,
         mode=_mode(args.mode),
         tuple_budget=args.tuple_budget,
-        matrix_cap=args.matrix_cap,
         include_constructions=not args.no_constructions,
-        timings=args.timings,
     )
-    report = run_theorem_suite(spec)
+    report = run_theorem_suite(spec, timings=args.timings)
     _emit(report, args)
     return _exit_code(report)
 
@@ -386,7 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi-universe", default=None, help="residues to draw phi from")
     p.add_argument("--u-max", type=int, default=5)
     p.add_argument("--tuple-budget", type=int, default=10_000_000)
-    p.add_argument("--matrix-cap", type=int, default=64)
     p.add_argument("--no-constructions", action="store_true")
     p.add_argument("--timings", action="store_true", help="stamp records with elapsed millis")
     common(p)

@@ -3,8 +3,8 @@ classification facts for every hyperideal, asserts the theorem suite, and
 replays the library's worked integer examples.
 
 Reports are deterministic: rings, ideals, and checks are visited in a
-fixed canonical order, and structured records omit timing data unless it
-is explicitly requested.
+fixed canonical order, and structured records omit timing data unless the
+report is made with `timings`.
 """
 from __future__ import annotations
 
@@ -32,6 +32,7 @@ from .verdicts import (
     INCONCLUSIVE,
     ConstructionError,
     SplitMode,
+    UsageError,
     UVParams,
     Verdict,
     fails,
@@ -67,21 +68,32 @@ class RingFamilySpec:
     # counterexamples, so it is opt-in here.
     mode: SplitMode = SplitMode.ALL
     tuple_budget: int = 10_000_000  # multisets scanned per ring before bailing
-    matrix_cap: int = 64
     include_constructions: bool = True
-    timings: bool = False
 
     def __post_init__(self):
         if any(n < 2 for n in self.moduli):
-            raise ValueError("moduli must be at least 2")
+            raise UsageError("moduli must be at least 2")
         if self.u_max < 2 or self.tuple_budget < 1:
-            raise ValueError("budgets must be positive")
+            raise UsageError("budgets must be positive")
 
 
 @dataclass
 class Report:
+    """The records of one run, in the order they were added.
+
+    With `timings`, each record gets `millis`: the whole milliseconds since
+    the previous record, or since the report was made.  The sub-millisecond
+    remainder is carried to the next record, so a report's stamps add up to
+    its elapsed time.  Work done before a row, such as building a ring's
+    context, is booked to that row."""
+
     records: list[dict] = field(default_factory=list)
     incomplete: bool = False
+    timings: bool = False
+    _since_ns: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._since_ns = time.perf_counter_ns()
 
     def add(
         self,
@@ -92,7 +104,6 @@ class Report:
         status: str,
         witness: Optional[dict] = None,
         space: str = "",
-        millis: Optional[int] = None,
     ) -> dict:
         rec = {
             "ring": ring,
@@ -103,12 +114,14 @@ class Report:
             "witness": witness,
             "space": space,
         }
-        if millis is not None:
+        if self.timings:
+            millis = (time.perf_counter_ns() - self._since_ns) // 1_000_000
+            self._since_ns += millis * 1_000_000
             rec["millis"] = millis
         self.records.append(rec)
         return rec
 
-    def add_verdict(self, ring: str, ideal, prop: str, params: dict, verdict: Verdict, millis=None) -> dict:
+    def add_verdict(self, ring: str, ideal, prop: str, params: dict, verdict: Verdict) -> dict:
         """Add the verdict's row; a row skipped for the budget marks the
         report incomplete."""
         if verdict.status == SKIPPED and verdict.extra.get("reason") == BUDGET_EXCEEDED:
@@ -117,9 +130,7 @@ class Report:
         merged["tested"] = verdict.tested
         for k, v in verdict.extra.items():
             merged.setdefault(k, v)
-        return self.add(
-            ring, ideal, prop, merged, verdict.status, verdict.witness, verdict.checked_space, millis
-        )
+        return self.add(ring, ideal, prop, merged, verdict.status, verdict.witness, verdict.checked_space)
 
     @property
     def violations(self) -> int:
@@ -625,7 +636,6 @@ def check_equal_radical_intersections(ctx: RingContext, report: Report) -> None:
         for f2 in ctx.facts[i + 1 :]:
             if not (f1.c.holds and f2.c.holds and f1.rad_nil == f2.rad_nil):
                 continue
-            t0 = time.perf_counter()
             inter = f1.mask & f2.mask
             target = ctx.find(inter)
             components = [f1.ideal.members(), f2.ideal.members()]
@@ -642,7 +652,6 @@ def check_equal_radical_intersections(ctx: RingContext, report: Report) -> None:
                 "equal-radical-intersection-stays-uv-primary",
                 {"components": components},
                 verdict,
-                millis=_ms(t0, ctx.spec),
             )
 
 
@@ -652,7 +661,6 @@ def record_radical_comparison_on_non_c(ctx: RingContext, report: Report) -> None
     for f in ctx.facts:
         if f.c.holds:
             continue
-        t0 = time.perf_counter()
         report.add(
             ctx.ring.name,
             f.ideal.members(),
@@ -666,7 +674,6 @@ def record_radical_comparison_on_non_c(ctx: RingContext, report: Report) -> None
             HOLDS,
             None,
             "non-C radical comparison, no assertion",
-            millis=_ms(t0, ctx.spec),
         )
 
 
@@ -695,20 +702,18 @@ def run_quotient_checks(ctx: RingContext, report: Report) -> None:
     ring = ctx.ring
     name = ring.name
     for f in ctx.facts:
-        t0 = time.perf_counter()
         try:
             q, hom = construct.quotient(ring, f.mask)
         except ConstructionError as e:
             report.add(
                 name, f.ideal.members(), "quotient-is-hyperring",
                 {"tested": 1}, ERROR, {"message": str(e), "detail": e.witness},
-                "quotient construction", millis=_ms(t0, ctx.spec),
+                "quotient construction",
             )
             continue
         report.add(
             name, f.ideal.members(), "quotient-is-hyperring",
             {"tested": 1, "cosets": q.n}, HOLDS, None, "quotient construction",
-            millis=_ms(t0, ctx.spec),
         )
         bad = construct.nonunit_preservation_witness(hom)
         if bad is not None:
@@ -716,7 +721,6 @@ def run_quotient_checks(ctx: RingContext, report: Report) -> None:
                 name, f.ideal.members(), "good-hom-transfer",
                 {"tested": 0, "reason": "nonunit maps to a unit", "element": bad},
                 SKIPPED, None, "quotient projection transfer",
-                millis=_ms(t0, ctx.spec),
             )
             continue
         qctx = derived_context(ctx, q)
@@ -729,22 +733,20 @@ def run_quotient_checks(ctx: RingContext, report: Report) -> None:
             for g in sources:
                 if not g.c.holds:
                     continue
-                t1 = time.perf_counter()
                 mask = carry(g.mask)
                 report.add_verdict(
                     name, g.ideal.members(), f"good-hom-{side}-transfer", {"kernel": f.ideal.members()},
-                    _hom_transfer(side, g, mask, other.find(mask)), millis=_ms(t1, ctx.spec),
+                    _hom_transfer(side, g, mask, other.find(mask)),
                 )
 
 
 def run_matrix_checks(ctx: RingContext, report: Report) -> None:
     ring = ctx.ring
-    if ring.n ** 4 > ctx.spec.matrix_cap:
+    if ring.n ** 4 > 64:  # the 2x2 carrier's size against matrix_hyperring's cap
         return
     name = ring.name
-    t0 = time.perf_counter()
     try:
-        model = construct.matrix_hyperring(ring, 2, cap=ctx.spec.matrix_cap)
+        model = construct.matrix_hyperring(ring, 2)
     except ConstructionError as e:
         # a non-commutative product table means no matrix hyperring exists
         # in the commutative class; that is a documented obstruction, not
@@ -755,23 +757,21 @@ def run_matrix_checks(ctx: RingContext, report: Report) -> None:
             {"tested": 1, "reason": str(e)} if noncomm else {"tested": 1},
             SKIPPED if noncomm else ERROR,
             e.witness if noncomm else {"message": str(e), "detail": e.witness},
-            "matrix construction", millis=_ms(t0, ctx.spec),
+            "matrix construction",
         )
         return
     report.add(
         name, None, "matrix-ring-valid", {"tested": 1, "size": model.ring.n},
-        HOLDS, None, "matrix construction", millis=_ms(t0, ctx.spec),
+        HOLDS, None, "matrix construction",
     )
-    t0 = time.perf_counter()
     corners = first_failure("corner products", (
         None if construct.corner_product_agrees(model, a, b) else {"a": a, "b": b}
         for a in range(ring.n)
         for b in range(a, ring.n)
     ))
-    report.add_verdict(name, None, "matrix-corner-products-agree", {}, corners, millis=_ms(t0, ctx.spec))
+    report.add_verdict(name, None, "matrix-corner-products-agree", {}, corners)
     mctx = derived_context(ctx, model.ring)
     for f in ctx.facts:
-        t1 = time.perf_counter()
         mmask = model.full_entry_ideal(f.mask)
         target = mctx.find(mmask)
         if target is None:
@@ -779,7 +779,7 @@ def run_matrix_checks(ctx: RingContext, report: Report) -> None:
                 name, f.ideal.members(), "matrix-ideal-descent",
                 {"tested": 1}, FAILS,
                 {"defect": "entrywise ideal is not a proper hyperideal of the matrix ring"},
-                "matrix descent", millis=_ms(t1, ctx.spec),
+                "matrix descent",
             )
             continue
         verdict = first_failure("matrix descent", (
@@ -788,10 +788,7 @@ def run_matrix_checks(ctx: RingContext, report: Report) -> None:
             for uv, mv in target.uv_primary.items()
             if mv.holds and target.c.holds
         ))
-        report.add_verdict(
-            name, f.ideal.members(), "matrix-ideal-descent", {}, verdict,
-            millis=_ms(t1, ctx.spec),
-        )
+        report.add_verdict(name, f.ideal.members(), "matrix-ideal-descent", {}, verdict)
 
 
 def run_localization_checks(ctx: RingContext, report: Report) -> None:
@@ -801,7 +798,6 @@ def run_localization_checks(ctx: RingContext, report: Report) -> None:
     name = ring.name
     for smask in construct.canonical_mcs_list(ring):
         s_members = elems_of(smask)
-        t0 = time.perf_counter()
         try:
             loc = construct.localize(ring, smask)
         except ConstructionError as e:
@@ -809,17 +805,15 @@ def run_localization_checks(ctx: RingContext, report: Report) -> None:
                 name, None, "localization-constructed",
                 {"tested": 1, "s": s_members}, ERROR,
                 {"message": str(e), "detail": e.witness}, "localization construction",
-                millis=_ms(t0, ctx.spec),
             )
             continue
         report.add(
             name, None, "localization-constructed",
             {"tested": 1, "s": s_members, "classes": loc.ring.n},
-            HOLDS, None, "localization construction", millis=_ms(t0, ctx.spec),
+            HOLDS, None, "localization construction",
         )
         lctx = derived_context(ctx, loc.ring)
         for f in ctx.facts:
-            t1 = time.perf_counter()
             img = loc.ideal_image(f.mask)
             limg = lctx.find(img)
             # forward: C-hyperideal missing S descends with both arities dropped
@@ -831,13 +825,9 @@ def run_localization_checks(ctx: RingContext, report: Report) -> None:
                     for (u, v), v1 in f.uv_primary.items()
                     if v >= 2 and v1.holds
                 ))
-                report.add_verdict(
-                    name, f.ideal.members(), "localization-forward",
-                    {"s": s_members}, verdict, millis=_ms(t1, ctx.spec),
-                )
+                report.add_verdict(name, f.ideal.members(), "localization-forward", {"s": s_members}, verdict)
                 # radical commutes with localization on these instances
                 if limg is not None:
-                    t2 = time.perf_counter()
                     lrad = loc.ideal_image(f.rad_nil)
                     rad_l = radical_nilpotent(loc.ring, img)
                     report.add(
@@ -847,28 +837,23 @@ def run_localization_checks(ctx: RingContext, report: Report) -> None:
                         None
                         if lrad == rad_l
                         else {"localized_radical": elems_of(lrad), "radical_of_localized": elems_of(rad_l)},
-                        "localization radical", millis=_ms(t2, ctx.spec),
+                        "localization radical",
                     )
             # reverse: with the colon-closure missing S, the property lifts back
             if f.c.holds and not construct.gamma_mask(ring, f.mask) & smask:
-                t2 = time.perf_counter()
                 verdict = first_failure("localization reverse", (
                     None if f.uv_primary[uv].holds
                     else {"s": s_members, "at": list(uv), "witness": f.uv_primary[uv].witness}
                     for uv in f.uv_primary
                     if limg is not None and limg.uv_primary[uv].holds
                 ))
-                report.add_verdict(
-                    name, f.ideal.members(), "localization-reverse",
-                    {"s": s_members}, verdict, millis=_ms(t2, ctx.spec),
-                )
+                report.add_verdict(name, f.ideal.members(), "localization-reverse", {"s": s_members}, verdict)
 
 
 # -- suite drivers -----------------------------------------------------------------
 
 
 def run_ring(ring: FiniteHyperring, spec: RingFamilySpec, report: Report) -> None:
-    t0 = time.perf_counter()
     name = ring.name
     vrep = ring.validate()
     report.add(
@@ -880,7 +865,6 @@ def run_ring(ring: FiniteHyperring, spec: RingFamilySpec, report: Report) -> Non
         HOLDS if vrep.ok else FAILS,
         None if vrep.ok else {"failures": [f.describe() for f in vrep.failures]},
         "axiom validation",
-        millis=_ms(t0, spec),
     )
     if not vrep.ok:
         return
@@ -891,15 +875,13 @@ def run_ring(ring: FiniteHyperring, spec: RingFamilySpec, report: Report) -> Non
             name, None, "scan-budget",
             {"tested": 0, "pool": pool, "u_max": spec.u_max},
             SKIPPED, None, "multiset budget exceeded, ring skipped",
-            millis=_ms(t0, spec),
         )
         return
     ctx = build_ring_context(ring, spec)
     for f in ctx.facts:
         for prop, fn in IDEAL_CHECKS:
-            t1 = time.perf_counter()
             verdict = fn(ctx, f)
-            report.add_verdict(name, f.ideal.members(), prop, {}, verdict, millis=_ms(t1, spec))
+            report.add_verdict(name, f.ideal.members(), prop, {}, verdict)
     check_equal_radical_intersections(ctx, report)
     record_radical_comparison_on_non_c(ctx, report)
     if spec.include_constructions:
@@ -908,14 +890,8 @@ def run_ring(ring: FiniteHyperring, spec: RingFamilySpec, report: Report) -> Non
         run_localization_checks(ctx, report)
 
 
-def _ms(t0: float, spec: RingFamilySpec) -> Optional[int]:
-    if not spec.timings:
-        return None
-    return int((time.perf_counter() - t0) * 1000)
-
-
-def run_theorem_suite(spec: RingFamilySpec) -> Report:
-    report = Report()
+def run_theorem_suite(spec: RingFamilySpec, timings: bool = False) -> Report:
+    report = Report(timings=timings)
     for ring in enumerate_family(spec):
         run_ring(ring, spec, report)
     return report

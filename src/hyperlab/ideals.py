@@ -6,7 +6,7 @@ subgroups and filtering by absorption, which is exhaustive at desk scale.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .core import FiniteHyperring, Mask, elems_of, iter_bits, subset
@@ -17,7 +17,6 @@ from .verdicts import UsageError, Verdict, fails, holds
 class HyperIdeal:
     ring: FiniteHyperring
     mask: Mask
-    facts: dict = field(default_factory=dict)
 
     def members(self) -> list[int]:
         return elems_of(self.mask)
@@ -103,7 +102,6 @@ class IdealLattice:
     maximal: list[bool]
     jacobson: Mask
     local: bool
-    index_of: dict[Mask, int]
 
     def proper(self) -> list[HyperIdeal]:
         return [b for b in self.ideals if b.proper]
@@ -157,15 +155,7 @@ def enumerate_hyperideals(ring: FiniteHyperring) -> IdealLattice:
             found = True
     if not found:
         jac = full
-    lattice = IdealLattice(
-        ring,
-        ideals,
-        prime,
-        maximal,
-        jac,
-        sum(maximal) == 1,
-        {b.mask: i for i, b in enumerate(ideals)},
-    )
+    lattice = IdealLattice(ring, ideals, prime, maximal, jac, sum(maximal) == 1)
     ring._cache["lattice"] = lattice
     return lattice
 

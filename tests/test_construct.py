@@ -114,6 +114,14 @@ class TestMatrix:
         assert w["left"] == [[0, 0, 0, 0], [0, 0, 1, 0]]
         assert w["right"] == [[0, 0, 0, 0]]
 
+    def test_family_matrix_rings_never_commute(self):
+        # entry (0,1) of E00(1)∘E01(1) is 1∘1 + 0∘0 = Phi, and of
+        # E01(1)∘E00(1) it is 0∘0 + 1∘0 = {0}; Phi holds two distinct
+        # residues, so no cap admits a commutative M_2 of a family ring
+        for r in enumerate_family(RingFamilySpec()):
+            hm = r.hmul
+            assert r.set_add(hm[1][1], hm[0][0]) != r.set_add(hm[0][0], hm[1][0]), r.name
+
     def test_dimension_cap(self, z8):
         with pytest.raises(UsageError, match="1 or 2"):
             matrix_hyperring(z8, 3)

@@ -4,6 +4,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 from dataclasses import replace
 
 import pytest
@@ -11,6 +12,7 @@ import pytest
 from hyperlab import construct, harness, verdicts
 from hyperlab.core import FiniteHyperring, mask_of, parse_ring_spec
 from hyperlab.harness import (
+    IDEAL_CHECKS,
     Report,
     RingFamilySpec,
     build_ring_context,
@@ -110,9 +112,7 @@ class TestReportShape:
             ]
 
     def test_millis_only_when_requested(self, tiny_report):
-        timed = run_theorem_suite(
-            RingFamilySpec(moduli=(2,), phi_sizes=(2,), timings=True)
-        )
+        timed = run_theorem_suite(RingFamilySpec(moduli=(2,), phi_sizes=(2,)), timings=True)
         assert all("millis" not in rec for rec in tiny_report.records)
         assert all(isinstance(rec["millis"], int) for rec in timed.records)
 
@@ -420,6 +420,77 @@ class TestGolden:
         assert report.errors == 0
 
 
+class FakeTime:
+    """Stands in for the harness's `time` module: every clock read advances
+    the clock by `step_ns`, and `advance` moves it by hand."""
+
+    def __init__(self, step_ns=0):
+        self.now_ns, self.step_ns = 0, step_ns
+
+    def perf_counter_ns(self):
+        self.now_ns += self.step_ns
+        return self.now_ns
+
+    def advance(self, ns):
+        self.now_ns += ns
+
+
+class TestTimings:
+    def test_each_stamp_is_its_gap(self, monkeypatch):
+        clock = FakeTime()
+        monkeypatch.setattr(harness, "time", clock)
+        report = Report(timings=True)
+        stamps = []
+        for gap_ms in (3, 0, 250, 1, 17):
+            clock.advance(gap_ms * 1_000_000)
+            stamps.append(report.add("r", None, "p", {}, "holds")["millis"])
+        assert stamps == [3, 0, 250, 1, 17]
+
+    def test_remainder_carries_over(self, monkeypatch):
+        monkeypatch.setattr(harness, "time", FakeTime(step_ns=400_000))
+        report = Report(timings=True)
+        stamps = [report.add("r", None, "p", {}, "holds")["millis"] for _ in range(25)]
+        # 25 reads after the one at creation: 10 ms in all, never a whole
+        # millisecond between two reads
+        assert stamps == [0, 0, 1, 0, 1] * 5
+        assert sum(stamps) == 10
+
+    def test_context_build_lands_in_the_rings_stamps(self, monkeypatch):
+        clock = FakeTime()
+        monkeypatch.setattr(harness, "time", clock)
+        real = harness.build_ring_context
+        builds = []
+
+        def slow_build(ring, spec):
+            clock.advance(50_000_000)
+            builds.append(ring.name)
+            return real(ring, spec)
+
+        monkeypatch.setattr(harness, "build_ring_context", slow_build)
+        report = Report(timings=True)
+        run_ring(parse_ring_spec("z6:1,5"), RingFamilySpec(), report)
+        stamps = [rec["millis"] for rec in report.records]
+        assert len(builds) > 1  # the ring's own context and derived ones
+        assert sum(stamps) == 50 * len(builds)
+        assert set(stamps) == {0, 50}
+        # the ring's context is booked to its first ideal-check row
+        assert stamps[:2] == [0, 50]
+        assert report.records[1]["property"] == IDEAL_CHECKS[0][0]
+
+    def test_stamps_add_up_to_the_wall_time(self):
+        t0 = time.perf_counter()
+        report = run_theorem_suite(TINY, timings=True)
+        wall_ms = (time.perf_counter() - t0) * 1000
+        total = sum(rec["millis"] for rec in report.records)
+        assert wall_ms - 5 <= total <= wall_ms
+
+    def test_stripped_stamps_give_the_untimed_bytes(self, tiny_report):
+        timed = run_theorem_suite(TINY, timings=True)
+        for rec in timed.records:
+            del rec["millis"]
+        assert timed.to_jsonl() == tiny_report.to_jsonl()
+
+
 class TestCLI:
     def test_validate_ok(self):
         proc = run_cli("validate", "--ring", "z8:1,3", "--json")
@@ -455,6 +526,20 @@ class TestCLI:
         proc = run_cli(
             "check", "--ring", "z8:1,3", "--prop", "uv-primary", "--ideal", "0"
         )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:")
+
+    @pytest.mark.parametrize("args", [
+        ("sweep", "--u-max", "1"),
+        ("sweep", "--tuple-budget", "0"),
+        ("sweep", "--moduli", "1,2"),
+        ("check", "--ring", "z8:1,3", "--ideal", "0,9", "--prop", "prime"),
+        ("check", "--ring", "z8:1,3", "--ideal", "-1", "--prop", "prime"),
+        ("check", "--ring", "z8:1,3", "--ideal", "0,4", "--prop", "uv-i-primary",
+         "--u", "3", "--v", "2", "--aux-ideal", "0,12"),
+    ], ids=["u-max", "tuple-budget", "moduli", "ideal-member", "ideal-negative", "aux-ideal-member"])
+    def test_out_of_range_argument_is_usage_error(self, args):
+        proc = run_cli(*args)
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:")
 
