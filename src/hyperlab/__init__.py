@@ -52,8 +52,7 @@ from .classify import (
 )
 from .zphi import (
     ZPhiRing,
-    bounded_uv_primary_check,
-    bounded_uv_prime_check,
+    bounded_uv_check,
     ideal_intersection,
     int_product,
     principal_membership,

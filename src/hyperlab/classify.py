@@ -47,13 +47,11 @@ def _require_proper(ring: FiniteHyperring, pmask: Mask) -> None:
 # -- multiset product cache ---------------------------------------------------
 
 
-def multiset_products(
-    ring: FiniteHyperring, max_size: int, pool: Optional[Sequence[int]] = None
-) -> dict[tuple, Mask]:
+def multiset_products(ring: FiniteHyperring, max_size: int, pool: Sequence[int]) -> dict[tuple, Mask]:
     """Hyperproduct masks for every nondecreasing tuple over the sorted
-    `pool` (None: the whole carrier) of length <= max_size, built once per
-    (ring, pool) and grown on demand."""
-    pool = tuple(range(ring.n) if pool is None else pool)
+    `pool` of length <= max_size, built once per (ring, pool) and grown on
+    demand."""
+    pool = tuple(pool)
     cache = ring._cache.setdefault(("msprod", pool), {"size": 0, "prods": {}})
     prods: dict[tuple, Mask] = cache["prods"]
     if cache["size"] >= max_size:

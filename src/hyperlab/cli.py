@@ -255,17 +255,32 @@ def cmd_sweep(args) -> int:
     return _exit_code(report)
 
 
+ZPHI_PROPS = ("uv-primary", "uv-prime", "product", "membership", "radical", "intersection")
+
+
 def cmd_zphi(args) -> int:
     mode = _mode(args.mode)
     report = Report()
     prop = args.prop
+    if prop == "intersection":
+        ds = _parse_int_list(args.d_list or "", "generator")
+        if not ds:
+            raise UsageError("--d-list is required for intersection")
+        report.add(
+            "zphi", ds, "principal-intersection",
+            {"tested": 1, "generator": zphi.ideal_intersection(ds)},
+            HOLDS, None, "least common multiple of the generators",
+        )
+        _emit(report, args)
+        return _exit_code(report)
+
+    ring = zphi.ZPhiRing(_parse_int_list(args.phi, "phi"))
+    name = "zphi:" + ",".join(map(str, ring.phi))
     if prop in ("uv-primary", "uv-prime"):
         if args.d is None or args.u is None or args.v is None:
             raise UsageError("--d, --u and --v are required for the windowed checks")
-        ring = zphi.ZPhiRing(_parse_int_list(args.phi, "phi"))
         uv = UVParams(args.u, args.v)
         variant = "prime" if prop == "uv-prime" else "primary"
-        name = "zphi:" + ",".join(map(str, ring.phi))
         if args.replay is not None:
             factors = _parse_int_list(args.replay, "replay")
             confirmed = zphi.replay_int_counterexample(
@@ -294,58 +309,41 @@ def cmd_zphi(args) -> int:
                 verdict,
             )
     elif prop == "product":
-        ring = zphi.ZPhiRing(_parse_int_list(args.phi, "phi"))
         factors = _parse_int_list(args.factors or "", "factors")
         if not factors:
             raise UsageError("--factors is required for product")
         values = sorted(zphi.int_product(ring, factors))
-        name = "zphi:" + ",".join(map(str, ring.phi))
         report.add(
             name, None, "hyperproduct-exact",
             {"tested": 1, "factors": factors, "value": values},
             HOLDS, None, "exact integer product",
         )
     elif prop == "membership":
-        ring = zphi.ZPhiRing(_parse_int_list(args.phi, "phi"))
         factors = _parse_int_list(args.factors or "", "factors")
         if not factors or args.d is None:
             raise UsageError("--factors and --d are required for membership")
         value = zphi.principal_membership(args.d, zphi.int_product(ring, factors))
-        name = "zphi:" + ",".join(map(str, ring.phi))
         report.add(
             name, [args.d], "principal-membership",
             {"tested": 1, "factors": factors, "relation": value},
             HOLDS, None, "membership against the principal hyperideal",
         )
-    elif prop == "radical":
-        ring = zphi.ZPhiRing(_parse_int_list(args.phi, "phi"))
+    else:
         if args.d is None or args.a is None:
             raise UsageError("--d and --a are required for radical")
         member = zphi.radical_membership(ring, args.d, args.a)
         profile = zphi.radical_profile(ring, args.d)
-        name = "zphi:" + ",".join(map(str, ring.phi))
         report.add(
             name, [args.d], "radical-membership",
             {"tested": 1, "a": args.a, "member": member, "radical_generator": profile.generator},
             HOLDS, None, "valuation criterion",
         )
-    elif prop == "intersection":
-        ds = _parse_int_list(args.d_list or "", "generator")
-        if not ds:
-            raise UsageError("--d-list is required for intersection")
-        report.add(
-            "zphi", ds, "principal-intersection",
-            {"tested": 1, "generator": zphi.ideal_intersection(ds)},
-            HOLDS, None, "least common multiple of the generators",
-        )
-    else:
-        raise UsageError(f"unknown zphi property {prop!r}")
     _emit(report, args)
     return _exit_code(report)
 
 
 def cmd_golden(args) -> int:
-    report = run_golden_examples(mode=_mode(args.mode))
+    report = run_golden_examples()
     _emit(report, args)
     return _exit_code(report)
 
@@ -360,10 +358,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser):
+    def common(p: argparse.ArgumentParser, mode: Optional[str] = None):
         p.add_argument("--json", action="store_true", help="line-delimited structured records")
         p.add_argument("--out", default=None, help="write the report body to this file")
-        p.add_argument("--mode", default="any", help="split aggregation: any | all")
+        if mode is not None:
+            p.add_argument("--mode", default=mode, help="split aggregation: any | all")
 
     p = sub.add_parser("validate", help="check the hyperring axioms for a ring config")
     p.add_argument("--ring", required=True, help="z<n>:<c1>,<c2>,... or a JSON table file")
@@ -383,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--v", type=int, default=None)
     p.add_argument("--aux-ideal", default=None, help="the I of the I-primary variant")
     p.add_argument("--replay", default=None, help="replay a witness factor list")
-    common(p)
+    common(p, mode="any")
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("sweep", help="run the theorem suite over a ring family")
@@ -394,16 +393,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tuple-budget", type=int, default=10_000_000)
     p.add_argument("--no-constructions", action="store_true")
     p.add_argument("--timings", action="store_true", help="stamp records with elapsed millis")
-    common(p)
     # the suite's statements quantify over every split; the existential
     # reading is available with --mode any
-    p.set_defaults(fn=cmd_sweep, mode="all")
+    common(p, mode="all")
+    p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("zphi", help="exact and windowed checks over the integer hyperring")
     p.add_argument("--phi", default="2,3", help="comma-separated multipliers")
     p.add_argument("--d", type=int, default=None, help="principal generator")
-    p.add_argument("--prop", required=True,
-                   help="uv-primary | uv-prime | product | membership | radical | intersection")
+    p.add_argument("--prop", required=True, choices=ZPHI_PROPS)
     p.add_argument("--u", type=int, default=None)
     p.add_argument("--v", type=int, default=None)
     p.add_argument("--window", type=int, default=None)
@@ -411,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=int, default=None, help="element for the radical check")
     p.add_argument("--d-list", default=None, help="generators for intersection")
     p.add_argument("--replay", default=None, help="replay a witness factor list")
-    common(p)
+    common(p, mode="any")
     p.set_defaults(fn=cmd_zphi)
 
     p = sub.add_parser("golden", help="replay the worked integer examples")

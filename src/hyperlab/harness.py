@@ -892,7 +892,13 @@ def run_ring(ring: FiniteHyperring, spec: RingFamilySpec, report: Report) -> Non
 
 def run_theorem_suite(spec: RingFamilySpec, timings: bool = False) -> Report:
     report = Report(timings=timings)
-    for ring in enumerate_family(spec):
+    family = enumerate_family(spec)
+    if not family:
+        # a reversed range or |Phi| beyond the residues would pass as a clean sweep
+        raise UsageError(
+            f"the family has no rings: moduli {list(spec.moduli)}, phi sizes {list(spec.phi_sizes)}"
+        )
+    for ring in family:
         run_ring(ring, spec, report)
     return report
 
@@ -900,12 +906,27 @@ def run_theorem_suite(spec: RingFamilySpec, timings: bool = False) -> Report:
 # -- golden integer examples ---------------------------------------------------------
 
 
-def run_golden_examples(mode: SplitMode = SplitMode.ANY) -> Report:
+def run_golden_examples() -> Report:
     """Replay of the worked integer-ring computations with frozen expected
-    values; every row must hold."""
+    values; every row must hold.
+
+    The examples are stated in the existential split reading, so every
+    windowed check and replay runs under `SplitMode.ANY`; under `all`, 12Z
+    is not (4,2)-absorbing primary at window 50 and the 105 witness moves.
+    """
     report = Report()
     r23 = zphi.ZPhiRing((2, 3))
     name23 = "zphi:2,3"
+
+    def window_holds(ring, name, d, uv, window):
+        # a windowed search that finds nothing is the expected outcome here
+        verdict = zphi.bounded_uv_check(ring, d, uv, window)
+        report.add(
+            name, [d], "windowed-uv-primary",
+            {"u": uv.u, "v": uv.v, "window": window, "tested": verdict.tested, **verdict.extra},
+            HOLDS if verdict.status == INCONCLUSIVE else FAILS,
+            verdict.witness, verdict.checked_space,
+        )
 
     def expect(ideal, prop, params, observed, expected, space):
         ok = observed == expected
@@ -941,17 +962,9 @@ def run_golden_examples(mode: SplitMode = SplitMode.ANY) -> Report:
         expect([12], "radical-membership", {"a": a}, observed, False,
                "valuation criterion")
 
-    v42 = zphi.bounded_uv_primary_check(r23, 12, UVParams(4, 2), 50, mode=mode)
-    report.add(
-        name23, [12], "windowed-uv-primary",
-        {"u": 4, "v": 2, "window": 50, "tested": v42.tested, **v42.extra},
-        HOLDS if v42.status == INCONCLUSIVE else FAILS,
-        v42.witness, v42.checked_space,
-    )
-    v42p = zphi.bounded_uv_prime_check(r23, 12, UVParams(4, 2), 10, mode=mode)
-    _witness_row(report, r23, name23, 12, v42p, UVParams(4, 2), "prime", [2, 2, 2, 3], mode)
-    v32 = zphi.bounded_uv_primary_check(r23, 12, UVParams(3, 2), 10, mode=mode)
-    _witness_row(report, r23, name23, 12, v32, UVParams(3, 2), "primary", [2, 2, 3], mode)
+    window_holds(r23, name23, 12, UVParams(4, 2), 50)
+    _witness_row(report, r23, name23, 12, UVParams(4, 2), 10, "prime", [2, 2, 2, 3])
+    _witness_row(report, r23, name23, 12, UVParams(3, 2), 10, "primary", [2, 2, 3])
 
     r24 = zphi.ZPhiRing((2, 4))
     name24 = "zphi:2,4"
@@ -965,21 +978,14 @@ def run_golden_examples(mode: SplitMode = SplitMode.ANY) -> Report:
         "lcm of generators, discrepancy with the printed value flagged",
     )
     for d in (3, 5, 7):
-        vd = zphi.bounded_uv_primary_check(r24, d, UVParams(3, 2), 30, mode=mode)
-        report.add(
-            name24, [d], "windowed-uv-primary",
-            {"u": 3, "v": 2, "window": 30, "tested": vd.tested, **vd.extra},
-            HOLDS if vd.status == INCONCLUSIVE else FAILS,
-            vd.witness, vd.checked_space,
-        )
-    v105 = zphi.bounded_uv_primary_check(r24, 105, UVParams(3, 2), 30, mode=mode)
-    _witness_row(report, r24, name24, 105, v105, UVParams(3, 2), "primary", [3, 5, 7], mode)
-    v150 = zphi.bounded_uv_primary_check(r24, 150, UVParams(3, 2), 30, mode=mode)
+        window_holds(r24, name24, d, UVParams(3, 2), 30)
+    _witness_row(report, r24, name24, 105, UVParams(3, 2), 30, "primary", [3, 5, 7])
+    v150 = zphi.bounded_uv_check(r24, 150, UVParams(3, 2), 30)
     report.add(
         name24, [150], "windowed-uv-primary",
         {"u": 3, "v": 2, "window": 30, "tested": v150.tested},
         HOLDS if v150.fails and zphi.replay_int_counterexample(
-            r24, 150, v150.witness["factors"], UVParams(3, 2), "primary", mode)
+            r24, 150, v150.witness["factors"], UVParams(3, 2), "primary")
         else FAILS,
         v150.witness, v150.checked_space,
     )
@@ -995,11 +1001,12 @@ def run_golden_examples(mode: SplitMode = SplitMode.ANY) -> Report:
     return report
 
 
-def _witness_row(report, ring, name, d, verdict, uv, variant, expected_factors, mode):
+def _witness_row(report, ring, name, d, uv, window, variant, expected_factors):
+    verdict = zphi.bounded_uv_check(ring, d, uv, window, variant=variant)
     ok = (
         verdict.fails
         and verdict.witness.get("factors") == expected_factors
-        and zphi.replay_int_counterexample(ring, d, verdict.witness["factors"], uv, variant, mode)
+        and zphi.replay_int_counterexample(ring, d, verdict.witness["factors"], uv, variant)
     )
     prop = "windowed-uv-prime" if variant == "prime" else "windowed-uv-primary"
     report.add(

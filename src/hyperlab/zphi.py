@@ -321,18 +321,6 @@ def bounded_uv_check(
     )
 
 
-def bounded_uv_primary_check(
-    ring: ZPhiRing, d: int, uv: UVParams, window: int, mode: SplitMode = SplitMode.ANY
-) -> Verdict:
-    return bounded_uv_check(ring, d, uv, window, variant="primary", mode=mode)
-
-
-def bounded_uv_prime_check(
-    ring: ZPhiRing, d: int, uv: UVParams, window: int, mode: SplitMode = SplitMode.ANY
-) -> Verdict:
-    return bounded_uv_check(ring, d, uv, window, variant="prime", mode=mode)
-
-
 def replay_int_counterexample(
     ring: ZPhiRing,
     d: int,

@@ -14,8 +14,7 @@ from hyperlab.harness import (
 from hyperlab.verdicts import UVParams
 from hyperlab.zphi import (
     ZPhiRing,
-    bounded_uv_primary_check,
-    bounded_uv_prime_check,
+    bounded_uv_check,
     ideal_intersection,
     int_product,
     principal_membership,
@@ -55,11 +54,11 @@ def test_criterion_1_golden_integer_examples_exact():
 
 def test_criterion_2_window_50_separates_primary_from_prime():
     t0 = time.perf_counter()
-    primary = bounded_uv_primary_check(R23, 12, UVParams(4, 2), window=50)
+    primary = bounded_uv_check(R23, 12, UVParams(4, 2), window=50, variant="primary")
     assert not primary.fails
     assert primary.witness is None
     assert primary.tested == 2776780
-    prime = bounded_uv_prime_check(R23, 12, UVParams(4, 2), window=50)
+    prime = bounded_uv_check(R23, 12, UVParams(4, 2), window=50, variant="prime")
     assert prime.fails
     assert prime.witness == {"factors": [2, 2, 2, 3]}
     assert time.perf_counter() - t0 < 300.0
@@ -68,7 +67,7 @@ def test_criterion_2_window_50_separates_primary_from_prime():
 def test_criterion_3_small_window_finds_3_2_counterexample():
     t0 = time.perf_counter()
     for window in (3, 5, 8):
-        v = bounded_uv_primary_check(R23, 12, UVParams(3, 2), window=window)
+        v = bounded_uv_check(R23, 12, UVParams(3, 2), window=window, variant="primary")
         assert v.fails
         assert v.witness == {"factors": [2, 2, 3]}
     assert time.perf_counter() - t0 < 1.0
@@ -86,9 +85,9 @@ def test_criterion_4_intersection_value_and_windowed_statuses(golden_run):
     assert flagged[0]["params"]["printed_source_value"] == 150
     assert flagged[0]["params"]["matches_printed_value"] is False
     for d in (3, 5, 7):
-        v = bounded_uv_primary_check(R24, d, UVParams(3, 2), window=30)
+        v = bounded_uv_check(R24, d, UVParams(3, 2), window=30, variant="primary")
         assert not v.fails, d
-    v = bounded_uv_primary_check(R24, 105, UVParams(3, 2), window=30)
+    v = bounded_uv_check(R24, 105, UVParams(3, 2), window=30, variant="primary")
     assert v.fails
     assert v.witness == {"factors": [3, 5, 7]}
 

@@ -411,6 +411,9 @@ class TestOracles:
         assert "bruteforce" in v.witness
 
 
+GOLDEN_DIGEST = "7724eeb2335f010cd824e218e20bb2ad54efdb88cdf526a70d27a699ef248d47"
+
+
 class TestGolden:
     def test_replay_is_clean(self):
         report = run_golden_examples()
@@ -418,6 +421,10 @@ class TestGolden:
         assert report.violations == 0
         assert report.skipped == 0
         assert report.errors == 0
+
+    def test_report_is_pinned(self):
+        report = run_golden_examples()
+        assert hashlib.sha256(report.to_jsonl().encode()).hexdigest() == GOLDEN_DIGEST
 
 
 class FakeTime:
@@ -522,6 +529,16 @@ class TestCLI:
         assert run_cli(*base).returncode == 0
         assert run_cli(*base, "--mode", "all").returncode == 1
 
+    @pytest.mark.parametrize("args", [
+        ("validate", "--ring", "z6:1,5"),
+        ("ideals", "--ring", "z6:1,5"),
+        ("golden",),
+    ], ids=["validate", "ideals", "golden"])
+    def test_mode_flag_is_refused_where_unread(self, args):
+        proc = run_cli(*args, "--mode", "all")
+        assert proc.returncode == 2
+        assert "unrecognized arguments: --mode all" in proc.stderr
+
     def test_check_missing_arity_is_usage_error(self):
         proc = run_cli(
             "check", "--ring", "z8:1,3", "--prop", "uv-primary", "--ideal", "0"
@@ -533,11 +550,14 @@ class TestCLI:
         ("sweep", "--u-max", "1"),
         ("sweep", "--tuple-budget", "0"),
         ("sweep", "--moduli", "1,2"),
+        ("sweep", "--moduli", "3..2"),
+        ("sweep", "--moduli", "2", "--phi-universe", "1", "--phi-sizes", "2"),
         ("check", "--ring", "z8:1,3", "--ideal", "0,9", "--prop", "prime"),
         ("check", "--ring", "z8:1,3", "--ideal", "-1", "--prop", "prime"),
         ("check", "--ring", "z8:1,3", "--ideal", "0,4", "--prop", "uv-i-primary",
          "--u", "3", "--v", "2", "--aux-ideal", "0,12"),
-    ], ids=["u-max", "tuple-budget", "moduli", "ideal-member", "ideal-negative", "aux-ideal-member"])
+    ], ids=["u-max", "tuple-budget", "moduli", "moduli-reversed", "phi-beyond-residues",
+            "ideal-member", "ideal-negative", "aux-ideal-member"])
     def test_out_of_range_argument_is_usage_error(self, args):
         proc = run_cli(*args)
         assert proc.returncode == 2

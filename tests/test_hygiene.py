@@ -1,9 +1,14 @@
 """Source hygiene: every name a library module imports at top level is
-used in that module, so dead imports cannot creep back in."""
+used in that module, and every command line option is read by its
+subcommand, so dead imports and options that change nothing cannot creep
+back in."""
+import argparse
 import ast
 from pathlib import Path
 
 import pytest
+
+from hyperlab.cli import build_parser
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "hyperlab"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -24,3 +29,33 @@ def unused_imports(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
+
+
+def args_reads(functions: dict[str, ast.FunctionDef], name: str, position: int = 0) -> set[str]:
+    """Attributes read off the parameter at `position` of the module
+    function `name`, in its body or in a module function it passes that
+    parameter on to."""
+    fn = functions[name]
+    param = fn.args.args[position].arg
+    reads = set()
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == param:
+            reads.add(node.attr)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in functions:
+            for i, arg in enumerate(node.args):
+                if isinstance(arg, ast.Name) and arg.id == param and node.func.id != name:
+                    reads |= args_reads(functions, node.func.id, i)
+    return reads
+
+
+def test_every_cli_option_is_read_by_its_handler():
+    tree = ast.parse((SRC / "cli.py").read_text())
+    functions = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    unread = {}
+    for command, parser in subparsers.choices.items():
+        dests = {a.dest for a in parser._actions if not isinstance(a, argparse._HelpAction)}
+        missing = dests - args_reads(functions, parser.get_default("fn").__name__)
+        if missing:
+            unread[command] = sorted(missing)
+    assert unread == {}

@@ -13,8 +13,6 @@ from hyperlab.verdicts import SplitMode, UVParams
 from hyperlab.zphi import (
     ZPhiRing,
     bounded_uv_check,
-    bounded_uv_primary_check,
-    bounded_uv_prime_check,
     ideal_intersection,
     identities,
     int_product,
@@ -140,23 +138,23 @@ class TestIntersection:
 
 class TestWindowedChecks:
     def test_3_2_counterexample_at_tiny_window(self, r23):
-        v = bounded_uv_primary_check(r23, 12, UVParams(3, 2), window=3)
+        v = bounded_uv_check(r23, 12, UVParams(3, 2), window=3, variant="primary")
         assert v.fails
         assert v.witness == {"factors": [2, 2, 3]}
 
     def test_4_2_prime_counterexample(self, r23):
-        v = bounded_uv_prime_check(r23, 12, UVParams(4, 2), window=10)
+        v = bounded_uv_check(r23, 12, UVParams(4, 2), window=10, variant="prime")
         assert v.fails
         assert v.witness == {"factors": [2, 2, 2, 3]}
 
     def test_clean_window_reports_tested_count(self, r24):
-        v = bounded_uv_primary_check(r24, 3, UVParams(3, 2), window=10)
+        v = bounded_uv_check(r24, 3, UVParams(3, 2), window=10, variant="primary")
         assert not v.fails
         assert v.tested > 0
 
     def test_windowed_checks_are_deterministic(self, r23):
-        a = bounded_uv_primary_check(r23, 12, UVParams(3, 2), window=6)
-        b = bounded_uv_primary_check(r23, 12, UVParams(3, 2), window=6)
+        a = bounded_uv_check(r23, 12, UVParams(3, 2), window=6, variant="primary")
+        b = bounded_uv_check(r23, 12, UVParams(3, 2), window=6, variant="primary")
         assert a.to_record() == b.to_record()
 
     def test_replay_confirms_and_rejects(self, r23):
@@ -289,9 +287,9 @@ class TestWindowedReference:
         missing = missing_4(pool) + multisets(len(prime_to_3), 4) - missing_4(prime_to_3)
         assert multisets(len(pool), 4) - missing == 435_412_941_375
 
-        v = bounded_uv_primary_check(r23, 12, UVParams(4, 2), window=1000)
+        v = bounded_uv_check(r23, 12, UVParams(4, 2), window=1000, variant="primary")
         assert v.status == "inconclusive"
         assert v.tested == 435_412_941_375
-        prime = bounded_uv_prime_check(r23, 12, UVParams(4, 2), window=1000)
+        prime = bounded_uv_check(r23, 12, UVParams(4, 2), window=1000, variant="prime")
         assert prime.fails
         assert prime.witness == {"factors": [2, 2, 2, 3]}
