@@ -174,40 +174,36 @@ class _PrefixSplits:
 
 class _TargetBits(dict):
     """mask m -> (v-part bits, remainder bits, hypothesis bits) of m over
-    the targets (P, rad, avoid), filled on first use.  With T_P, T_R and H
-    the bitsets of the targets where m ⊆ P, m ⊆ rad, and m ⊆ P misses
-    avoid, they are T_P | T_P << n, T_R | T_P << n and H | H << n for n
-    targets: bit t is the primary reading of target t, bit n + t its prime
-    reading.  A split is ok where its v-part bits or its remainder bits
-    are set."""
+    the targets (P, C, avoid, label), filled on first use: bit t of each
+    is set where m ⊆ P, m ⊆ C, and m ⊆ P misses avoid, for target t.  A
+    split is ok where its v-part bits or its remainder bits are set."""
 
-    def __init__(self, targets: Sequence[tuple[Mask, Mask, Mask]]):
+    def __init__(self, targets: Sequence[tuple[Mask, Mask, Mask, str]]):
         super().__init__()
         self.targets = targets
 
     def __missing__(self, m: Mask) -> tuple[int, int, int]:
-        bp = br = bh = 0
-        for t, (pmask, radmask, avoid) in enumerate(self.targets):
+        bp = bc = bh = 0
+        for t, (pmask, concl, avoid, _) in enumerate(self.targets):
             if not m & ~pmask:
                 bp |= 1 << t
                 if not m & avoid:
                     bh |= 1 << t
-            if not m & ~radmask:
-                br |= 1 << t
-        n = len(self.targets)
-        self[m] = out = (bp | bp << n, br | bp << n, bh | bh << n)
+            if not m & ~concl:
+                bc |= 1 << t
+        self[m] = out = (bp, bc, bh)
         return out
 
 
 class _Slots(dict):
     """mask m -> one field of `_TargetBits` for m ∘ x, for every pool
-    element x at once: slot k, 2n bits wide, holds the field of m ∘ pool[k].
+    element x at once: slot k, n bits wide, holds the field of m ∘ pool[k].
     None (the empty product) -> the field of {x} in each slot."""
 
     def __init__(self, bits: _TargetBits, times: Sequence[_Times], field: int):
         super().__init__()
         self.bits, self.times, self.field = bits, times, field
-        self.width = 2 * len(bits.targets)
+        self.width = len(bits.targets)
 
     def __missing__(self, m: Optional[Mask]) -> int:
         out = 0
@@ -231,27 +227,26 @@ class _Repeated(dict):
 
 def uv_scan(
     ring: FiniteHyperring,
-    targets: Sequence[tuple[Mask, Mask, Mask]],
+    targets: Sequence[tuple[Mask, Mask, Mask, str]],
     uvs: Sequence[tuple[int, int]],
     mode: SplitMode,
     pool: Sequence[int],
-    labels: tuple[str, str] = ("absorbing-primary", "absorbing-prime"),
-) -> tuple[list[dict], list[dict]]:
+) -> list[dict]:
     """The (u,v) scan kernel: one pass over the u-multisets of the sorted
-    `pool` per u decides every (target, v) pair, in two readings at once.
+    `pool` per u decides every (target, v) pair.
 
-    A target is (P, rad, avoid).  Hypothesis: the full product of the
-    multiset lies in P and misses `avoid`.  Per split, the primary reading
-    asks for v-part ⊆ P or remainder ⊆ rad, the prime reading for v-part
-    ⊆ P or remainder ⊆ P.  ANY: a pair fails at a multiset where no split
-    satisfies its reading; ALL: where some split does not.  Returns, per
-    target, {(u, v): Verdict} for the primary and the prime reading, with
-    spaces labelled by `labels`.
+    A target is (P, C, avoid, label).  Hypothesis: the full product of the
+    multiset lies in P and misses `avoid`.  A split passes when its v-part
+    ⊆ P or its remainder ⊆ the conclusion set C: C = rad(P) is the primary
+    reading, C = P the prime one, and avoid = I∘P the I-primary one.  ANY:
+    a pair fails at a multiset where no split passes; ALL: where some split
+    does not.  Returns, per target, {(u, v): Verdict} with spaces labelled
+    by the target's label.
 
     Targets are bit-sliced (`_TargetBits`), and so is the last factor: a
     u-multiset is a (u-2)-prefix, a factor y and a last factor x >= y, and
     `_Slots` packs the bits of m ∘ x for every pool element x into one int,
-    one 2n-bit slot per x.  y and x each join the v-part or the remainder,
+    one n-bit slot per x.  y and x each join the v-part or the remainder,
     so a split (a, b) of the prefix with a v-part of size v-2, v-1 or v
     gives the splits (a∘y∘x, b), (a∘y, b∘x), (a∘x, b∘y) and (a, b∘y∘x) of
     every multiset (prefix, y, x) in a few int operations.  Multisets come
@@ -263,25 +258,24 @@ def uv_scan(
     """
     pool = tuple(pool)
     n, size = len(targets), len(pool)
-    width = 2 * n
-    both = (1 << width) - 1
-    ones = sum(1 << width * k for k in range(size))  # bit 0 of every slot
-    from_slot = [both * ones >> width * k << width * k for k in range(size)]
+    every = (1 << n) - 1
+    ones = sum(1 << n * k for k in range(size))  # bit 0 of every slot
+    from_slot = [every * ones >> n * k << n * k for k in range(size)]
     prods = multiset_products(ring, max((u for u, _ in uvs), default=2) - 1, pool)
     bits = _TargetBits(targets)
     times = [_Times(ring, x) for x in pool]  # by slot
     vb_x, rb_x, hb_x = (_Slots(bits, times, field) for field in range(3))
     vb_rep, rb_rep = (_Repeated(bits, ones, field) for field in range(2))
     any_mode = mode is SplitMode.ANY
-    out = ([{} for _ in targets], [{} for _ in targets])
+    out = [{} for _ in targets]
     vs_of: dict[int, list[int]] = {}
     for u, v in uvs:
         vs_of.setdefault(u, []).append(v)
     for u, vs in vs_of.items():
-        # open_[v]: the (reading, target) bits of pairs with no witness
-        # yet, in every slot; live: their union over v
-        open_ = dict.fromkeys(vs, both * ones)
-        live = both * ones if n else 0
+        # open_[v]: the target bits of pairs with no witness yet, in every
+        # slot; live: their union over v
+        open_ = dict.fromkeys(vs, every * ones)
+        live = every * ones
         found: dict[tuple[int, int], tuple[dict, int]] = {}
         # packed hypothesis bits of a (prefix, y) block -> blocks seen
         counts: dict[int, int] = {}
@@ -324,25 +318,24 @@ def uv_scan(
                     bad = need & ~ok
                     closed = closed or bool(bad)
                     while bad:
-                        k = ((bad & -bad).bit_length() - 1) // width
-                        first = bad >> width * k & both  # failing first at x = pool[k]
+                        k = ((bad & -bad).bit_length() - 1) // n
+                        first = bad >> n * k & every  # failing first at x = pool[k]
                         bad &= ~(first * ones)
                         open_[v] &= ~(first * ones)
                         ms = head + (pool[y], pool[k])
-                        for i in iter_bits(first):
+                        for t in iter_bits(first):
                             if any_mode:
                                 witness = {"factors": list(ms)}
                             else:
                                 vp, rest = next(
                                     (vp, rest)
                                     for vp, rest in zip(*_v_splits(ms, v))
-                                    if not (bits[prods[vp]][0] | bits[prods[rest]][1]) >> i & 1
+                                    if not (bits[prods[vp]][0] | bits[prods[rest]][1]) >> t & 1
                                 )
                                 witness = {"factors": list(vp + rest), "v_part": list(vp), "rest": list(rest)}
-                            t = i % n
                             tested = sum(c * (g >> t & ones).bit_count() for g, c in counts.items())
-                            tested += (hb >> t & ones & ((1 << width * (k + 1)) - 1)).bit_count()
-                            found[(i, v)] = (witness, tested)
+                            tested += (hb >> t & ones & ((1 << n * (k + 1)) - 1)).bit_count()
+                            found[(t, v)] = (witness, tested)
                 counts[hb] = counts.get(hb, 0) + 1
                 if closed:
                     live = 0
@@ -350,33 +343,29 @@ def uv_scan(
                         live |= open_[v]
                     if not live:
                         break
-        total = [sum(c * (g >> t & ones).bit_count() for g, c in counts.items()) for t in range(n)]
-        for k, label in enumerate(labels):
-            for t, verdicts in enumerate(out[k]):
-                for v in vs:
-                    space = f"{label} u={u} v={v} pool={len(pool)} mode={mode.value}"
-                    if (k * n + t, v) in found:
-                        witness, tested = found[(k * n + t, v)]
-                        verdicts[(u, v)] = fails(witness, space=space, tested=tested)
-                    else:
-                        verdicts[(u, v)] = holds(space=space, tested=total[t])
+        for t, (verdicts, target) in enumerate(zip(out, targets)):
+            total = sum(c * (g >> t & ones).bit_count() for g, c in counts.items())
+            for v in vs:
+                space = f"{target[3]} u={u} v={v} pool={len(pool)} mode={mode.value}"
+                if (t, v) in found:
+                    witness, tested = found[(t, v)]
+                    verdicts[(u, v)] = fails(witness, space=space, tested=tested)
+                else:
+                    verdicts[(u, v)] = holds(space=space, tested=total)
     return out
 
 
 def _uv_one(
     ring: FiniteHyperring,
-    target: tuple[Mask, Mask, Mask],
+    target: tuple[Mask, Mask, Mask, str],
     uv: UVParams,
     mode: SplitMode,
-    pool: Optional[Sequence[int]],
-    label: str,
 ) -> Verdict:
-    """One-target call of the kernel, primary reading (remainder ⊆ the
-    target's second mask)."""
-    if pool is None:
-        pool = elems_of(ring.unit_report().nonunits)
-    primary, _ = uv_scan(ring, [target], [(uv.u, uv.v)], mode, pool, labels=(label, label))
-    return primary[0][(uv.u, uv.v)]
+    """One-target call of the kernel over the nonunit pool."""
+    _require_proper(ring, target[0])
+    pool = elems_of(ring.unit_report().nonunits)
+    (row,) = uv_scan(ring, [target], [(uv.u, uv.v)], mode, pool)
+    return row[(uv.u, uv.v)]
 
 
 def is_uv_absorbing_primary(
@@ -385,13 +374,10 @@ def is_uv_absorbing_primary(
     radmask: Mask,
     uv: UVParams,
     mode: SplitMode = SplitMode.ANY,
-    pool: Optional[Sequence[int]] = None,
 ) -> Verdict:
     """Product of u nonunits inside P forces a v-part inside P or the
-    remainder inside rad(P).  `pool` overrides the nonunit pool (used by
-    the widened all-elements variant)."""
-    _require_proper(ring, pmask)
-    return _uv_one(ring, (pmask, radmask, 0), uv, mode, pool, "absorbing-primary")
+    remainder inside rad(P)."""
+    return _uv_one(ring, (pmask, radmask, 0, "absorbing-primary"), uv, mode)
 
 
 def is_uv_absorbing_prime(
@@ -399,11 +385,9 @@ def is_uv_absorbing_prime(
     pmask: Mask,
     uv: UVParams,
     mode: SplitMode = SplitMode.ANY,
-    pool: Optional[Sequence[int]] = None,
 ) -> Verdict:
     """Same hypothesis, but the remainder must land in P itself."""
-    _require_proper(ring, pmask)
-    return _uv_one(ring, (pmask, pmask, 0), uv, mode, pool, "absorbing-prime")
+    return _uv_one(ring, (pmask, pmask, 0, "absorbing-prime"), uv, mode)
 
 
 def is_uv_absorbing_i_primary(
@@ -416,9 +400,8 @@ def is_uv_absorbing_i_primary(
 ) -> Verdict:
     """Variant whose hypothesis also avoids the product ideal I∘P: the
     u-product must lie in P and miss I∘P entirely."""
-    _require_proper(ring, pmask)
     ip = ideal_product(ring, imask, pmask).mask
-    verdict = _uv_one(ring, (pmask, radmask, ip), uv, mode, None, "absorbing-i-primary")
+    verdict = _uv_one(ring, (pmask, radmask, ip, "absorbing-i-primary"), uv, mode)
     verdict.extra["ideal_product"] = elems_of(ip)
     return verdict
 

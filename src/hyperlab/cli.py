@@ -64,11 +64,22 @@ def _ideal_mask(ring: FiniteHyperring, text: str, what: str) -> Mask:
     return mask_of(members)
 
 
-def _mode(text: str) -> SplitMode:
-    try:
-        return SplitMode(text)
-    except ValueError as exc:
-        raise UsageError(f"mode must be 'any' or 'all', got {text!r}") from exc
+# Options a property may read without their being given: --mode and
+# --phi have defaults, and --replay and --window choose between two checks.
+OPTIONAL = ("mode", "phi", "replay", "window")
+
+
+def _check_options(args, reads: dict[str, tuple[str, ...]]) -> None:
+    """UsageError for an option given that the chosen --prop does not
+    read, or one it reads that is neither given nor OPTIONAL; `reads` maps
+    each property to the options it reads."""
+    own = reads[args.prop]
+    others = {name for names in reads.values() for name in names} - set(own)
+    unread = sorted(name for name in others if getattr(args, name) is not None)
+    missing = [name for name in own if name not in OPTIONAL and getattr(args, name) is None]
+    for names, what in ((unread, "does not read"), (missing, "needs")):
+        if names:
+            raise UsageError(f"--prop {args.prop} {what} " + ", ".join("--" + n.replace("_", "-") for n in names))
 
 
 def _emit(report: Report, args) -> None:
@@ -144,26 +155,28 @@ def cmd_ideals(args) -> int:
     return 0
 
 
-CHECK_PROPS = (
-    "prime",
-    "primary",
-    "c",
-    "strong-c",
-    "uv-primary",
-    "uv-prime",
-    "uv-i-primary",
-    "1-absorbing-primary",
-    "divided",
-)
+# The options each property reads, besides --ring, --prop, --json and --out.
+CHECK_PROPS: dict[str, tuple[str, ...]] = {
+    "prime": ("ideal",),
+    "primary": ("ideal",),
+    "c": ("ideal",),
+    "strong-c": ("ideal",),
+    "uv-primary": ("ideal", "u", "v", "mode", "replay"),
+    "uv-prime": ("ideal", "u", "v", "mode", "replay"),
+    "uv-i-primary": ("ideal", "u", "v", "mode", "aux_ideal"),
+    "1-absorbing-primary": ("ideal", "mode"),
+    "divided": (),
+}
 
 
 def cmd_check(args) -> int:
+    _check_options(args, CHECK_PROPS)
     ring = parse_ring_spec(args.ring)
     if not ring.validate().ok:
         raise UsageError(f"{args.ring}: not a hyperring; run validate for details")
-    mode = _mode(args.mode)
+    mode = SplitMode(args.mode or "any")
     prop = args.prop
-    params: dict = {"mode": mode.value}
+    params: dict = {"mode": mode.value} if "mode" in CHECK_PROPS[prop] else {}
 
     if prop == "divided":
         verdict = classify.is_divided(ring)
@@ -172,23 +185,16 @@ def cmd_check(args) -> int:
         _emit(report, args)
         return _exit_code(report)
 
-    if args.ideal is None:
-        raise UsageError(f"--ideal is required for property {prop!r}")
     pmask = _ideal_mask(ring, args.ideal, "ideal")
     if not is_hyperideal(ring, pmask):
         raise UsageError(f"{args.ideal!r} is not a hyperideal of {args.ring}")
     rad = radical_nilpotent(ring, pmask)
 
-    needs_uv = prop in ("uv-primary", "uv-prime", "uv-i-primary")
-    if needs_uv:
-        if args.u is None or args.v is None:
-            raise UsageError(f"--u and --v are required for property {prop!r}")
+    if "u" in CHECK_PROPS[prop]:
         uv = UVParams(args.u, args.v)
         params.update(u=args.u, v=args.v)
 
     if args.replay is not None:
-        if prop not in ("uv-primary", "uv-prime"):
-            raise UsageError("--replay supports uv-primary and uv-prime only")
         factors = _parse_int_list(args.replay, "replay")
         concl = pmask if prop == "uv-prime" else rad
         confirmed = classify.replay_uv_counterexample(
@@ -220,8 +226,6 @@ def cmd_check(args) -> int:
     elif prop == "uv-prime":
         verdict = classify.is_uv_absorbing_prime(ring, pmask, uv, mode=mode)
     elif prop == "uv-i-primary":
-        if args.aux_ideal is None:
-            raise UsageError("--aux-ideal is required for uv-i-primary")
         imask = _ideal_mask(ring, args.aux_ideal, "aux ideal")
         if not is_hyperideal(ring, imask):
             raise UsageError(f"{args.aux_ideal!r} is not a hyperideal of {args.ring}")
@@ -246,7 +250,7 @@ def cmd_sweep(args) -> int:
             else None
         ),
         u_max=args.u_max,
-        mode=_mode(args.mode),
+        mode=SplitMode(args.mode),
         tuple_budget=args.tuple_budget,
         include_constructions=not args.no_constructions,
     )
@@ -255,15 +259,24 @@ def cmd_sweep(args) -> int:
     return _exit_code(report)
 
 
-ZPHI_PROPS = ("uv-primary", "uv-prime", "product", "membership", "radical", "intersection")
+# The options each property reads, besides --prop, --json and --out.
+ZPHI_PROPS: dict[str, tuple[str, ...]] = {
+    "uv-primary": ("phi", "d", "u", "v", "mode", "window", "replay"),
+    "uv-prime": ("phi", "d", "u", "v", "mode", "window", "replay"),
+    "product": ("phi", "factors"),
+    "membership": ("phi", "factors", "d"),
+    "radical": ("phi", "d", "a"),
+    "intersection": ("d_list",),
+}
 
 
 def cmd_zphi(args) -> int:
-    mode = _mode(args.mode)
+    _check_options(args, ZPHI_PROPS)
+    mode = SplitMode(args.mode or "any")
     report = Report()
     prop = args.prop
     if prop == "intersection":
-        ds = _parse_int_list(args.d_list or "", "generator")
+        ds = _parse_int_list(args.d_list, "generator")
         if not ds:
             raise UsageError("--d-list is required for intersection")
         report.add(
@@ -274,11 +287,9 @@ def cmd_zphi(args) -> int:
         _emit(report, args)
         return _exit_code(report)
 
-    ring = zphi.ZPhiRing(_parse_int_list(args.phi, "phi"))
+    ring = zphi.ZPhiRing(_parse_int_list("2,3" if args.phi is None else args.phi, "phi"))
     name = "zphi:" + ",".join(map(str, ring.phi))
     if prop in ("uv-primary", "uv-prime"):
-        if args.d is None or args.u is None or args.v is None:
-            raise UsageError("--d, --u and --v are required for the windowed checks")
         uv = UVParams(args.u, args.v)
         variant = "prime" if prop == "uv-prime" else "primary"
         if args.replay is not None:
@@ -309,7 +320,7 @@ def cmd_zphi(args) -> int:
                 verdict,
             )
     elif prop == "product":
-        factors = _parse_int_list(args.factors or "", "factors")
+        factors = _parse_int_list(args.factors, "factors")
         if not factors:
             raise UsageError("--factors is required for product")
         values = sorted(zphi.int_product(ring, factors))
@@ -319,9 +330,9 @@ def cmd_zphi(args) -> int:
             HOLDS, None, "exact integer product",
         )
     elif prop == "membership":
-        factors = _parse_int_list(args.factors or "", "factors")
-        if not factors or args.d is None:
-            raise UsageError("--factors and --d are required for membership")
+        factors = _parse_int_list(args.factors, "factors")
+        if not factors:
+            raise UsageError("--factors is required for membership")
         value = zphi.principal_membership(args.d, zphi.int_product(ring, factors))
         report.add(
             name, [args.d], "principal-membership",
@@ -329,8 +340,6 @@ def cmd_zphi(args) -> int:
             HOLDS, None, "membership against the principal hyperideal",
         )
     else:
-        if args.d is None or args.a is None:
-            raise UsageError("--d and --a are required for radical")
         member = zphi.radical_membership(ring, args.d, args.a)
         profile = zphi.radical_profile(ring, args.d)
         report.add(
@@ -358,11 +367,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, mode: Optional[str] = None):
+    def common(p: argparse.ArgumentParser):
         p.add_argument("--json", action="store_true", help="line-delimited structured records")
         p.add_argument("--out", default=None, help="write the report body to this file")
-        if mode is not None:
-            p.add_argument("--mode", default=mode, help="split aggregation: any | all")
 
     p = sub.add_parser("validate", help="check the hyperring axioms for a ring config")
     p.add_argument("--ring", required=True, help="z<n>:<c1>,<c2>,... or a JSON table file")
@@ -382,7 +389,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--v", type=int, default=None)
     p.add_argument("--aux-ideal", default=None, help="the I of the I-primary variant")
     p.add_argument("--replay", default=None, help="replay a witness factor list")
-    common(p, mode="any")
+    # default None tells an unread --mode apart from one not given
+    p.add_argument("--mode", choices=("any", "all"), default=None, help="split aggregation (default: any)")
+    common(p)
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("sweep", help="run the theorem suite over a ring family")
@@ -395,21 +404,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--timings", action="store_true", help="stamp records with elapsed millis")
     # the suite's statements quantify over every split; the existential
     # reading is available with --mode any
-    common(p, mode="all")
+    p.add_argument("--mode", choices=("any", "all"), default="all", help="split aggregation (default: all)")
+    common(p)
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("zphi", help="exact and windowed checks over the integer hyperring")
-    p.add_argument("--phi", default="2,3", help="comma-separated multipliers")
+    p.add_argument("--phi", default=None, help="comma-separated multipliers (default: 2,3)")
     p.add_argument("--d", type=int, default=None, help="principal generator")
     p.add_argument("--prop", required=True, choices=ZPHI_PROPS)
     p.add_argument("--u", type=int, default=None)
     p.add_argument("--v", type=int, default=None)
-    p.add_argument("--window", type=int, default=None)
+    scan = p.add_mutually_exclusive_group()
+    scan.add_argument("--window", type=int, default=None)
+    scan.add_argument("--replay", default=None, help="replay a witness factor list")
     p.add_argument("--factors", default=None, help="factor list for product/membership")
     p.add_argument("--a", type=int, default=None, help="element for the radical check")
     p.add_argument("--d-list", default=None, help="generators for intersection")
-    p.add_argument("--replay", default=None, help="replay a witness factor list")
-    common(p, mode="any")
+    p.add_argument("--mode", choices=("any", "all"), default=None, help="split aggregation (default: any)")
+    common(p)
     p.set_defaults(fn=cmd_zphi)
 
     p = sub.add_parser("golden", help="replay the worked integer examples")

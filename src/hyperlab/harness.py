@@ -225,11 +225,14 @@ def compute_uv_matrices(
 ) -> tuple[list[dict], list[dict]]:
     """Every (ideal, u, v) pair for u = 2..u_max over the nonunit pool, in
     the primary and the prime reading, from one `classify.uv_scan` call
-    over all (P, rad) targets.  tests/test_uv_kernel.py checks every entry
-    against the one-target deciders, field for field, and against a
-    literal reference decider."""
+    over the (P, rad(P)) targets followed by the (P, P) ones.
+    tests/test_uv_kernel.py checks every entry against the one-target
+    deciders, field for field, and against a literal reference decider."""
     pool = elems_of(ring.unit_report().nonunits)
-    return classify.uv_scan(ring, [(p, r, 0) for p, r in targets], uv_pairs(u_max), mode, pool)
+    primary = [(p, r, 0, "absorbing-primary") for p, r in targets]
+    prime = [(p, p, 0, "absorbing-prime") for p, _ in targets]
+    rows = classify.uv_scan(ring, primary + prime, uv_pairs(u_max), mode, pool)
+    return rows[: len(targets)], rows[len(targets) :]
 
 
 @dataclass
@@ -251,14 +254,14 @@ class RingContext:
         check_strong_c_unit_padding: one kernel call per ring, made when the
         first such ideal is checked."""
         checked = [f for f in self.facts if _unit_padding_gate(self, f) is None]
-        primary, _ = classify.uv_scan(
+        rows = classify.uv_scan(
             self.ring,
-            [(f.mask, f.rad_nil, 0) for f in checked],
+            [(f.mask, f.rad_nil, 0, "absorbing-primary") for f in checked],
             uv_pairs(self.spec.u_max),
             self.spec.mode,
             range(self.ring.n),
         )
-        return {f.mask: m for f, m in zip(checked, primary)}
+        return {f.mask: m for f, m in zip(checked, rows)}
 
 
 def estimated_multisets(pool_size: int, u_max: int) -> int:

@@ -556,12 +556,65 @@ class TestCLI:
         ("check", "--ring", "z8:1,3", "--ideal", "-1", "--prop", "prime"),
         ("check", "--ring", "z8:1,3", "--ideal", "0,4", "--prop", "uv-i-primary",
          "--u", "3", "--v", "2", "--aux-ideal", "0,12"),
+        ("check", "--ring", "z6:1,5", "--prop", "uv-primary", "--ideal", "0",
+         "--u", "3", "--v", "1", "--mode", "bogus"),
+        ("sweep", "--moduli", "2", "--mode", "bogus"),
+        ("zphi", "--prop", "uv-primary", "--d", "12", "--u", "3", "--v", "2",
+         "--window", "4", "--mode", "bogus"),
     ], ids=["u-max", "tuple-budget", "moduli", "moduli-reversed", "phi-beyond-residues",
-            "ideal-member", "ideal-negative", "aux-ideal-member"])
+            "ideal-member", "ideal-negative", "aux-ideal-member",
+            "check-mode", "sweep-mode", "zphi-mode"])
     def test_out_of_range_argument_is_usage_error(self, args):
         proc = run_cli(*args)
         assert proc.returncode == 2
-        assert proc.stderr.startswith("error:")
+        if "bogus" in args:  # refused by the parser, which prints its usage first
+            assert "argument --mode: invalid choice: 'bogus'" in proc.stderr
+        else:
+            assert proc.stderr.startswith("error:")
+
+    @pytest.mark.parametrize("args,unread", [
+        (("zphi", "--prop", "product", "--factors", "2,3", "--mode", "all", "--window", "7", "--u", "9"),
+         "--mode, --u, --window"),
+        (("check", "--ring", "z8:1,3", "--prop", "prime", "--ideal", "0,4", "--mode", "all",
+          "--u", "3", "--v", "2", "--aux-ideal", "0"), "--aux-ideal, --mode, --u, --v"),
+        (("check", "--ring", "z8:1,3", "--prop", "prime", "--ideal", "0,4", "--mode", "any"), "--mode"),
+        (("check", "--ring", "z8:1,3", "--prop", "divided", "--ideal", "0,4"), "--ideal"),
+        (("check", "--ring", "z8:1,3", "--prop", "uv-i-primary", "--ideal", "0,4", "--u", "3",
+          "--v", "2", "--aux-ideal", "0", "--replay", "2,2,2"), "--replay"),
+        (("zphi", "--prop", "intersection", "--d-list", "3,5,7", "--phi", "2,3"), "--phi"),
+    ], ids=["zphi-product", "check-prime", "check-prime-default-mode", "check-divided",
+            "check-i-primary-replay", "zphi-intersection"])
+    def test_option_the_property_does_not_read_is_usage_error(self, args, unread):
+        proc = run_cli(*args)
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: --prop {args[args.index('--prop') + 1]} does not read {unread}\n"
+
+    @pytest.mark.parametrize("args,needed", [
+        (("check", "--ring", "z8:1,3", "--prop", "uv-i-primary", "--ideal", "0", "--u", "3", "--v", "2"),
+         "--aux-ideal"),
+        (("zphi", "--prop", "radical", "--d", "12"), "--a"),
+        (("zphi", "--prop", "uv-prime", "--window", "4"), "--d, --u, --v"),
+    ], ids=["check-i-primary", "zphi-radical", "zphi-window"])
+    def test_option_the_property_needs_is_usage_error(self, args, needed):
+        proc = run_cli(*args)
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: --prop {args[args.index('--prop') + 1]} needs {needed}\n"
+
+    def test_window_and_replay_exclude_each_other(self):
+        proc = run_cli(
+            "zphi", "--prop", "uv-primary", "--d", "12", "--u", "3", "--v", "2",
+            "--window", "4", "--replay", "2,2,3",
+        )
+        assert proc.returncode == 2
+        assert "argument --replay: not allowed with argument --window" in proc.stderr
+
+    def test_mode_is_in_params_only_where_read(self):
+        prime = run_cli("check", "--ring", "z8:1,3", "--prop", "prime", "--ideal", "0,2,4,6", "--json")
+        assert json.loads(prime.stdout.splitlines()[0])["params"] == {"tested": 64}
+        one_abs = run_cli(
+            "check", "--ring", "z8:1,3", "--prop", "1-absorbing-primary", "--ideal", "0,4", "--json"
+        )
+        assert json.loads(one_abs.stdout.splitlines()[0])["params"]["mode"] == "any"
 
     def test_bad_ring_spec_is_usage_error(self):
         proc = run_cli("validate", "--ring", "z6:1,1")

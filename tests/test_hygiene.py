@@ -1,6 +1,7 @@
 """Source hygiene: every name a library module imports at top level is
-used in that module, and every command line option is read by its
-subcommand, so dead imports and options that change nothing cannot creep
+used in that module, every command line option is read by its
+subcommand, and every option of `check` and `zphi` is read by some
+property, so dead imports and options that change nothing cannot creep
 back in."""
 import argparse
 import ast
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from hyperlab.cli import build_parser
+from hyperlab.cli import CHECK_PROPS, ZPHI_PROPS, build_parser
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "hyperlab"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -48,14 +49,35 @@ def args_reads(functions: dict[str, ast.FunctionDef], name: str, position: int =
     return reads
 
 
+def subcommands() -> dict[str, argparse.ArgumentParser]:
+    return next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def option_dests(parser: argparse.ArgumentParser) -> set[str]:
+    return {a.dest for a in parser._actions if not isinstance(a, argparse._HelpAction)}
+
+
 def test_every_cli_option_is_read_by_its_handler():
     tree = ast.parse((SRC / "cli.py").read_text())
     functions = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
-    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     unread = {}
-    for command, parser in subparsers.choices.items():
-        dests = {a.dest for a in parser._actions if not isinstance(a, argparse._HelpAction)}
+    for command, parser in subcommands().items():
+        dests = option_dests(parser)
         missing = dests - args_reads(functions, parser.get_default("fn").__name__)
         if missing:
             unread[command] = sorted(missing)
     assert unread == {}
+
+
+# options every property of a subcommand reads
+COMMON = {"ring", "prop", "json", "out"}
+
+
+@pytest.mark.parametrize("command,table", [("check", CHECK_PROPS), ("zphi", ZPHI_PROPS)])
+def test_property_tables_cover_the_options(command, table):
+    """A property table names exactly the --prop choices, only options
+    the subcommand has, and every option that is not common."""
+    parser = subcommands()[command]
+    prop = next(a for a in parser._actions if a.dest == "prop")
+    assert set(table) == set(prop.choices)
+    assert set().union(*table.values()) == option_dests(parser) - COMMON

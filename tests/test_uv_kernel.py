@@ -4,6 +4,7 @@ frozenset products folded from the multiplication table, distinct v-parts
 in sorted order, remainders by multiset difference, no bitsets and no
 shared product cache."""
 from collections import Counter
+from functools import partial
 from itertools import combinations, combinations_with_replacement
 
 import pytest
@@ -98,12 +99,14 @@ def assert_matrix_matches_reference(ring, targets, uvs, mode, pool):
     """Both readings of one kernel call over `pool`, for every target and
     (u, v) in `uvs`, field for field against the literal reference."""
     ref = Reference(ring, pool)
-    mat_p, mat_q = uv_scan(ring, [(p, r, 0) for p, r in targets], uvs, mode, pool)
-    for (pmask, rad), row_p, row_q in zip(targets, mat_p, mat_q):
-        assert list(row_p) == list(row_q) == uvs
+    primary = [(p, r, 0, "absorbing-primary") for p, r in targets]
+    prime = [(p, p, 0, "absorbing-prime") for p, _ in targets]
+    rows = uv_scan(ring, primary + prime, uvs, mode, pool)
+    assert len(rows) == 2 * len(targets)
+    for (pmask, concl, _, _), row in zip(primary + prime, rows):
+        assert list(row) == uvs
         for u, v in uvs:
-            assert_matches_reference(ring, ref, row_p[(u, v)], pmask, rad, u, v, mode)
-            assert_matches_reference(ring, ref, row_q[(u, v)], pmask, pmask, u, v, mode)
+            assert_matches_reference(ring, ref, row[(u, v)], pmask, concl, u, v, mode)
 
 
 @pytest.mark.parametrize("mode", list(SplitMode))
@@ -124,33 +127,74 @@ def test_matrix_matches_one_target_deciders_and_reference(mode):
 
 @pytest.mark.parametrize("mode", list(SplitMode))
 def test_full_pool_and_avoid_paths(mode):
-    """The full-element pool (the unit-padding check's scan) and the I∘P
-    avoid set of the i-primary variant, as multi-target kernel calls and as
+    """The full-element pool (the unit-padding check's scan) as a
+    multi-target kernel call against the reference, and the I∘P avoid set
+    of the i-primary variant as a multi-target kernel call and as
     one-target deciders."""
     for ring, targets in family():
         nonunits = elems_of(ring.unit_report().nonunits)
         carrier = list(range(ring.n))
         ref_wide, ref = Reference(ring, carrier), Reference(ring, nonunits)
-        wide, _ = uv_scan(ring, [(p, r, 0) for p, r in targets], uv_pairs(U_MAX_WIDE), mode, carrier)
+        wide = uv_scan(
+            ring, [(p, r, 0, "absorbing-primary") for p, r in targets], uv_pairs(U_MAX_WIDE), mode, carrier
+        )
         for (pmask, rad), row in zip(targets, wide):
             for u, v in uv_pairs(U_MAX_WIDE):
-                one = is_uv_absorbing_primary(ring, pmask, rad, UVParams(u, v), mode=mode, pool=carrier)
-                assert row[(u, v)] == one
-                assert_matches_reference(ring, ref_wide, one, pmask, rad, u, v, mode)
+                space = f"absorbing-primary u={u} v={v} pool={ring.n} mode={mode.value}"
+                assert row[(u, v)].checked_space == space
+                assert_matches_reference(ring, ref_wide, row[(u, v)], pmask, rad, u, v, mode)
         avoided = [
             (p, r, ideal_product(ring, i, p).mask, i) for p, r in targets for i, _ in targets
         ]
-        rows, _ = uv_scan(ring, [(p, r, a) for p, r, a, _ in avoided], uv_pairs(U_MAX_WIDE), mode, nonunits)
+        rows = uv_scan(
+            ring,
+            [(p, r, a, "absorbing-i-primary") for p, r, a, _ in avoided],
+            uv_pairs(U_MAX_WIDE),
+            mode,
+            nonunits,
+        )
         for (pmask, rad, avoid, imask), row in zip(avoided, rows):
             for u, v in uv_pairs(U_MAX_WIDE):
                 one = is_uv_absorbing_i_primary(ring, pmask, imask, rad, UVParams(u, v), mode=mode)
                 assert one.extra == {"ideal_product": elems_of(avoid)}
-                assert (row[(u, v)].status, row[(u, v)].witness, row[(u, v)].tested) == (
-                    one.status,
-                    one.witness,
-                    one.tested,
-                )
+                assert fields(row[(u, v)]) == fields(one)
                 assert_matches_reference(ring, ref, one, pmask, rad, u, v, mode, avoid)
+
+
+def fields(verdict):
+    """A verdict without `extra`, which only the one-target i-primary
+    decider fills."""
+    return verdict.status, verdict.witness, verdict.tested, verdict.checked_space
+
+
+@pytest.mark.parametrize("mode", list(SplitMode))
+def test_mixed_readings_in_one_call(mode):
+    """Primary, prime and I∘P-avoid targets interleaved in one kernel call,
+    each with its own label: every row is, field for field, the one-target
+    decider's verdict and the reference's, and its space names its own
+    reading."""
+    for ring, targets in family():
+        nonunits = elems_of(ring.unit_report().nonunits)
+        ref = Reference(ring, nonunits)
+        readings = []
+        # I runs over the targets shifted by one, so the avoid sets differ
+        for (p, r), (i, _) in zip(targets, targets[1:] + targets[:1]):
+            readings += [
+                ((p, r, 0, "absorbing-primary"), partial(is_uv_absorbing_primary, ring, p, r)),
+                ((p, p, 0, "absorbing-prime"), partial(is_uv_absorbing_prime, ring, p)),
+                (
+                    (p, r, ideal_product(ring, i, p).mask, "absorbing-i-primary"),
+                    partial(is_uv_absorbing_i_primary, ring, p, i, r),
+                ),
+            ]
+        rows = uv_scan(ring, [target for target, _ in readings], uv_pairs(U_MAX_WIDE), mode, nonunits)
+        assert len(rows) == len(readings)
+        for ((pmask, concl, avoid, label), decide), row in zip(readings, rows):
+            for u, v in uv_pairs(U_MAX_WIDE):
+                verdict = row[(u, v)]
+                assert fields(verdict) == fields(decide(UVParams(u, v), mode=mode))
+                assert verdict.checked_space.startswith(label + " u=")
+                assert_matches_reference(ring, ref, verdict, pmask, concl, u, v, mode, avoid)
 
 
 # Rings without an identity, so all 12 elements are nonunits, each with 5
@@ -192,7 +236,7 @@ def test_lower_of_two_failing_slots_is_the_witness():
     pmask, rad = mask_of([0]), mask_of([0, 2, 4])
     assert radical_nilpotent(ring, pmask) == rad
     pool = list(range(ring.n))
-    (verdict,), _ = uv_scan(ring, [(pmask, rad, 0)], [(3, 1)], SplitMode.ALL, pool)
+    (verdict,) = uv_scan(ring, [(pmask, rad, 0, "absorbing-primary")], [(3, 1)], SplitMode.ALL, pool)
     assert verdict[(3, 1)].witness == {"factors": [2, 1, 1], "v_part": [2], "rest": [1, 1]}
     assert verdict[(3, 1)].tested == 22
     # [1,1,4] fails too, and it is the next multiset to meet the hypothesis
