@@ -13,17 +13,18 @@ integer examples this library reproduces.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations, combinations_with_replacement
 from typing import Optional, Sequence
 
 from .core import FiniteHyperring, Mask, elems_of, iter_bits, subset
 from .ideals import (
     HyperIdeal,
-    _prime_pair_witness,
     colon,
     enumerate_hyperideals,
     generate,
     ideal_product,
+    prime_pair_witness,
 )
 from .verdicts import (
     ParameterError,
@@ -76,16 +77,15 @@ def _complement(ms: Sequence[int], part: Sequence[int]) -> tuple:
     return tuple(rest)
 
 
-def _v_splits(ms: tuple, v: int) -> tuple[list[tuple], list[tuple]]:
-    """The v-parts of the sorted multiset ms in canonical order, and at the
-    same positions their remainders.  combinations() lists index subsets
-    in lexicographic order and their complements in the reverse order.  A
-    repeated factor repeats a split; the first occurrence of each distinct
-    v-part comes in sorted order, so the first failing split is the same
-    as over distinct v-parts."""
-    rests = list(combinations(ms, len(ms) - v))
-    rests.reverse()
-    return list(combinations(ms, v)), rests
+@cache
+def splits(ms: tuple, v: int) -> tuple[tuple[tuple, tuple], ...]:
+    """The canonical split order: each distinct (v-part, remainder) of the
+    multiset ms once, v-parts in ascending order.  A v-part keeps the order
+    of ms and the remainder is ms without the v-part's members, so both
+    are sorted when ms is.  Every split walk that reports a witness walks
+    this order, so its witness is the first failing split in it.  Memoized:
+    the walks ask for the same small multisets again and again."""
+    return tuple((vp, _complement(ms, vp)) for vp in sorted(set(combinations(ms, v))))
 
 
 # -- prime / primary ----------------------------------------------------------
@@ -94,7 +94,7 @@ def _v_splits(ms: tuple, v: int) -> tuple[list[tuple], list[tuple]]:
 def is_prime(ring: FiniteHyperring, pmask: Mask) -> Verdict:
     """x ∘ y ⊆ P forces x in P or y in P, over all pairs."""
     _require_proper(ring, pmask)
-    pair = _prime_pair_witness(ring, pmask)
+    pair = prime_pair_witness(ring, pmask)
     if pair is not None:
         return fails({"x": pair[0], "y": pair[1]}, space="all element pairs", tested=1)
     return holds(space="all element pairs", tested=ring.n * ring.n)
@@ -105,21 +105,22 @@ def is_primary(ring: FiniteHyperring, pmask: Mask, radmask: Mask) -> Verdict:
     _require_proper(ring, pmask)
     hm = ring.hmul
     notp = ~pmask
-    tested = 0
-    for x in range(ring.n):
-        row = hm[x]
-        for y in range(x, ring.n):
-            if row[y] & notp:
-                continue
-            tested += 1
-            for a, b in ((x, y), (y, x)):
-                if not (pmask >> a & 1 or radmask >> b & 1):
-                    return fails(
-                        {"x": a, "y": b},
-                        space="all ordered element pairs",
-                        tested=tested,
-                    )
-    return holds(space="all ordered element pairs", tested=tested)
+
+    # one case per unordered pair with x ∘ y ⊆ P; (x, y) is tried first
+    def cases():
+        for x in range(ring.n):
+            row = hm[x]
+            for y in range(x, ring.n):
+                if row[y] & notp:
+                    continue
+                if not (pmask >> x & 1 or radmask >> y & 1):
+                    yield {"x": x, "y": y}
+                elif not (pmask >> y & 1 or radmask >> x & 1):
+                    yield {"x": y, "y": x}
+                else:
+                    yield None
+
+    return first_failure("all ordered element pairs", cases())
 
 
 # -- (u,v)-absorbing deciders -------------------------------------------------
@@ -329,7 +330,7 @@ def uv_scan(
                             else:
                                 vp, rest = next(
                                     (vp, rest)
-                                    for vp, rest in zip(*_v_splits(ms, v))
+                                    for vp, rest in splits(ms, v)
                                     if not (bits[prods[vp]][0] | bits[prods[rest]][1]) >> t & 1
                                 )
                                 witness = {"factors": list(vp + rest), "v_part": list(vp), "rest": list(rest)}
@@ -468,12 +469,10 @@ def replay_uv_counterexample(
         return bool(ring.hyperproduct(vpart) & ~pmask) and bool(
             ring.hyperproduct(rest) & ~concl_mask
         )
-    for vpart, rest in zip(*_v_splits(ms, v)):
-        if not ring.hyperproduct(vpart) & ~pmask:
-            return False
-        if not ring.hyperproduct(rest) & ~concl_mask:
-            return False
-    return True
+    return all(
+        ring.hyperproduct(vpart) & ~pmask and ring.hyperproduct(rest) & ~concl_mask
+        for vpart, rest in splits(ms, v)
+    )
 
 
 # -- the top-arity characterization ------------------------------------------
@@ -558,13 +557,11 @@ def check_v1v_characterization(
         ring._cache[("iprod", v)] = iprod
 
     def clause_iv_witness(idxs: tuple) -> Optional[dict]:
-        choices = sorted(set(idxs))
         if mode is SplitMode.ANY:
-            if any(not iprod[_complement(idxs, (q,))] & notp or subset(proper[q], radmask) for q in choices):
+            if any(not iprod[rest] & notp or subset(proper[q], radmask) for (q,), rest in splits(idxs, 1)):
                 return None
             return {"ideals": [elems_of(proper[i]) for i in idxs]}
-        for q in choices:
-            rest = _complement(idxs, (q,))
+        for (q,), rest in splits(idxs, 1):
             if iprod[rest] & notp and proper[q] & ~radmask:
                 return {"ideals": [elems_of(proper[i]) for i in rest], "last": elems_of(proper[q])}
         return None
@@ -584,20 +581,10 @@ def check_v1v_characterization(
 def is_divided(ring: FiniteHyperring) -> Verdict:
     """Every prime hyperideal is comparable with every principal one:
     Q ⊆ <a> whenever a is outside the prime Q."""
-    lattice = enumerate_hyperideals(ring)
-    gen_cache: dict[int, Mask] = {}
-    tested = 0
-    for q in lattice.primes():
-        for a in range(ring.n):
-            if a in q:
-                continue
-            tested += 1
-            if a not in gen_cache:
-                gen_cache[a] = generate(ring, 1 << a).mask
-            if q.mask & ~gen_cache[a]:
-                return fails(
-                    {"prime": q.members(), "a": a, "principal": elems_of(gen_cache[a])},
-                    space="primes vs principal hyperideals",
-                    tested=tested,
-                )
-    return holds(space="primes vs principal hyperideals", tested=tested)
+    principal = cache(lambda a: generate(ring, 1 << a).mask)
+    return first_failure("primes vs principal hyperideals", (
+        {"prime": q.members(), "a": a, "principal": elems_of(principal(a))} if q.mask & ~principal(a) else None
+        for q in enumerate_hyperideals(ring).primes()
+        for a in range(ring.n)
+        if a not in q
+    ))

@@ -93,13 +93,13 @@ def _emit(report: Report, args) -> None:
                 f"[{r['status']}] ring={r['ring']} ideal={r['ideal']} "
                 f"property={r['property']} params={json.dumps(r['params'])}{extra}"
             )
-        lines.append(report.summary().splitlines()[0])
+        lines.append(report.summary())
         body = "\n".join(lines)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(body + "\n")
         if not args.json:
-            print(report.summary().splitlines()[0])
+            print(report.summary())
     else:
         print(body)
 

@@ -348,8 +348,13 @@ def localize(ring: FiniteHyperring, smask: Mask) -> LocalizedRing:
                 for y, value in enumerate(trip[t][r]):
                     row |= by_value.get(value, 0) << y * k
             rows.append(row)
-    # transitive iff every related row is contained in its own row
+    # transitive iff every related row is contained in its own row; a row
+    # equal to one already checked passes as that one did
+    checked = set()
     for i, row in enumerate(rows):
+        if row in checked:
+            continue
+        checked.add(row)
         for j in iter_bits(row):
             extra = rows[j] & ~row
             if extra:

@@ -67,12 +67,6 @@ class ValidationReport:
     failures: list[AxiomFailure]
     strongly_distributive: Optional[bool]
 
-    def describe(self) -> str:
-        if self.ok:
-            sd = "strongly distributive" if self.strongly_distributive else "weakly distributive"
-            return f"pass ({sd})"
-        return "; ".join(f.describe() for f in self.failures)
-
 
 @dataclass
 class UnitReport:
@@ -215,113 +209,84 @@ class FiniteHyperring:
         failures: list[AxiomFailure] = []
         n, add, hm = self.n, self.add, self.hmul
 
+        # each axiom is a walk over its cases that yields the failing ones;
+        # the first yielded is the axiom's witness
+        def first(axiom: str, walk: Iterator[tuple]) -> bool:
+            witness = next(walk, None)
+            if witness is not None:
+                failures.append(AxiomFailure(axiom, witness))
+            return witness is None
+
         # additive commutative group
         if self.zero is None:
             failures.append(AxiomFailure("additive-identity", ()))
         if self.neg is None and self.zero is not None:
             failures.append(AxiomFailure("additive-inverse", ()))
-        for a in range(n):
-            for b in range(n):
-                if add[a][b] != add[b][a]:
-                    failures.append(AxiomFailure("additive-commutativity", (a, b)))
-                    break
-            else:
-                continue
-            break
-        assoc_ok = True
-        for a in range(n):
-            for b in range(n):
-                ab = add[a][b]
-                rowb = add[b]
-                for c in range(n):
-                    if add[ab][c] != add[a][rowb[c]]:
-                        failures.append(AxiomFailure("additive-associativity", (a, b, c)))
-                        assoc_ok = False
-                        break
-                if not assoc_ok:
-                    break
-            if not assoc_ok:
-                break
+        first("additive-commutativity", ((a, b) for a in range(n) for b in range(n) if add[a][b] != add[b][a]))
+        first("additive-associativity", (
+            (a, b, c) for a in range(n) for b in range(n) for c in range(n) if add[add[a][b]][c] != add[a][add[b][c]]
+        ))
 
         # hypermultiplication commutativity
-        for a in range(n):
-            for b in range(a + 1, n):
-                if hm[a][b] != hm[b][a]:
-                    failures.append(AxiomFailure("hmul-commutativity", (a, b)))
-                    break
-            else:
-                continue
-            break
+        first("hmul-commutativity", ((a, b) for a in range(n) for b in range(a + 1, n) if hm[a][b] != hm[b][a]))
 
         # semihypergroup associativity, set-extended:
         #   union over t in (b∘c) of a∘t  ==  union over s in (a∘b) of s∘c
         # left is memoized on (a, b∘c) and right on (a∘b, c): the two keys
         # stay apart, so a table that is not commutative keeps its witness
-        lefts: dict[tuple[int, Mask], Mask] = {}
-        rights: dict[tuple[Mask, int], Mask] = {}
-        ok = True
-        for a in range(n):
-            rowa = hm[a]
-            for b in range(n):
-                ab = rowa[b]
-                rowb = hm[b]
-                for c in range(n):
-                    key = (a, rowb[c])
-                    left = lefts.get(key)
-                    if left is None:
-                        left = lefts[key] = self.set_mul(1 << a, rowb[c])
-                    key = (ab, c)
-                    right = rights.get(key)
-                    if right is None:
-                        right = rights[key] = self.mul_elem(ab, c)
-                    if left != right:
-                        failures.append(AxiomFailure("hmul-associativity", (a, b, c)))
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
+        def hmul_associativity():
+            lefts: dict[tuple[int, Mask], Mask] = {}
+            rights: dict[tuple[Mask, int], Mask] = {}
+            for a in range(n):
+                rowa = hm[a]
+                for b in range(n):
+                    ab = rowa[b]
+                    rowb = hm[b]
+                    for c in range(n):
+                        key = (a, rowb[c])
+                        left = lefts.get(key)
+                        if left is None:
+                            left = lefts[key] = self.set_mul(1 << a, rowb[c])
+                        key = (ab, c)
+                        right = rights.get(key)
+                        if right is None:
+                            right = rights[key] = self.mul_elem(ab, c)
+                        if left != right:
+                            yield (a, b, c)
+
+        first("hmul-associativity", hmul_associativity())
 
         strongly: Optional[bool] = None
         if self.neg is not None and self.zero is not None:
             # sign rule: (-a)∘b == -(a∘b)
             neg = self.neg
             negs = {m: self.set_neg(m) for m in {m for row in hm for m in row}}
-            ok = True
-            for a in range(n):
-                for b in range(n):
-                    if hm[neg[a]][b] != negs[hm[a][b]]:
-                        failures.append(AxiomFailure("sign-rule", (a, b)))
-                        ok = False
-                        break
-                if not ok:
-                    break
+            first("sign-rule", ((a, b) for a in range(n) for b in range(n) if hm[neg[a]][b] != negs[hm[a][b]]))
+
             # weak distributivity: (a+b)∘c ⊆ a∘c + b∘c; equality everywhere
-            # is the strongly-distributive flag
+            # is the strongly-distributive flag, which the walk clears at the
+            # first strict inclusion
             strongly = True
-            ok = True
-            sums: dict[tuple[Mask, Mask], Mask] = {}
-            for a in range(n):
-                for b in range(n):
-                    s = add[a][b]
-                    for c in range(n):
-                        lhs = hm[s][c]
-                        key = (hm[a][c], hm[b][c])
-                        rhs = sums.get(key)
-                        if rhs is None:
-                            rhs = sums[key] = self.set_add(*key)
-                        if lhs & ~rhs:
-                            failures.append(AxiomFailure("weak-distributivity", (a, b, c)))
-                            ok = False
-                            strongly = None
-                            break
-                        if lhs != rhs:
-                            strongly = False
-                    if not ok:
-                        break
-                if not ok:
-                    break
+
+            def weak_distributivity():
+                nonlocal strongly
+                sums: dict[tuple[Mask, Mask], Mask] = {}
+                for a in range(n):
+                    for b in range(n):
+                        s = add[a][b]
+                        for c in range(n):
+                            lhs = hm[s][c]
+                            key = (hm[a][c], hm[b][c])
+                            rhs = sums.get(key)
+                            if rhs is None:
+                                rhs = sums[key] = self.set_add(*key)
+                            if lhs & ~rhs:
+                                yield (a, b, c)
+                            if lhs != rhs:
+                                strongly = False
+
+            if not first("weak-distributivity", weak_distributivity()):
+                strongly = None
 
         report = ValidationReport(not failures, failures, strongly)
         self._cache["validation"] = report

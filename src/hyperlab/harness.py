@@ -156,18 +156,10 @@ class Report:
         return "\n".join(json.dumps(r, sort_keys=False) for r in self.records)
 
     def summary(self) -> str:
-        total = len(self.records)
-        lines = [
-            f"records={total} violations={self.violations} errors={self.errors} "
+        return (
+            f"records={len(self.records)} violations={self.violations} errors={self.errors} "
             f"skipped={self.skipped} vacuous={self.vacuous} incomplete={self.incomplete}"
-        ]
-        for r in self.records:
-            if r["status"] in (FAILS, ERROR):
-                lines.append(
-                    f"  {r['status'].upper()} ring={r['ring']} ideal={r['ideal']} "
-                    f"property={r['property']} params={r['params']} witness={r['witness']}"
-                )
-        return "\n".join(lines)
+        )
 
 
 # -- family enumeration ---------------------------------------------------------

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import FiniteHyperring, Mask, elems_of, iter_bits, subset
-from .verdicts import UsageError, Verdict, fails, holds
+from .verdicts import UsageError, Verdict, first_failure
 
 
 @dataclass
@@ -137,7 +137,7 @@ def enumerate_hyperideals(ring: FiniteHyperring) -> IdealLattice:
     masks = [m for m in enumerate_subgroups(ring) if absorbs(ring, m) is None]
     ideals = [HyperIdeal(ring, m) for m in masks]
     full = ring.full_mask
-    prime = [b.proper and _prime_pair_witness(ring, b.mask) is None for b in ideals]
+    prime = [b.proper and prime_pair_witness(ring, b.mask) is None for b in ideals]
     maximal = []
     for b in ideals:
         if not b.proper:
@@ -160,7 +160,9 @@ def enumerate_hyperideals(ring: FiniteHyperring) -> IdealLattice:
     return lattice
 
 
-def _prime_pair_witness(ring: FiniteHyperring, pmask: Mask) -> Optional[tuple]:
+def prime_pair_witness(ring: FiniteHyperring, pmask: Mask) -> Optional[tuple]:
+    """The first pair x <= y of elements outside P with x ∘ y ⊆ P, or None
+    when P is prime (for proper P)."""
     hm = ring.hmul
     notp = ~pmask
     for x in range(ring.n):
@@ -261,17 +263,11 @@ def product_set_closure(ring: FiniteHyperring) -> dict[Mask, tuple]:
 def is_c_hyperideal(ring: FiniteHyperring, bmask: Mask) -> Verdict:
     """C condition: every finite hyperproduct that meets B lies inside B."""
     prods = product_set_closure(ring)
-    tested = 0
-    for m, factors in prods.items():
-        if m & bmask:
-            tested += 1
-            if m & ~bmask:
-                return fails(
-                    {"factors": list(factors), "product": elems_of(m)},
-                    space=f"{len(prods)} distinct product sets",
-                    tested=tested,
-                )
-    return holds(space=f"{len(prods)} distinct product sets", tested=tested)
+    return first_failure(f"{len(prods)} distinct product sets", (
+        {"factors": list(factors), "product": elems_of(m)} if m & ~bmask else None
+        for m, factors in prods.items()
+        if m & bmask
+    ))
 
 
 def is_strong_c_hyperideal(ring: FiniteHyperring, bmask: Mask) -> Verdict:
@@ -286,24 +282,19 @@ def is_strong_c_hyperideal(ring: FiniteHyperring, bmask: Mask) -> Verdict:
     if not is_subgroup(ring, bmask):
         raise UsageError("strong C test needs an additive subgroup")
     prods = product_set_closure(ring)
-    tested = 0
-    for m, factors in prods.items():
-        if m & (m - 1) == 0:
-            continue  # singleton: always inside one coset
-        tested += 1
+
+    def case(m: Mask, factors: tuple) -> Optional[dict]:
         t0 = (m & -m).bit_length() - 1
         shifted = ring.set_add(m, 1 << ring.neg[t0])
         if shifted & ~bmask:
             # sum ⊙(factors) + (-t0) meets B at zero but leaves B
-            return fails(
-                {
-                    "summands": [list(factors), [ring.neg[t0]]],
-                    "sum": elems_of(shifted),
-                },
-                space=f"{len(prods)} product sets vs cosets of B",
-                tested=tested,
-            )
-    return holds(space=f"{len(prods)} product sets vs cosets of B", tested=tested)
+            return {"summands": [list(factors), [ring.neg[t0]]], "sum": elems_of(shifted)}
+        return None
+
+    # a singleton is always inside one coset
+    return first_failure(f"{len(prods)} product sets vs cosets of B", (
+        case(m, factors) for m, factors in prods.items() if m & (m - 1)
+    ))
 
 
 def ideal_product(ring: FiniteHyperring, p: Mask, q: Mask) -> HyperIdeal:

@@ -15,10 +15,10 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement, islice
+from itertools import combinations_with_replacement, islice
 from typing import Iterable, Sequence
 
-from .classify import _complement
+from .classify import splits
 from .verdicts import (
     ParameterError,
     SplitMode,
@@ -255,7 +255,7 @@ def bounded_uv_check(
         return g_parts[u - v] % _subset_q(concl_mod, math.prod(rest)) == 0
 
     def breaks(ms: tuple) -> bool:
-        oks = (split_ok(vp, _complement(ms, vp)) for vp in set(combinations(ms, v)))
+        oks = (split_ok(vp, rest) for vp, rest in splits(ms, v))
         return not any(oks) if mode is SplitMode.ANY else not all(oks)
 
     # The second pass is the start of the nondecreasing order over pool, up
@@ -294,8 +294,7 @@ def bounded_uv_check(
     def witness(ms: tuple) -> dict:
         if mode is SplitMode.ANY:
             return {"factors": list(ms)}
-        vp = next(vp for vp in sorted(set(combinations(ms, v))) if not split_ok(vp, _complement(ms, vp)))
-        rest = _complement(ms, vp)
+        vp, rest = next((vp, rest) for vp, rest in splits(ms, v) if not split_ok(vp, rest))
         return {"factors": list(vp + rest), "v_part": list(vp), "rest": list(rest)}
 
     space = f"nonunit multisets |x|<={window} u={u} v={v} mode={mode.value}"
@@ -346,4 +345,4 @@ def replay_int_counterexample(
 
     if mode is SplitMode.ALL:
         return not ok(tuple(factors[:v]), tuple(factors[v:]))
-    return not any(ok(vp, _complement(ms, vp)) for vp in sorted(set(combinations(ms, v))))
+    return not any(ok(vp, rest) for vp, rest in splits(ms, v))

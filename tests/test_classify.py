@@ -2,6 +2,8 @@
 including the two split readings and witness replay."""
 import hashlib
 import json
+from collections import Counter
+from itertools import combinations_with_replacement, product
 
 import pytest
 from hypothesis import given, settings
@@ -17,10 +19,16 @@ from hyperlab.classify import (
     is_uv_absorbing_primary,
     is_uv_absorbing_prime,
     replay_uv_counterexample,
+    splits,
 )
 from hyperlab.core import elems_of, mask_of, subset
 from hyperlab.harness import RingFamilySpec, enumerate_family
-from hyperlab.ideals import enumerate_hyperideals, radical_nilpotent
+from hyperlab.ideals import (
+    enumerate_hyperideals,
+    is_c_hyperideal,
+    is_strong_c_hyperideal,
+    radical_nilpotent,
+)
 from hyperlab.verdicts import ParameterError, SplitMode, UVParams
 
 EVENS8 = mask_of({0, 2, 4, 6})
@@ -42,6 +50,9 @@ Z6U_SPLIT_TABLE = {
 # sha256 of the clause rows built in TestCharacterization.test_clauses_pinned_on_family
 CLAUSE_DIGEST = "768f6ea6d8659556b273d18d90478229ef0a23ca492de52118a2604e95be1f66"
 
+# sha256 of the verdict rows built in TestDeciderPin.test_pair_and_c_deciders_pinned_on_family
+DECIDER_DIGEST = "cda3b02790aebde8cc471c5c91fab24f2123c34dd95203d302b7ee6d39aea06a"
+
 
 class TestUVParams:
     @pytest.mark.parametrize("u,v", [(2, 2), (1, 1), (3, 0), (2, 3)])
@@ -52,6 +63,28 @@ class TestUVParams:
     def test_accepts_valid(self):
         p = UVParams(3, 2)
         assert (p.u, p.v) == (3, 2)
+
+
+def reference_splits(ms: tuple, v: int) -> list[tuple]:
+    """Every (v-part, remainder) of the sorted multiset ms, by choosing how
+    many copies of each distinct value go to the v-part."""
+    counts = Counter(ms)
+    values = sorted(counts)
+    out = []
+    for ks in product(*(range(counts[x] + 1) for x in values)):
+        if sum(ks) == v:
+            vpart = tuple(x for x, k in zip(values, ks) for _ in range(k))
+            rest = tuple(x for x, k in zip(values, ks) for _ in range(counts[x] - k))
+            out.append((vpart, rest))
+    return sorted(out)
+
+
+class TestSplits:
+    def test_matches_counter_reference(self):
+        for size in range(7):
+            for ms in combinations_with_replacement((-2, 1, 3), size):
+                for v in range(size + 1):
+                    assert list(splits(ms, v)) == reference_splits(ms, v)
 
 
 class TestPrimePrimary:
@@ -231,3 +264,46 @@ class TestDivided:
         v = is_divided(z6a)
         assert v.fails
         assert v.witness == {"prime": [0, 3], "a": 2, "principal": [0, 2, 4]}
+
+
+class TestDeciderPin:
+    def test_pair_and_c_deciders_pinned_on_family(self):
+        # is_divided once per validated ring of moduli 2-10, and per proper
+        # ideal is_primary, is_c_hyperideal, is_strong_c_hyperideal,
+        # is_prime and is_1_absorbing_primary in both modes: the status,
+        # witness, space and tested of every verdict
+        rows = []
+        for ring in enumerate_family(RingFamilySpec(moduli=tuple(range(2, 11)))):
+            if not ring.validate().ok:
+                continue
+            rows.append([ring.name, None, "divided", is_divided(ring).to_record()])
+            for b in enumerate_hyperideals(ring).proper():
+                rad = radical_nilpotent(ring, b.mask)
+                verdicts = {
+                    "primary": is_primary(ring, b.mask, rad),
+                    "c": is_c_hyperideal(ring, b.mask),
+                    "strong-c": is_strong_c_hyperideal(ring, b.mask),
+                    "prime": is_prime(ring, b.mask),
+                    "1-absorbing-any": is_1_absorbing_primary(ring, b.mask, rad, SplitMode.ANY),
+                    "1-absorbing-all": is_1_absorbing_primary(ring, b.mask, rad, SplitMode.ALL),
+                }
+                rows += [[ring.name, b.members(), name, v.to_record()] for name, v in verdicts.items()]
+        kinds = Counter((name, rec["status"]) for _, _, name, rec in rows)
+        assert len(rows) == 7653
+        assert kinds == {
+            ("divided", "holds"): 295,
+            ("divided", "fails"): 200,
+            ("primary", "holds"): 993,
+            ("primary", "fails"): 200,
+            ("c", "holds"): 333,
+            ("c", "fails"): 860,
+            ("strong-c", "holds"): 94,
+            ("strong-c", "fails"): 1099,
+            ("prime", "holds"): 654,
+            ("prime", "fails"): 539,
+            ("1-absorbing-any", "holds"): 1193,
+            ("1-absorbing-all", "holds"): 1019,
+            ("1-absorbing-all", "fails"): 174,
+        }
+        digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+        assert digest == DECIDER_DIGEST

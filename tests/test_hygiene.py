@@ -1,8 +1,8 @@
 """Source hygiene: every name a library module imports at top level is
-used in that module, every command line option is read by its
-subcommand, and every option of `check` and `zphi` is read by some
-property, so dead imports and options that change nothing cannot creep
-back in."""
+used in that module, no module imports another module's private names,
+every command line option is read by its subcommand, and every option of
+`check` and `zphi` is read by some property, so dead imports and options
+that change nothing cannot creep back in."""
 import argparse
 import ast
 from pathlib import Path
@@ -30,6 +30,17 @@ def unused_imports(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
+
+
+def test_no_private_cross_module_imports():
+    """A `_`-prefixed name is private to its module: no other hyperlab
+    module imports it."""
+    private = []
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("hyperlab")):
+                private += [f"{path.stem} <- {node.module}.{a.name}" for a in node.names if a.name.startswith("_")]
+    assert private == []
 
 
 def args_reads(functions: dict[str, ast.FunctionDef], name: str, position: int = 0) -> set[str]:
