@@ -196,33 +196,15 @@ class _TargetBits(dict):
         return out
 
 
-class _Slots(dict):
-    """mask m -> one field of `_TargetBits` for m ∘ x, for every pool
-    element x at once: slot k, n bits wide, holds the field of m ∘ pool[k].
-    None (the empty product) -> the field of {x} in each slot."""
+class _Memo(dict):
+    """key -> fn(key), filled on first use."""
 
-    def __init__(self, bits: _TargetBits, times: Sequence[_Times], field: int):
+    def __init__(self, fn):
         super().__init__()
-        self.bits, self.times, self.field = bits, times, field
-        self.width = len(bits.targets)
+        self.fn = fn
 
-    def __missing__(self, m: Optional[Mask]) -> int:
-        out = 0
-        for k, tx in enumerate(self.times):
-            out |= self.bits[tx[m]][self.field] << self.width * k
-        self[m] = out
-        return out
-
-
-class _Repeated(dict):
-    """mask m -> one field of `_TargetBits` for m, repeated in every slot."""
-
-    def __init__(self, bits: _TargetBits, ones: int, field: int):
-        super().__init__()
-        self.bits, self.ones, self.field = bits, ones, field
-
-    def __missing__(self, m: Mask) -> int:
-        self[m] = out = self.bits[m][self.field] * self.ones
+    def __missing__(self, key):
+        self[key] = out = self.fn(key)
         return out
 
 
@@ -244,15 +226,20 @@ def uv_scan(
     does not.  Returns, per target, {(u, v): Verdict} with spaces labelled
     by the target's label.
 
-    Targets are bit-sliced (`_TargetBits`), and so is the last factor: a
-    u-multiset is a (u-2)-prefix, a factor y and a last factor x >= y, and
-    `_Slots` packs the bits of m ∘ x for every pool element x into one int,
-    one n-bit slot per x.  y and x each join the v-part or the remainder,
-    so a split (a, b) of the prefix with a v-part of size v-2, v-1 or v
-    gives the splits (a∘y∘x, b), (a∘y, b∘x), (a∘x, b∘y) and (a, b∘y∘x) of
-    every multiset (prefix, y, x) in a few int operations.  Multisets come
-    prefix-major with x ascending, which is canonical order, so a pair's
-    witness is its lowest failing slot in the first (prefix, y) that has
+    Targets are bit-sliced (`_TargetBits`), and so are the last two
+    factors: a u-multiset is a (u-2)-prefix followed by y <= x, and one
+    int of |pool|² * n bits holds a (y, x) grid, slot y * |pool| + x
+    holding the n target bits of the multiset (prefix, pool[y], pool[x]).
+    A valid-slot mask keeps the canonical slots, last(prefix) <= y <= x.
+    Per product mask m and field, four memoized tables, built from a
+    one-factor row of the bits of m∘x per slot x, lay out the bits of m∘y∘x
+    in each slot, of m∘y repeated along row y, of m∘x repeated down column
+    x, and of m in every slot.  y and x each join the v-part or the remainder, so a split (a, b)
+    of the prefix with a v-part of size v-2, v-1 or v gives the splits
+    (a∘y∘x, b), (a∘y, b∘x), (a∘x, b∘y) and (a, b∘y∘x) of every multiset of
+    the grid in a few int operations.  Prefixes come in canonical order and
+    slots row-major, which is canonical order within a prefix, so a pair's
+    witness is its lowest failing valid slot in the first prefix that has
     one: the multiset (ANY) or its first failing split (ALL).  `tested`
     counts the multisets meeting the hypothesis up to the witness, or in
     total for a holding pair, by popcounts of the packed hypothesis bits.
@@ -260,13 +247,33 @@ def uv_scan(
     pool = tuple(pool)
     n, size = len(targets), len(pool)
     every = (1 << n) - 1
-    ones = sum(1 << n * k for k in range(size))  # bit 0 of every slot
-    from_slot = [every * ones >> n * k << n * k for k in range(size)]
+    row = n * size  # bits per grid row
+    row_ones = sum(1 << n * x for x in range(size))  # bit 0 of every slot of row 0
+    col_ones = sum(1 << row * y for y in range(size))  # bit 0 of slot 0 of every row
+    ones = row_ones * col_ones  # bit 0 of every slot
+    # valid[lo]: every target bit of the slots with lo <= y <= x
+    valid = [0] * (size + 1)
+    for lo in reversed(range(size)):
+        valid[lo] = valid[lo + 1] | (every * row_ones >> n * lo << n * lo << row * lo)
     prods = multiset_products(ring, max((u for u, _ in uvs), default=2) - 1, pool)
     bits = _TargetBits(targets)
     times = [_Times(ring, x) for x in pool]  # by slot
-    vb_x, rb_x, hb_x = (_Slots(bits, times, field) for field in range(3))
-    vb_rep, rb_rep = (_Repeated(bits, ones, field) for field in range(2))
+
+    def grid(field: int) -> tuple[_Memo, _Memo, _Memo, _Memo]:
+        """The tables m -> field of m∘y∘x, m∘y, m∘x and m in slot (y, x),
+        built from the one-factor row m -> field of m∘x in slot x of row 0
+        (None, the empty product, standing for {x})."""
+        line = _Memo(lambda m: sum(bits[tx[m]][field] << n * x for x, tx in enumerate(times)))
+        return (
+            _Memo(lambda m: sum(line[ty[m]] << row * y for y, ty in enumerate(times))),
+            _Memo(lambda m: sum(bits[ty[m]][field] * row_ones << row * y for y, ty in enumerate(times))),
+            _Memo(lambda m: line[m] * col_ones),
+            _Memo(lambda m: bits[m][field] * ones),
+        )
+
+    vb_yx, vb_y, vb_x, vb = grid(0)
+    rb_yx, rb_y, rb_x, rb = grid(1)
+    hb_yx = grid(2)[0]
     any_mode = mode is SplitMode.ANY
     out = [{} for _ in targets]
     vs_of: dict[int, list[int]] = {}
@@ -278,72 +285,68 @@ def uv_scan(
         open_ = dict.fromkeys(vs, every * ones)
         live = every * ones
         found: dict[tuple[int, int], tuple[dict, int]] = {}
-        # packed hypothesis bits of a (prefix, y) block -> blocks seen
+        # packed hypothesis bits of a prefix's grid -> prefixes seen
         counts: dict[int, int] = {}
         prefix_splits = _PrefixSplits(times)
         for head_at in combinations_with_replacement(range(size), u - 2):
             if not live:
                 break
             head = tuple(pool[i] for i in head_at)
+            hb = hb_yx[prods[head] if head else None] & valid[head_at[-1] if head else 0]
+            if not hb & live:
+                continue
             # lv[j + 1]: the prefix's splits with a v-part of size j
             lv = ((), *prefix_splits.of(head_at), ())
-            pm = prods[head] if head else None
-            for y in range(head_at[-1] if head else 0, size):
-                ty = times[y]
-                hb = hb_x[ty[pm]] & from_slot[y]
-                if not hb & live:
+            closed = False
+            for v in vs:
+                need = hb & open_[v]
+                if not need:
                     continue
-                closed = False
+                # ok: the pairs that some split (ANY) or every split (ALL)
+                # satisfies, per slot (y, x)
+                if any_mode:
+                    ok = 0
+                    for a, b in lv[v - 1]:  # y and x join the v-part
+                        ok |= vb_yx[a] | rb[b]
+                    for a, b in lv[v]:  # one joins the v-part, one the remainder
+                        ok |= vb_y[a] | rb_x[b] | vb_x[a] | rb_y[b]
+                    for a, b in lv[v + 1]:  # y and x join the remainder
+                        ok |= vb[a] | rb_yx[b]
+                else:
+                    ok = -1
+                    for a, b in lv[v - 1]:
+                        ok &= vb_yx[a] | rb[b]
+                    for a, b in lv[v]:
+                        ok &= (vb_y[a] | rb_x[b]) & (vb_x[a] | rb_y[b])
+                    for a, b in lv[v + 1]:
+                        ok &= vb[a] | rb_yx[b]
+                bad = need & ~ok
+                closed = closed or bool(bad)
+                while bad:
+                    k = ((bad & -bad).bit_length() - 1) // n
+                    first = bad >> n * k & every  # failing first at slot k
+                    bad &= ~(first * ones)
+                    open_[v] &= ~(first * ones)
+                    y, x = divmod(k, size)
+                    ms = head + (pool[y], pool[x])
+                    for t in iter_bits(first):
+                        if any_mode:
+                            witness = {"factors": list(ms)}
+                        else:
+                            vp, rest = next(
+                                (vp, rest)
+                                for vp, rest in splits(ms, v)
+                                if not (bits[prods[vp]][0] | bits[prods[rest]][1]) >> t & 1
+                            )
+                            witness = {"factors": list(vp + rest), "v_part": list(vp), "rest": list(rest)}
+                        tested = sum(c * (g >> t & ones).bit_count() for g, c in counts.items())
+                        tested += (hb >> t & ones & ((1 << n * (k + 1)) - 1)).bit_count()
+                        found[(t, v)] = (witness, tested)
+            counts[hb] = counts.get(hb, 0) + 1
+            if closed:
+                live = 0
                 for v in vs:
-                    need = hb & open_[v]
-                    if not need:
-                        continue
-                    # ok: the pairs that some split (ANY) or every split
-                    # (ALL) satisfies, per slot x
-                    if any_mode:
-                        ok = 0
-                        for a, b in lv[v - 1]:  # y and x join the v-part
-                            ok |= vb_x[ty[a]] | rb_rep[b]
-                        for a, b in lv[v]:  # one joins the v-part, one the remainder
-                            ok |= vb_rep[ty[a]] | rb_x[b] | vb_x[a] | rb_rep[ty[b]]
-                        for a, b in lv[v + 1]:  # y and x join the remainder
-                            ok |= vb_rep[a] | rb_x[ty[b]]
-                    else:
-                        ok = -1
-                        for a, b in lv[v - 1]:
-                            ok &= vb_x[ty[a]] | rb_rep[b]
-                        for a, b in lv[v]:
-                            ok &= (vb_rep[ty[a]] | rb_x[b]) & (vb_x[a] | rb_rep[ty[b]])
-                        for a, b in lv[v + 1]:
-                            ok &= vb_rep[a] | rb_x[ty[b]]
-                    bad = need & ~ok
-                    closed = closed or bool(bad)
-                    while bad:
-                        k = ((bad & -bad).bit_length() - 1) // n
-                        first = bad >> n * k & every  # failing first at x = pool[k]
-                        bad &= ~(first * ones)
-                        open_[v] &= ~(first * ones)
-                        ms = head + (pool[y], pool[k])
-                        for t in iter_bits(first):
-                            if any_mode:
-                                witness = {"factors": list(ms)}
-                            else:
-                                vp, rest = next(
-                                    (vp, rest)
-                                    for vp, rest in splits(ms, v)
-                                    if not (bits[prods[vp]][0] | bits[prods[rest]][1]) >> t & 1
-                                )
-                                witness = {"factors": list(vp + rest), "v_part": list(vp), "rest": list(rest)}
-                            tested = sum(c * (g >> t & ones).bit_count() for g, c in counts.items())
-                            tested += (hb >> t & ones & ((1 << n * (k + 1)) - 1)).bit_count()
-                            found[(t, v)] = (witness, tested)
-                counts[hb] = counts.get(hb, 0) + 1
-                if closed:
-                    live = 0
-                    for v in vs:
-                        live |= open_[v]
-                    if not live:
-                        break
+                    live |= open_[v]
         for t, (verdicts, target) in enumerate(zip(out, targets)):
             total = sum(c * (g >> t & ones).bit_count() for g, c in counts.items())
             for v in vs:

@@ -198,7 +198,8 @@ def test_mixed_readings_in_one_call(mode):
 
 
 # Rings without an identity, so all 12 elements are nonunits, each with 5
-# proper ideals: 12 slots of 2 * 5 bits, 120-bit packed ints.
+# proper ideals: a 12 x 12 grid of 144 slots of 2 * 5 bits, 1,440-bit
+# packed ints.
 Z12_WITHOUT_IDENTITY = ("z12:4,9", "z12:3,10", "z12:0,10", "z12:2,4")
 
 
@@ -210,6 +211,16 @@ def test_twelve_slot_pools(spec, mode):
     pool = elems_of(ring.unit_report().nonunits)
     assert (ring.has_identity, len(pool), len(targets)) == (False, 12, 5)
     assert_matrix_matches_reference(ring, targets, uv_pairs(U_MAX_WIDE), mode, pool)
+
+
+@pytest.mark.parametrize("mode", list(SplitMode))
+def test_sweep_arity_on_a_twelve_slot_pool(mode):
+    """The sweep scans 12-element nonunit pools up to u = 5: the (u-2)-
+    prefixes of u = 5 are 3 factors long, and the longest split chains of
+    the kernel run there."""
+    ring = parse_ring_spec(Z12_WITHOUT_IDENTITY[0])
+    pool = elems_of(ring.unit_report().nonunits)
+    assert_matrix_matches_reference(ring, proper_targets(ring), uv_pairs(U_MAX), mode, pool)
 
 
 @pytest.mark.parametrize("mode", list(SplitMode))
@@ -228,10 +239,10 @@ def test_u2_alone_has_an_empty_prefix(mode):
 
 def test_lower_of_two_failing_slots_is_the_witness():
     """z6:0,3 has no identity, so its pool is all 6 elements.  P = {0}
-    fails (3,1) under ALL at [1,1,2] and again at [1,1,4]: two slots of the
-    block with prefix [1] and y = 1.  The witness is the lower slot, and
-    `tested` stops there, at 22 of the 23 multisets that meet the
-    hypothesis up to the block's end."""
+    fails (3,1) under ALL at [1,1,2] and again at [1,1,4]: two slots of
+    row y = 1 of the grid of prefix [1].  The witness is the lower slot,
+    and `tested` stops there, at 22 of the 23 multisets that meet the
+    hypothesis up to and including [1,1,4]."""
     ring = parse_ring_spec("z6:0,3")
     pmask, rad = mask_of([0]), mask_of([0, 2, 4])
     assert radical_nilpotent(ring, pmask) == rad
@@ -243,3 +254,20 @@ def test_lower_of_two_failing_slots_is_the_witness():
     assert replay_uv_counterexample(ring, pmask, rad, [4, 1, 1], 1, mode=SplitMode.ALL)
     hits = [ms for ms, total, _ in Reference(ring, pool).splits(3, 1) if total == {0}]
     assert (hits.index((1, 1, 2)), hits.index((1, 1, 4))) == (21, 22)
+
+
+def test_grid_is_row_major():
+    """z6:0,3 over its full carrier, P = {0} and the conclusion set
+    {0,1,2,5}: (2,1) fails under ALL at [1,4], and again at [2,3], which
+    comes later in canonical order (slot 1 * 6 + 4 = 10 of the row-major
+    grid, before 2 * 6 + 3 = 15) but first in x-major order.  So the
+    witness and `tested` are the reference's only if the grid's slots run
+    y-major, as canonical order does."""
+    ring = parse_ring_spec("z6:0,3")
+    pmask, concl = mask_of([0]), mask_of([0, 1, 2, 5])
+    pool = list(range(ring.n))
+    (row,) = uv_scan(ring, [(pmask, concl, 0, "absorbing-primary")], [(2, 1)], SplitMode.ALL, pool)
+    assert_matches_reference(ring, Reference(ring, pool), row[(2, 1)], pmask, concl, 2, 1, SplitMode.ALL)
+    assert row[(2, 1)].witness["factors"] == [1, 4]
+    assert replay_uv_counterexample(ring, pmask, concl, [2, 3], 1, mode=SplitMode.ALL)
+    assert min([(1, 4), (2, 3)], key=lambda ms: ms[::-1]) == (2, 3)
