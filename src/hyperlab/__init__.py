@@ -15,9 +15,11 @@ from .core import (
 )
 from .verdicts import (
     ConstructionError,
+    ERROR,
     FAILS,
     HOLDS,
     INCONCLUSIVE,
+    SKIPPED,
     ParameterError,
     ResourceError,
     SplitMode,

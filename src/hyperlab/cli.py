@@ -10,13 +10,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional, Sequence
+from functools import partial
+from typing import Callable, Optional, Sequence
 
 from . import classify, zphi
 from .core import FiniteHyperring, Mask, TableFormatError, elems_of, mask_of, parse_ring_spec
 from .harness import (
     Report,
     RingFamilySpec,
+    axioms_verdict,
     run_golden_examples,
     run_theorem_suite,
 )
@@ -28,13 +30,13 @@ from .ideals import (
     is_strong_c_hyperideal,
 )
 from .verdicts import (
-    FAILS,
-    HOLDS,
     ParameterError,
     ResourceError,
     SplitMode,
     UsageError,
     UVParams,
+    decided,
+    holds,
 )
 
 
@@ -54,6 +56,16 @@ def _parse_moduli(text: str) -> tuple[int, ...]:
         except ValueError as exc:
             raise UsageError(f"bad moduli range: {text!r}") from exc
     return tuple(_parse_int_list(text, "moduli"))
+
+
+def _replay_factors(text: str, u: int, is_nonunit: Callable[[int], bool]) -> list[int]:
+    """The --replay list, which must be u nonunits: a witness to a (u,v)
+    property is a multiset of u nonunits, so any other list is a UsageError
+    rather than a replay that cannot confirm."""
+    factors = _parse_int_list(text, "replay")
+    if len(factors) != u or not all(map(is_nonunit, factors)):
+        raise UsageError(f"--replay needs {u} nonunits, got {factors}")
+    return factors
 
 
 def _ideal_mask(ring: FiniteHyperring, text: str, what: str) -> Mask:
@@ -113,22 +125,8 @@ def _exit_code(report: Report) -> int:
 
 def cmd_validate(args) -> int:
     ring = parse_ring_spec(args.ring)
-    rep = ring.validate()
     report = Report()
-    report.add(
-        ring.name,
-        None,
-        "hyperring-axioms",
-        {
-            "tested": 1,
-            "n": ring.n,
-            "strongly_distributive": rep.strongly_distributive,
-            "has_identity": ring.has_identity,
-        },
-        HOLDS if rep.ok else FAILS,
-        None if rep.ok else {"failures": [f.describe() for f in rep.failures]},
-        "axiom validation",
-    )
+    report.add_verdict(ring.name, None, "hyperring-axioms", {}, axioms_verdict(ring, n=ring.n))
     _emit(report, args)
     return _exit_code(report)
 
@@ -140,17 +138,12 @@ def cmd_ideals(args) -> int:
     lattice = enumerate_hyperideals(ring)
     report = Report()
     for b, prime, maximal in zip(lattice.ideals, lattice.prime, lattice.maximal):
-        params = {
-            "tested": 1,
-            "prime": prime,
-            "maximal": maximal,
-            "proper": b.proper,
-        }
+        flags = {"prime": prime, "maximal": maximal, "proper": b.proper}
         if b.proper:
-            params["c"] = is_c_hyperideal(ring, b.mask).holds
-            params["strong_c"] = is_strong_c_hyperideal(ring, b.mask).holds
-            params["radical"] = elems_of(radical_nilpotent(ring, b.mask))
-        report.add(ring.name, b.members(), "hyperideal", params, HOLDS, None, "lattice dump")
+            flags["c"] = is_c_hyperideal(ring, b.mask).holds
+            flags["strong_c"] = is_strong_c_hyperideal(ring, b.mask).holds
+            flags["radical"] = elems_of(radical_nilpotent(ring, b.mask))
+        report.add_verdict(ring.name, b.members(), "hyperideal", {}, holds("lattice dump", 1, **flags))
     _emit(report, args)
     return 0
 
@@ -195,21 +188,15 @@ def cmd_check(args) -> int:
         params.update(u=args.u, v=args.v)
 
     if args.replay is not None:
-        factors = _parse_int_list(args.replay, "replay")
+        factors = _replay_factors(args.replay, uv.u, set(elems_of(ring.unit_report().nonunits)).__contains__)
         concl = pmask if prop == "uv-prime" else rad
         confirmed = classify.replay_uv_counterexample(
             ring, pmask, concl, factors, uv.v, mode=mode
         )
         report = Report()
-        report.add(
-            ring.name,
-            elems_of(pmask),
-            prop,
-            {**params, "tested": 1, "replay": True},
-            FAILS if confirmed else HOLDS,
-            {"factors": factors} if confirmed else None,
-            "witness replay",
-        )
+        report.add_verdict(ring.name, elems_of(pmask), prop, params, decided(
+            not confirmed, {"factors": factors}, "witness replay", replay=True
+        ))
         _emit(report, args)
         return _exit_code(report)
 
@@ -279,11 +266,9 @@ def cmd_zphi(args) -> int:
         ds = _parse_int_list(args.d_list, "generator")
         if not ds:
             raise UsageError("--d-list is required for intersection")
-        report.add(
-            "zphi", ds, "principal-intersection",
-            {"tested": 1, "generator": zphi.ideal_intersection(ds)},
-            HOLDS, None, "least common multiple of the generators",
-        )
+        report.add_verdict("zphi", ds, "principal-intersection", {}, holds(
+            "least common multiple of the generators", 1, generator=zphi.ideal_intersection(ds)
+        ))
         _emit(report, args)
         return _exit_code(report)
 
@@ -293,19 +278,13 @@ def cmd_zphi(args) -> int:
         uv = UVParams(args.u, args.v)
         variant = "prime" if prop == "uv-prime" else "primary"
         if args.replay is not None:
-            factors = _parse_int_list(args.replay, "replay")
+            factors = _replay_factors(args.replay, uv.u, partial(zphi.is_nonunit, ring))
             confirmed = zphi.replay_int_counterexample(
                 ring, args.d, factors, uv, variant=variant, mode=mode
             )
-            report.add(
-                name,
-                [args.d],
-                prop,
-                {"u": args.u, "v": args.v, "mode": mode.value, "tested": 1, "replay": True},
-                FAILS if confirmed else HOLDS,
-                {"factors": factors} if confirmed else None,
-                "witness replay",
-            )
+            report.add_verdict(name, [args.d], prop, {"u": args.u, "v": args.v, "mode": mode.value}, decided(
+                not confirmed, {"factors": factors}, "witness replay", replay=True
+            ))
         else:
             if args.window is None:
                 raise UsageError("--window is required for the windowed checks")
@@ -324,29 +303,23 @@ def cmd_zphi(args) -> int:
         if not factors:
             raise UsageError("--factors is required for product")
         values = sorted(zphi.int_product(ring, factors))
-        report.add(
-            name, None, "hyperproduct-exact",
-            {"tested": 1, "factors": factors, "value": values},
-            HOLDS, None, "exact integer product",
-        )
+        report.add_verdict(name, None, "hyperproduct-exact", {}, holds(
+            "exact integer product", 1, factors=factors, value=values
+        ))
     elif prop == "membership":
         factors = _parse_int_list(args.factors, "factors")
         if not factors:
             raise UsageError("--factors is required for membership")
         value = zphi.principal_membership(args.d, zphi.int_product(ring, factors))
-        report.add(
-            name, [args.d], "principal-membership",
-            {"tested": 1, "factors": factors, "relation": value},
-            HOLDS, None, "membership against the principal hyperideal",
-        )
+        report.add_verdict(name, [args.d], "principal-membership", {}, holds(
+            "membership against the principal hyperideal", 1, factors=factors, relation=value
+        ))
     else:
         member = zphi.radical_membership(ring, args.d, args.a)
         profile = zphi.radical_profile(ring, args.d)
-        report.add(
-            name, [args.d], "radical-membership",
-            {"tested": 1, "a": args.a, "member": member, "radical_generator": profile.generator},
-            HOLDS, None, "valuation criterion",
-        )
+        report.add_verdict(name, [args.d], "radical-membership", {}, holds(
+            "valuation criterion", 1, a=args.a, member=member, radical_generator=profile.generator
+        ))
     _emit(report, args)
     return _exit_code(report)
 

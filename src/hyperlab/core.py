@@ -25,6 +25,21 @@ class TableFormatError(ValueError):
     """
 
 
+def _check_square(n, table, what: str) -> None:
+    """TableFormatError unless n is a positive int and `table` an n*n list
+    of rows."""
+    if not isinstance(n, int):
+        raise TableFormatError(f"n={n!r} is not an integer")
+    if n <= 0:
+        raise TableFormatError("carrier must be nonempty")
+    if not (
+        isinstance(table, (list, tuple))
+        and len(table) == n
+        and all(isinstance(row, (list, tuple)) and len(row) == n for row in table)
+    ):
+        raise TableFormatError(f"{what} table must be n*n")
+
+
 def mask_of(elems: Iterable[int]) -> Mask:
     m = 0
     for e in elems:
@@ -81,12 +96,8 @@ class FiniteHyperring:
     __slots__ = ("n", "add", "hmul", "name", "zero", "neg", "full_mask", "_cache")
 
     def __init__(self, n: int, add: Sequence[Sequence[int]], hmul_masks: Sequence[Sequence[Mask]], name: str = ""):
-        if n <= 0:
-            raise TableFormatError("carrier must be nonempty")
-        if len(add) != n or any(len(row) != n for row in add):
-            raise TableFormatError("add table must be n*n")
-        if len(hmul_masks) != n or any(len(row) != n for row in hmul_masks):
-            raise TableFormatError("hmul table must be n*n")
+        _check_square(n, add, "add")
+        _check_square(n, hmul_masks, "hmul")
         full = (1 << n) - 1
         for a in range(n):
             for b in range(n):
@@ -111,8 +122,16 @@ class FiniteHyperring:
 
     @classmethod
     def from_element_table(cls, n: int, add: Sequence[Sequence[int]], hmul_sets: Sequence[Sequence[Iterable[int]]], name: str = "") -> "FiniteHyperring":
-        masks = [[mask_of(cell) for cell in row] for row in hmul_sets]
-        return cls(n, add, masks, name=name)
+        _check_square(n, hmul_sets, "hmul")
+
+        def cell_mask(a: int, b: int) -> Mask:
+            cell = hmul_sets[a][b]
+            elems = list(cell) if isinstance(cell, Iterable) else None
+            if elems is None or not all(isinstance(x, int) and 0 <= x < n for x in elems):
+                raise TableFormatError(f"hmul[{a}][{b}]={cell!r} out of range: need a list of elements 0..{n - 1}")
+            return mask_of(elems)
+
+        return cls(n, add, [[cell_mask(a, b) for b in range(n)] for a in range(n)], name=name)
 
     @classmethod
     def zn_phi(cls, n: int, phi: Iterable[int], name: str = "") -> "FiniteHyperring":
@@ -374,6 +393,8 @@ def load_table_file(path: str) -> FiniteHyperring:
         raise UsageError(f"cannot read ring file {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise TableFormatError(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise TableFormatError(f"{path}: not a JSON object with keys n, add and hmul")
     for key in ("n", "add", "hmul"):
         if key not in data:
             raise TableFormatError(f"{path}: missing key {key!r}")

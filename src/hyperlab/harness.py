@@ -27,26 +27,26 @@ from .ideals import (
     radical_prime_intersection,
 )
 from .verdicts import (
+    ERROR,
     FAILS,
     HOLDS,
     INCONCLUSIVE,
+    SKIPPED,
     ConstructionError,
     SplitMode,
     UsageError,
     UVParams,
     Verdict,
+    decided,
     fails,
     first_failure,
     holds,
+    judged,
+    refused,
+    skipped,
 )
 
-SKIPPED = "skipped"
-ERROR = "error"
 BUDGET_EXCEEDED = "multiset budget exceeded"
-
-
-def skipped(reason: str, space: str = "") -> Verdict:
-    return Verdict(SKIPPED, None, space, 0, {"reason": reason})
 
 
 # -- configuration and reports -------------------------------------------------
@@ -95,24 +95,24 @@ class Report:
     def __post_init__(self):
         self._since_ns = time.perf_counter_ns()
 
-    def add(
-        self,
-        ring: str,
-        ideal: Optional[list[int]],
-        prop: str,
-        params: dict,
-        status: str,
-        witness: Optional[dict] = None,
-        space: str = "",
-    ) -> dict:
+    def add_verdict(self, ring: str, ideal: Optional[list[int]], prop: str, params: dict, verdict: Verdict) -> dict:
+        """Add the verdict's row, the only way a row is written: its params
+        are `params`, then `tested`, then the verdict's extra keys.  A row
+        skipped for the budget marks the report incomplete."""
+        if verdict.status == SKIPPED and verdict.extra.get("reason") == BUDGET_EXCEEDED:
+            self.incomplete = True
+        merged = dict(params)
+        merged["tested"] = verdict.tested
+        for k, v in verdict.extra.items():
+            merged.setdefault(k, v)
         rec = {
             "ring": ring,
             "ideal": ideal,
             "property": prop,
-            "params": params,
-            "status": status,
-            "witness": witness,
-            "space": space,
+            "params": merged,
+            "status": verdict.status,
+            "witness": verdict.witness,
+            "space": verdict.checked_space,
         }
         if self.timings:
             millis = (time.perf_counter_ns() - self._since_ns) // 1_000_000
@@ -120,17 +120,6 @@ class Report:
             rec["millis"] = millis
         self.records.append(rec)
         return rec
-
-    def add_verdict(self, ring: str, ideal, prop: str, params: dict, verdict: Verdict) -> dict:
-        """Add the verdict's row; a row skipped for the budget marks the
-        report incomplete."""
-        if verdict.status == SKIPPED and verdict.extra.get("reason") == BUDGET_EXCEEDED:
-            self.incomplete = True
-        merged = dict(params)
-        merged["tested"] = verdict.tested
-        for k, v in verdict.extra.items():
-            merged.setdefault(k, v)
-        return self.add(ring, ideal, prop, merged, verdict.status, verdict.witness, verdict.checked_space)
 
     @property
     def violations(self) -> int:
@@ -656,20 +645,13 @@ def record_radical_comparison_on_non_c(ctx: RingContext, report: Report) -> None
     for f in ctx.facts:
         if f.c.holds:
             continue
-        report.add(
-            ctx.ring.name,
-            f.ideal.members(),
-            "radical-forms-compared",
-            {
-                "tested": 1,
-                "nilpotent": elems_of(f.rad_nil),
-                "prime_intersection": elems_of(f.rad_pi),
-                "equal": f.rad_nil == f.rad_pi,
-            },
-            HOLDS,
-            None,
+        report.add_verdict(ctx.ring.name, f.ideal.members(), "radical-forms-compared", {}, holds(
             "non-C radical comparison, no assertion",
-        )
+            1,
+            nilpotent=elems_of(f.rad_nil),
+            prime_intersection=elems_of(f.rad_pi),
+            equal=f.rad_nil == f.rad_pi,
+        ))
 
 
 # -- construction checks ----------------------------------------------------------
@@ -700,23 +682,18 @@ def run_quotient_checks(ctx: RingContext, report: Report) -> None:
         try:
             q, hom = construct.quotient(ring, f.mask)
         except ConstructionError as e:
-            report.add(
-                name, f.ideal.members(), "quotient-is-hyperring",
-                {"tested": 1}, ERROR, {"message": str(e), "detail": e.witness},
-                "quotient construction",
+            report.add_verdict(
+                name, f.ideal.members(), "quotient-is-hyperring", {}, refused(e, "quotient construction")
             )
             continue
-        report.add(
-            name, f.ideal.members(), "quotient-is-hyperring",
-            {"tested": 1, "cosets": q.n}, HOLDS, None, "quotient construction",
+        report.add_verdict(
+            name, f.ideal.members(), "quotient-is-hyperring", {}, holds("quotient construction", 1, cosets=q.n)
         )
         bad = construct.nonunit_preservation_witness(hom)
         if bad is not None:
-            report.add(
-                name, f.ideal.members(), "good-hom-transfer",
-                {"tested": 0, "reason": "nonunit maps to a unit", "element": bad},
-                SKIPPED, None, "quotient projection transfer",
-            )
+            report.add_verdict(name, f.ideal.members(), "good-hom-transfer", {}, skipped(
+                "nonunit maps to a unit", "quotient projection transfer", element=bad
+            ))
             continue
         qctx = derived_context(ctx, q)
         # ideals above the kernel push forward, ideals of the quotient pull back
@@ -747,18 +724,12 @@ def run_matrix_checks(ctx: RingContext, report: Report) -> None:
         # in the commutative class; that is a documented obstruction, not
         # a validation failure of a built instance
         noncomm = isinstance(e.witness, dict) and e.witness.get("kind") == "noncommutative-product"
-        report.add(
-            name, None, "matrix-ring-valid",
-            {"tested": 1, "reason": str(e)} if noncomm else {"tested": 1},
-            SKIPPED if noncomm else ERROR,
-            e.witness if noncomm else {"message": str(e), "detail": e.witness},
-            "matrix construction",
-        )
+        report.add_verdict(name, None, "matrix-ring-valid", {}, (
+            Verdict(SKIPPED, e.witness, "matrix construction", 1, {"reason": str(e)}) if noncomm
+            else refused(e, "matrix construction")
+        ))
         return
-    report.add(
-        name, None, "matrix-ring-valid", {"tested": 1, "size": model.ring.n},
-        HOLDS, None, "matrix construction",
-    )
+    report.add_verdict(name, None, "matrix-ring-valid", {}, holds("matrix construction", 1, size=model.ring.n))
     corners = first_failure("corner products", (
         None if construct.corner_product_agrees(model, a, b) else {"a": a, "b": b}
         for a in range(ring.n)
@@ -770,12 +741,9 @@ def run_matrix_checks(ctx: RingContext, report: Report) -> None:
         mmask = model.full_entry_ideal(f.mask)
         target = mctx.find(mmask)
         if target is None:
-            report.add(
-                name, f.ideal.members(), "matrix-ideal-descent",
-                {"tested": 1}, FAILS,
-                {"defect": "entrywise ideal is not a proper hyperideal of the matrix ring"},
-                "matrix descent",
-            )
+            report.add_verdict(name, f.ideal.members(), "matrix-ideal-descent", {}, fails(
+                {"defect": "entrywise ideal is not a proper hyperideal of the matrix ring"}, "matrix descent", 1
+            ))
             continue
         verdict = first_failure("matrix descent", (
             None if f.uv_primary[uv].holds and f.c.holds
@@ -796,17 +764,13 @@ def run_localization_checks(ctx: RingContext, report: Report) -> None:
         try:
             loc = construct.localize(ring, smask)
         except ConstructionError as e:
-            report.add(
-                name, None, "localization-constructed",
-                {"tested": 1, "s": s_members}, ERROR,
-                {"message": str(e), "detail": e.witness}, "localization construction",
+            report.add_verdict(
+                name, None, "localization-constructed", {}, refused(e, "localization construction", s=s_members)
             )
             continue
-        report.add(
-            name, None, "localization-constructed",
-            {"tested": 1, "s": s_members, "classes": loc.ring.n},
-            HOLDS, None, "localization construction",
-        )
+        report.add_verdict(name, None, "localization-constructed", {}, holds(
+            "localization construction", 1, s=s_members, classes=loc.ring.n
+        ))
         lctx = derived_context(ctx, loc.ring)
         for f in ctx.facts:
             img = loc.ideal_image(f.mask)
@@ -825,15 +789,12 @@ def run_localization_checks(ctx: RingContext, report: Report) -> None:
                 if limg is not None:
                     lrad = loc.ideal_image(f.rad_nil)
                     rad_l = radical_nilpotent(loc.ring, img)
-                    report.add(
-                        name, f.ideal.members(), "radical-commutes-with-localization",
-                        {"tested": 1, "s": s_members},
-                        HOLDS if lrad == rad_l else FAILS,
-                        None
-                        if lrad == rad_l
-                        else {"localized_radical": elems_of(lrad), "radical_of_localized": elems_of(rad_l)},
+                    report.add_verdict(name, f.ideal.members(), "radical-commutes-with-localization", {}, decided(
+                        lrad == rad_l,
+                        {"localized_radical": elems_of(lrad), "radical_of_localized": elems_of(rad_l)},
                         "localization radical",
-                    )
+                        s=s_members,
+                    ))
             # reverse: with the colon-closure missing S, the property lifts back
             if f.c.holds and not construct.gamma_mask(ring, f.mask) & smask:
                 verdict = first_failure("localization reverse", (
@@ -848,29 +809,31 @@ def run_localization_checks(ctx: RingContext, report: Report) -> None:
 # -- suite drivers -----------------------------------------------------------------
 
 
+def axioms_verdict(ring: FiniteHyperring, **head) -> Verdict:
+    """The `hyperring-axioms` row of `ring`, with the `head` keys first."""
+    vrep = ring.validate()
+    return decided(
+        vrep.ok,
+        {"failures": [f.describe() for f in vrep.failures]},
+        "axiom validation",
+        **head,
+        strongly_distributive=vrep.strongly_distributive,
+        has_identity=ring.has_identity,
+    )
+
+
 def run_ring(ring: FiniteHyperring, spec: RingFamilySpec, report: Report) -> None:
     name = ring.name
-    vrep = ring.validate()
-    report.add(
-        name,
-        None,
-        "hyperring-axioms",
-        {"tested": 1, "strongly_distributive": vrep.strongly_distributive,
-         "has_identity": ring.has_identity},
-        HOLDS if vrep.ok else FAILS,
-        None if vrep.ok else {"failures": [f.describe() for f in vrep.failures]},
-        "axiom validation",
-    )
-    if not vrep.ok:
+    axioms = axioms_verdict(ring)
+    report.add_verdict(name, None, "hyperring-axioms", {}, axioms)
+    if not axioms.holds:
         return
     pool = bin(ring.unit_report().nonunits).count("1")
     if estimated_multisets(pool, spec.u_max) > spec.tuple_budget:
         report.incomplete = True
-        report.add(
-            name, None, "scan-budget",
-            {"tested": 0, "pool": pool, "u_max": spec.u_max},
-            SKIPPED, None, "multiset budget exceeded, ring skipped",
-        )
+        report.add_verdict(name, None, "scan-budget", {}, Verdict(
+            SKIPPED, None, "multiset budget exceeded, ring skipped", 0, {"pool": pool, "u_max": spec.u_max}
+        ))
         return
     ctx = build_ring_context(ring, spec)
     for f in ctx.facts:
@@ -916,22 +879,16 @@ def run_golden_examples() -> Report:
     def window_holds(ring, name, d, uv, window):
         # a windowed search that finds nothing is the expected outcome here
         verdict = zphi.bounded_uv_check(ring, d, uv, window)
-        report.add(
-            name, [d], "windowed-uv-primary",
-            {"u": uv.u, "v": uv.v, "window": window, "tested": verdict.tested, **verdict.extra},
-            HOLDS if verdict.status == INCONCLUSIVE else FAILS,
-            verdict.witness, verdict.checked_space,
+        report.add_verdict(
+            name, [d], "windowed-uv-primary", {"u": uv.u, "v": uv.v, "window": window},
+            judged(verdict, verdict.status == INCONCLUSIVE, **verdict.extra),
         )
 
     def expect(ideal, prop, params, observed, expected, space):
-        ok = observed == expected
-        report.add(
-            name23, ideal, prop,
-            {**params, "tested": 1, "observed": observed, "expected": expected},
-            HOLDS if ok else FAILS,
-            None if ok else {"observed": observed, "expected": expected},
-            space,
-        )
+        report.add_verdict(name23, ideal, prop, params, decided(
+            observed == expected, {"observed": observed, "expected": expected}, space,
+            observed=observed, expected=expected,
+        ))
 
     product_rows = [
         ([2, 3], [12, 18]),
@@ -964,35 +921,25 @@ def run_golden_examples() -> Report:
     r24 = zphi.ZPhiRing((2, 4))
     name24 = "zphi:2,4"
     inter = zphi.ideal_intersection([3, 5, 7])
-    report.add(
-        name24, [3, 5, 7], "principal-intersection",
-        {"tested": 1, "computed": inter, "printed_source_value": 150,
-         "matches_printed_value": inter == 150},
-        HOLDS if inter == 105 else FAILS,
-        None if inter == 105 else {"computed": inter, "expected": 105},
+    report.add_verdict(name24, [3, 5, 7], "principal-intersection", {}, decided(
+        inter == 105,
+        {"computed": inter, "expected": 105},
         "lcm of generators, discrepancy with the printed value flagged",
-    )
+        computed=inter,
+        printed_source_value=150,
+        matches_printed_value=inter == 150,
+    ))
     for d in (3, 5, 7):
         window_holds(r24, name24, d, UVParams(3, 2), 30)
     _witness_row(report, r24, name24, 105, UVParams(3, 2), 30, "primary", [3, 5, 7])
     v150 = zphi.bounded_uv_check(r24, 150, UVParams(3, 2), 30)
-    report.add(
-        name24, [150], "windowed-uv-primary",
-        {"u": 3, "v": 2, "window": 30, "tested": v150.tested},
-        HOLDS if v150.fails and zphi.replay_int_counterexample(
-            r24, 150, v150.witness["factors"], UVParams(3, 2), "primary")
-        else FAILS,
-        v150.witness, v150.checked_space,
-    )
+    report.add_verdict(name24, [150], "windowed-uv-primary", {"u": 3, "v": 2, "window": 30}, judged(
+        v150, v150.fails and zphi.replay_int_counterexample(r24, 150, v150.witness["factors"], UVParams(3, 2), "primary")
+    ))
     gens = [zphi.radical_profile(r24, d).generator for d in (3, 5, 7)]
-    distinct = len(set(gens)) == 3
-    report.add(
-        name24, [3, 5, 7], "radical-generators-distinct",
-        {"tested": 1, "generators": gens},
-        HOLDS if distinct else FAILS,
-        None if distinct else {"generators": gens},
-        "pairwise distinct radicals",
-    )
+    report.add_verdict(name24, [3, 5, 7], "radical-generators-distinct", {}, decided(
+        len(set(gens)) == 3, {"generators": gens}, "pairwise distinct radicals", generators=gens
+    ))
     return report
 
 
@@ -1004,12 +951,8 @@ def _witness_row(report, ring, name, d, uv, window, variant, expected_factors):
         and zphi.replay_int_counterexample(ring, d, verdict.witness["factors"], uv, variant)
     )
     prop = "windowed-uv-prime" if variant == "prime" else "windowed-uv-primary"
-    report.add(
-        name, [d], prop,
-        {"u": uv.u, "v": uv.v, "tested": verdict.tested,
-         "expected_witness": expected_factors, "replayed": ok},
-        HOLDS if ok else FAILS,
-        verdict.witness, verdict.checked_space,
+    report.add_verdict(
+        name, [d], prop, {"u": uv.u, "v": uv.v}, judged(verdict, ok, expected_witness=expected_factors, replayed=ok)
     )
 
 

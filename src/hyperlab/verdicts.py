@@ -1,9 +1,10 @@
-"""Shared verdict/result types for property deciders.
+"""Shared verdict/result types for property deciders and report rows.
 
 Every decider answers with a Verdict rather than a bare bool so that a
 failure always travels with a machine-checkable witness and a "holds"
 always records how much space was actually searched (vacuous truths are
-visible as tested == 0).
+visible as tested == 0).  Every report row is written from a Verdict, and
+the five statuses below are the whole vocabulary of a row.
 """
 from __future__ import annotations
 
@@ -14,6 +15,8 @@ from typing import Any, Iterable, Optional
 HOLDS = "holds"
 FAILS = "fails"
 INCONCLUSIVE = "inconclusive"
+SKIPPED = "skipped"  # a stated hypothesis is not met; carries the reason
+ERROR = "error"  # a construction refused; carries its witness
 
 
 class UsageError(ValueError):
@@ -96,6 +99,17 @@ def fails(witness: dict, space: str = "", tested: int = 0, **extra) -> Verdict:
     return Verdict(FAILS, witness, space, tested, dict(extra))
 
 
+def decided(ok: bool, witness: Optional[dict], space: str = "", tested: int = 1, **extra) -> Verdict:
+    """`holds` when ok, else `fails` with the witness."""
+    return holds(space, tested, **extra) if ok else fails(witness, space, tested, **extra)
+
+
+def judged(verdict: Verdict, ok: bool, **extra) -> Verdict:
+    """`verdict` judged against what was expected of it: `holds` when ok,
+    else `fails`, either way with its witness, space and tested count."""
+    return Verdict(HOLDS if ok else FAILS, verdict.witness, verdict.checked_space, verdict.tested, dict(extra))
+
+
 def first_failure(space: str, cases: Iterable[Optional[dict]]) -> Verdict:
     """Walk `cases`, each None for a case that passes or a witness dict for
     one that fails: `fails` at the first witness, with `tested` counting the
@@ -109,3 +123,12 @@ def first_failure(space: str, cases: Iterable[Optional[dict]]) -> Verdict:
 
 def inconclusive(space: str = "", tested: int = 0, **extra) -> Verdict:
     return Verdict(INCONCLUSIVE, None, space, tested, dict(extra))
+
+
+def skipped(reason: str, space: str = "", **extra) -> Verdict:
+    return Verdict(SKIPPED, None, space, 0, {"reason": reason, **extra})
+
+
+def refused(exc: ConstructionError, space: str, **extra) -> Verdict:
+    """The `error` row of a construction that refused, with its witness."""
+    return Verdict(ERROR, {"message": str(exc), "detail": exc.witness}, space, 1, dict(extra))

@@ -450,13 +450,13 @@ class TestTimings:
         stamps = []
         for gap_ms in (3, 0, 250, 1, 17):
             clock.advance(gap_ms * 1_000_000)
-            stamps.append(report.add("r", None, "p", {}, "holds")["millis"])
+            stamps.append(report.add_verdict("r", None, "p", {}, verdicts.holds())["millis"])
         assert stamps == [3, 0, 250, 1, 17]
 
     def test_remainder_carries_over(self, monkeypatch):
         monkeypatch.setattr(harness, "time", FakeTime(step_ns=400_000))
         report = Report(timings=True)
-        stamps = [report.add("r", None, "p", {}, "holds")["millis"] for _ in range(25)]
+        stamps = [report.add_verdict("r", None, "p", {}, verdicts.holds())["millis"] for _ in range(25)]
         # 25 reads after the one at creation: 10 ms in all, never a whole
         # millisecond between two reads
         assert stamps == [0, 0, 1, 0, 1] * 5
@@ -561,9 +561,19 @@ class TestCLI:
         ("sweep", "--moduli", "2", "--mode", "bogus"),
         ("zphi", "--prop", "uv-primary", "--d", "12", "--u", "3", "--v", "2",
          "--window", "4", "--mode", "bogus"),
+        # a replayed witness is exactly u nonunits: too few factors, a
+        # unit (5 in z6:1,5, 1 in Z over {1,2}), too many
+        ("check", "--ring", "z6:1,5", "--prop", "uv-primary", "--ideal", "0",
+         "--u", "3", "--v", "1", "--replay", "2,3"),
+        ("check", "--ring", "z6:1,5", "--prop", "uv-primary", "--ideal", "0",
+         "--u", "3", "--v", "1", "--mode", "all", "--replay", "3,5,2"),
+        ("zphi", "--phi", "1,2", "--prop", "uv-prime", "--d", "4", "--u", "3", "--v", "2",
+         "--mode", "all", "--replay", "1,2,2"),
+        ("zphi", "--prop", "uv-primary", "--d", "12", "--u", "3", "--v", "2", "--replay", "2,2,3,3"),
     ], ids=["u-max", "tuple-budget", "moduli", "moduli-reversed", "phi-beyond-residues",
             "ideal-member", "ideal-negative", "aux-ideal-member",
-            "check-mode", "sweep-mode", "zphi-mode"])
+            "check-mode", "sweep-mode", "zphi-mode",
+            "check-replay-short", "check-replay-unit", "zphi-replay-unit", "zphi-replay-long"])
     def test_out_of_range_argument_is_usage_error(self, args):
         proc = run_cli(*args)
         assert proc.returncode == 2
@@ -620,6 +630,21 @@ class TestCLI:
         proc = run_cli("validate", "--ring", "z6:1,1")
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:")
+
+    @pytest.mark.parametrize("table,field", [
+        ({"n": "2", "add": [[0, 1], [1, 0]], "hmul": [[[0], [0]], [[0], [0]]]}, "n="),
+        (5, "not a JSON object"),
+        ({"n": 2, "add": 5, "hmul": [[[0], [0]], [[0], [0]]]}, "add table"),
+        ({"n": 2, "add": [[0, 1], [1, 0]], "hmul": [[[-1], [0]], [[0], [0]]]}, "hmul[0][0]"),
+        ({"n": 2, "add": [[0, 1], [1, 0]], "hmul": [[[0], ["a"]], [[0], [0]]]}, "hmul[0][1]"),
+    ], ids=["n-string", "top-level-int", "add-int", "hmul-negative", "hmul-string"])
+    def test_malformed_ring_file_is_usage_error(self, tmp_path, table, field):
+        path = tmp_path / "ring.json"
+        path.write_text(json.dumps(table))
+        proc = run_cli("validate", "--ring", str(path))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:") and field in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_ideals_dump(self):
         proc = run_cli("ideals", "--ring", "z8:1,3", "--json")

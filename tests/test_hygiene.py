@@ -1,8 +1,9 @@
 """Source hygiene: every name a library module imports at top level is
 used in that module, no module imports another module's private names,
-every command line option is read by its subcommand, and every option of
-`check` and `zphi` is read by some property, so dead imports and options
-that change nothing cannot creep back in."""
+every command line option is read by its subcommand, every option of
+`check` and `zphi` is read by some property, and only `verdicts` spells a
+row status, so dead imports, options that change nothing and a second
+status vocabulary cannot creep back in."""
 import argparse
 import ast
 from pathlib import Path
@@ -41,6 +42,22 @@ def test_no_private_cross_module_imports():
             if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("hyperlab")):
                 private += [f"{path.stem} <- {node.module}.{a.name}" for a in node.names if a.name.startswith("_")]
     assert private == []
+
+
+STATUSES = {"holds", "fails", "inconclusive", "skipped", "error"}
+
+
+def test_status_literals_live_in_verdicts():
+    """A row status is written as a string only in verdicts.py; every other
+    module names it through the constants there."""
+    found = [
+        f"{path.name}:{node.lineno} {node.value!r}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "verdicts.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Constant) and node.value in STATUSES
+    ]
+    assert found == []
 
 
 def args_reads(functions: dict[str, ast.FunctionDef], name: str, position: int = 0) -> set[str]:
