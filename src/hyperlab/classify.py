@@ -255,7 +255,14 @@ def uv_scan(
     valid = [0] * (size + 1)
     for lo in reversed(range(size)):
         valid[lo] = valid[lo + 1] | (every * row_ones >> n * lo << n * lo << row * lo)
-    prods = multiset_products(ring, max((u for u, _ in uvs), default=2) - 1, pool)
+    # the products of the heads, the (u-2)-prefixes; the (u_max - 1)-factor
+    # parts of an ALL witness are folded on demand
+    u_max = max((u for u, _ in uvs), default=2)
+    prods = multiset_products(ring, max(u_max - 2, 1), pool)
+
+    def product(ms: tuple) -> Mask:
+        return prods[ms] if ms in prods else ring.mul_elem(prods[ms[:-1]], ms[-1])
+
     bits = _TargetBits(targets)
     times = [_Times(ring, x) for x in pool]  # by slot
 
@@ -336,7 +343,7 @@ def uv_scan(
                             vp, rest = next(
                                 (vp, rest)
                                 for vp, rest in splits(ms, v)
-                                if not (bits[prods[vp]][0] | bits[prods[rest]][1]) >> t & 1
+                                if not (bits[product(vp)][0] | bits[product(rest)][1]) >> t & 1
                             )
                             witness = {"factors": list(vp + rest), "v_part": list(vp), "rest": list(rest)}
                         tested = sum(c * (g >> t & ones).bit_count() for g, c in counts.items())
@@ -410,6 +417,24 @@ def is_uv_absorbing_i_primary(
     return verdict
 
 
+def _triple_table(ring: FiniteHyperring) -> tuple[list[int], list[Mask]]:
+    """The nonunits and, for every nondecreasing triple of them in
+    canonical order, its product mask x∘y∘z, folded from `ring.hmul` alone;
+    built once per ring.  A product of two is one `hmul` cell, so the table
+    holds no pair products."""
+    if "triples" not in ring._cache:
+        hm = ring.hmul
+        nonunits = elems_of(ring.unit_report().nonunits)
+        totals = []
+        for a, b, c in combinations_with_replacement(nonunits, 3):
+            total = 0
+            for e in iter_bits(hm[a][b]):
+                total |= hm[e][c]
+            totals.append(total)
+        ring._cache["triples"] = (nonunits, totals)
+    return ring._cache["triples"]
+
+
 def is_1_absorbing_primary(
     ring: FiniteHyperring,
     pmask: Mask,
@@ -418,34 +443,31 @@ def is_1_absorbing_primary(
 ) -> Verdict:
     """Triples of nonunits: x ∘ y ∘ z ⊆ P forces x ∘ y ⊆ P or z in rad(P).
 
-    Written as its own straightforward loop (no shared product cache) so
-    it can serve as a cross-check of the (3,2) decider.
+    Walks its own per-ring triple table and reads pair products from
+    `ring.hmul` (no code shared with the (u,v) kernel or its product cache)
+    so it can serve as a cross-check of the (3,2) decider.
     """
     _require_proper(ring, pmask)
-    nonunits = elems_of(ring.unit_report().nonunits)
+    hm = ring.hmul
+    nonunits, totals = _triple_table(ring)
     notp = ~pmask
     hits = 0
     space = f"nonunit triples mode={mode.value}"
-    for ms in combinations_with_replacement(nonunits, 3):
-        if ring.hyperproduct(ms) & notp:
+    for (a, b, c), total in zip(combinations_with_replacement(nonunits, 3), totals):
+        if total & notp:
             continue
         hits += 1
-        options = sorted(set(ms))
+        # z = a, b, c in ascending order against the other two; a repeated
+        # member repeats its test, which changes no outcome
+        others = ((a, b, c), (b, a, c), (c, a, b))
         if mode is SplitMode.ANY:
-            ok = False
-            for z in options:
-                pair = _complement(ms, (z,))
-                if not ring.hyperproduct(pair) & notp or radmask >> z & 1:
-                    ok = True
-                    break
-            if not ok:
-                return fails({"factors": list(ms)}, space=space, tested=hits)
+            if all(hm[x][y] & notp and not radmask >> z & 1 for z, x, y in others):
+                return fails({"factors": [a, b, c]}, space=space, tested=hits)
         else:
-            for z in options:
-                pair = _complement(ms, (z,))
-                if ring.hyperproduct(pair) & notp and not radmask >> z & 1:
+            for z, x, y in others:
+                if hm[x][y] & notp and not radmask >> z & 1:
                     return fails(
-                        {"factors": list(pair + (z,)), "v_part": list(pair), "rest": [z]},
+                        {"factors": [x, y, z], "v_part": [x, y], "rest": [z]},
                         space=space,
                         tested=hits,
                     )

@@ -398,6 +398,7 @@ def load_table_file(path: str) -> FiniteHyperring:
     for key in ("n", "add", "hmul"):
         if key not in data:
             raise TableFormatError(f"{path}: missing key {key!r}")
-    return FiniteHyperring.from_element_table(
-        data["n"], data["add"], data["hmul"], name=data.get("name", path)
-    )
+    name = data.get("name", path)
+    if not isinstance(name, str):
+        raise TableFormatError(f"{path}: name={name!r} is not a string")
+    return FiniteHyperring.from_element_table(data["n"], data["add"], data["hmul"], name=name)

@@ -3,12 +3,14 @@ including the two split readings and witness replay."""
 import hashlib
 import json
 from collections import Counter
+from functools import cache
 from itertools import combinations_with_replacement, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hyperlab import classify
 from hyperlab.classify import (
     check_v1v_characterization,
     is_1_absorbing_primary,
@@ -21,7 +23,7 @@ from hyperlab.classify import (
     replay_uv_counterexample,
     splits,
 )
-from hyperlab.core import elems_of, mask_of, subset
+from hyperlab.core import elems_of, mask_of, parse_ring_spec, subset
 from hyperlab.harness import RingFamilySpec, enumerate_family
 from hyperlab.ideals import (
     enumerate_hyperideals,
@@ -29,7 +31,7 @@ from hyperlab.ideals import (
     is_strong_c_hyperideal,
     radical_nilpotent,
 )
-from hyperlab.verdicts import ParameterError, SplitMode, UVParams
+from hyperlab.verdicts import FAILS, HOLDS, ParameterError, SplitMode, UVParams
 
 EVENS8 = mask_of({0, 2, 4, 6})
 ZERO = mask_of({0})
@@ -171,6 +173,75 @@ class TestAbsorbingDeciders:
         v = is_uv_absorbing_prime(z6u, ZERO, UVParams(3, 2), mode=SplitMode.ALL)
         assert v.fails
         assert v.witness == {"factors": [2, 2, 3], "v_part": [2, 2], "rest": [3]}
+
+
+def one_absorbing_reference(ring, product, pmask, radmask, mode):
+    """(status, witness, tested, space) of the 1-absorbing primary property
+    straight from the definition: `product` folds a tuple of elements, the
+    nonunit triples run in canonical order, and each distinct member z of a
+    triple is tried in ascending order against the product of the other
+    two."""
+    space = f"nonunit triples mode={mode.value}"
+    tested = 0
+    for ms in combinations_with_replacement(elems_of(ring.unit_report().nonunits), 3):
+        if not subset(product(ms), pmask):
+            continue
+        tested += 1
+        failing = []
+        for z in sorted(set(ms)):
+            pair = list(ms)
+            pair.remove(z)
+            if not (subset(product(tuple(pair)), pmask) or radmask >> z & 1):
+                failing.append((pair, z))
+        if mode is SplitMode.ANY and len(failing) == len(set(ms)):
+            return FAILS, {"factors": list(ms)}, tested, space
+        if mode is SplitMode.ALL and failing:
+            pair, z = failing[0]
+            return FAILS, {"factors": pair + [z], "v_part": pair, "rest": [z]}, tested, space
+    return HOLDS, None, tested, space
+
+
+class TestOneAbsorbingTable:
+    def test_matches_literal_reference_on_family(self):
+        # every proper ideal of moduli 2-10, both modes, rings without units
+        # (every element a nonunit) included
+        rings = enumerate_family(RingFamilySpec(moduli=tuple(range(2, 11))))
+        assert sum(not ring.unit_report().units for ring in rings) == 60
+        compared = Counter()
+        for ring in rings:
+            product = cache(ring.hyperproduct)
+            for b in enumerate_hyperideals(ring).proper():
+                rad = radical_nilpotent(ring, b.mask)
+                for mode in SplitMode:
+                    v = is_1_absorbing_primary(ring, b.mask, rad, mode)
+                    expected = one_absorbing_reference(ring, product, b.mask, rad, mode)
+                    assert (v.status, v.witness, v.tested, v.checked_space) == expected, (ring.name, b.members())
+                    compared[mode, v.status] += 1
+        assert compared == {
+            (SplitMode.ANY, HOLDS): 1193,
+            (SplitMode.ALL, HOLDS): 1019,
+            (SplitMode.ALL, FAILS): 174,
+        }
+
+    def test_shares_no_code_with_the_uv_kernel(self, monkeypatch):
+        def verdicts():
+            # fresh rings, so each call builds its own triple tables
+            return [
+                is_1_absorbing_primary(ring, b.mask, radical_nilpotent(ring, b.mask), mode).to_record()
+                for ring in map(parse_ring_spec, ("z8:1,3", "z6:1,5", "z12:4,9", "z10:2,5"))
+                for b in enumerate_hyperideals(ring).proper()
+                for mode in SplitMode
+            ]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the 1-absorbing decider reached the (u,v) kernel")
+
+        expected = verdicts()
+        for name in ("multiset_products", "uv_scan", "_Times", "_PrefixSplits"):
+            monkeypatch.setattr(classify, name, refuse)
+        assert verdicts() == expected
+        with pytest.raises(AssertionError, match="kernel"):
+            is_uv_absorbing_primary(parse_ring_spec("z8:1,3"), ZERO, EVENS8, UVParams(3, 2))
 
 
 class TestHierarchy:

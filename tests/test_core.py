@@ -97,6 +97,14 @@ class TestParsing:
         with pytest.raises(TableFormatError, match="out of range"):
             load_table_file(str(path))
 
+    def test_table_file_name_not_string(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(
+            json.dumps({"n": 2, "add": [[0, 1], [1, 0]], "hmul": [[[0], [0]], [[0], [0]]], "name": 5})
+        )
+        with pytest.raises(TableFormatError, match="name=5 is not a string"):
+            load_table_file(str(path))
+
     def test_table_file_not_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{nope")

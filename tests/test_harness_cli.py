@@ -637,7 +637,8 @@ class TestCLI:
         ({"n": 2, "add": 5, "hmul": [[[0], [0]], [[0], [0]]]}, "add table"),
         ({"n": 2, "add": [[0, 1], [1, 0]], "hmul": [[[-1], [0]], [[0], [0]]]}, "hmul[0][0]"),
         ({"n": 2, "add": [[0, 1], [1, 0]], "hmul": [[[0], ["a"]], [[0], [0]]]}, "hmul[0][1]"),
-    ], ids=["n-string", "top-level-int", "add-int", "hmul-negative", "hmul-string"])
+        ({"n": 2, "add": [[0, 1], [1, 0]], "hmul": [[[0], [0]], [[0], [0]]], "name": 5}, "name=5"),
+    ], ids=["n-string", "top-level-int", "add-int", "hmul-negative", "hmul-string", "name-int"])
     def test_malformed_ring_file_is_usage_error(self, tmp_path, table, field):
         path = tmp_path / "ring.json"
         path.write_text(json.dumps(table))

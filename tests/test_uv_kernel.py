@@ -271,3 +271,26 @@ def test_grid_is_row_major():
     assert row[(2, 1)].witness["factors"] == [1, 4]
     assert replay_uv_counterexample(ring, pmask, concl, [2, 3], 1, mode=SplitMode.ALL)
     assert min([(1, 4), (2, 3)], key=lambda ms: ms[::-1]) == (2, 3)
+
+
+def test_products_stop_at_the_longest_head():
+    """At u_max = 5 the kernel keeps the products of its heads, the (u-2)-
+    prefixes of at most 3 factors, and no longer.  The 4-factor v-parts
+    and remainders of ALL witnesses at (5,1) and (5,4) are folded on
+    demand, and each witness is still the reference's."""
+    ring = parse_ring_spec(Z12_WITHOUT_IDENTITY[0])
+    pool = tuple(elems_of(ring.unit_report().nonunits))
+    targets = proper_targets(ring)
+    mat_p, mat_q = compute_uv_matrices(ring, targets, U_MAX, SplitMode.ALL)
+    assert ring._cache[("msprod", pool)]["size"] == 3
+    ref = Reference(ring, pool)
+    long_parts = 0
+    for (pmask, rad), row_p, row_q in zip(targets, mat_p, mat_q):
+        for row, concl in ((row_p, rad), (row_q, pmask)):
+            for v in (1, 4):
+                verdict = row[(5, v)]
+                assert_matches_reference(ring, ref, verdict, pmask, concl, 5, v, SplitMode.ALL)
+                if verdict.fails:
+                    assert 4 in (len(verdict.witness["v_part"]), len(verdict.witness["rest"]))
+                    long_parts += 1
+    assert long_parts == 10
