@@ -78,7 +78,6 @@ from .harness import (
     RingFamilySpec,
     run_golden_examples,
     run_theorem_suite,
-    validate_radical_oracle,
 )
 
 __version__ = "0.1.0"

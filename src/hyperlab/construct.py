@@ -329,23 +329,32 @@ def localize(ring: FiniteHyperring, smask: Mask) -> LocalizedRing:
     # the set t∘r, so its products with every y are made once per set
     products = cache(lambda m: tuple(ring.mul_elem(m, y) for y in range(n)))
     trip = [[products(hm[t][r]) for r in s_elems] for t in s_elems]
+    # t enters the relation only through which entries of trip[t] are
+    # equal, so of the t whose tables have one equality pattern (values
+    # numbered in order of first occurrence) the first serves for all
+    by_pattern = {}
+    for table in trip:
+        numbering = {}
+        pattern = tuple(numbering.setdefault(value, len(numbering)) for values in table for value in values)
+        by_pattern.setdefault(pattern, table)
+    tables = list(by_pattern.values())
     # den_masks[t][x] maps each value t∘s∘x to the mask of the indices s
     # giving it
-    den_masks = [[{} for _ in range(n)] for _ in range(k)]
-    for t in range(k):
-        for s in range(k):
-            for x, value in enumerate(trip[t][s]):
-                den_masks[t][x][value] = den_masks[t][x].get(value, 0) | 1 << s
+    den_masks = [[{} for _ in range(n)] for _ in tables]
+    for table, by_x in zip(tables, den_masks):
+        for s, values in enumerate(table):
+            for by_value, value in zip(by_x, values):
+                by_value[value] = by_value.get(value, 0) | 1 << s
     # rows[i]: bitmask of the pairs related to pairs[i].  Pair (y, s) is
     # bit y·k + s, so the row of (x, r) ORs den_masks[t][x][t∘r∘y] into
-    # y's block, over every t and y
+    # y's block, over every kept t and y
     rows = []
     for x in range(n):
         for r in range(k):
             row = 0
-            for t in range(k):
-                by_value = den_masks[t][x]
-                for y, value in enumerate(trip[t][r]):
+            for table, by_x in zip(tables, den_masks):
+                by_value = by_x[x]
+                for y, value in enumerate(table[r]):
                     row |= by_value.get(value, 0) << y * k
             rows.append(row)
     # transitive iff every related row is contained in its own row; a row
@@ -373,8 +382,8 @@ def localize(ring: FiniteHyperring, smask: Mask) -> LocalizedRing:
         class_members.append(bucket)
     qn = len(class_members)
 
-    # memos for this call only: fraction_classes reads this relation's
-    # class_of
+    # memos for this call only: fraction_classes and fraction_ops read this
+    # relation's class_of
     numerators = cache(ring.set_add)
 
     @cache
@@ -386,6 +395,12 @@ def localize(ring: FiniteHyperring, smask: Mask) -> LocalizedRing:
                 out |= 1 << class_of[(a, c)]
         return out
 
+    @cache
+    def fraction_ops(ry: Mask, sx: Mask, rs: Mask, xy: Mask) -> tuple[Mask, Mask]:
+        """Classes of x/r + y/s and of x/r ∘ y/s, read from the four cells
+        r∘y, s∘x, r∘s and x∘y that decide them."""
+        return fraction_classes(numerators(ry, sx), rs), fraction_classes(xy, rs)
+
     qadd = [[0] * qn for _ in range(qn)]
     qhmul = [[0] * qn for _ in range(qn)]
     for ci in range(qn):
@@ -393,10 +408,7 @@ def localize(ring: FiniteHyperring, smask: Mask) -> LocalizedRing:
             ref = None
             for x, r in class_members[ci]:
                 for y, s in class_members[cj]:
-                    got = (
-                        fraction_classes(numerators(hm[r][y], hm[s][x]), hm[r][s]),
-                        fraction_classes(hm[x][y], hm[r][s]),
-                    )
+                    got = fraction_ops(hm[r][y], hm[s][x], hm[r][s], hm[x][y])
                     if ref is None:
                         ref = got
                     elif got != ref:

@@ -5,12 +5,7 @@ import time
 
 import pytest
 
-from hyperlab.harness import (
-    RingFamilySpec,
-    run_golden_examples,
-    run_theorem_suite,
-    validate_radical_oracle,
-)
+from hyperlab.harness import RingFamilySpec, run_golden_examples, run_theorem_suite
 from hyperlab.verdicts import UVParams
 from hyperlab.zphi import (
     ZPhiRing,
@@ -20,6 +15,8 @@ from hyperlab.zphi import (
     principal_membership,
     radical_membership,
 )
+
+from radical_oracle import validate_radical_oracle
 
 R23 = ZPhiRing((2, 3))
 R24 = ZPhiRing((2, 4))

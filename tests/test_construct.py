@@ -49,6 +49,37 @@ def localize_outcome(ring, smask):
     return ["built", sorted(loc.class_of.items()), loc.ring.add, loc.ring.hmul]
 
 
+def reference_relation(ring, smask):
+    """The localization relation straight from its definition: (x, r) ~
+    (y, s) iff t∘r∘y and t∘s∘x are the same set for some t in S."""
+    s_elems = elems_of(smask)
+    value = {
+        (t, r, y): ring.hyperproduct([t, r, y]) for t in s_elems for r in s_elems for y in range(ring.n)
+    }
+
+    def related(p, q):
+        (x, r), (y, s) = p, q
+        return any(value[t, r, y] == value[t, s, x] for t in s_elems)
+
+    return related
+
+
+def random_identity_tables(count=3000, seed=7):
+    """Random symmetric product tables on Z_3..Z_5 with 1 forced to be an
+    identity."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.choice([3, 4, 5])
+        hm = [[0] * n for _ in range(n)]
+        for a in range(n):
+            for b in range(a, n):
+                hm[a][b] = hm[b][a] = rng.randrange(1, 1 << n)
+        for a in range(n):
+            hm[1][a] |= 1 << a
+            hm[a][1] = hm[1][a]
+        yield zn_table_ring(n, hm)
+
+
 def null_product_ring(n=2):
     add = [[(i + j) % n for j in range(n)] for i in range(n)]
     hmul = [[[0] for _ in range(n)] for _ in range(n)]
@@ -211,21 +242,10 @@ class TestLocalize:
         assert exc.value.witness == witness
 
     def test_random_tables_pinned(self):
-        # random symmetric product tables on Z_3..Z_5 with 1 forced to be
-        # an identity, localized at every canonical MCS: every outcome
+        # random tables localized at every canonical MCS: every outcome
         # (classes, tables, refusal message and witness) is pinned
-        rng = random.Random(7)
         outcomes = []
-        for _ in range(3000):
-            n = rng.choice([3, 4, 5])
-            hm = [[0] * n for _ in range(n)]
-            for a in range(n):
-                for b in range(a, n):
-                    hm[a][b] = hm[b][a] = rng.randrange(1, 1 << n)
-            for a in range(n):
-                hm[1][a] |= 1 << a
-                hm[a][1] = hm[1][a]
-            ring = zn_table_ring(n, hm)
+        for ring in random_identity_tables():
             outcomes.extend(localize_outcome(ring, s) for s in canonical_mcs_list(ring))
         kinds = Counter(o[1] if o[0] == "refused" else "built" for o in outcomes)
         assert kinds == {
@@ -250,6 +270,42 @@ class TestLocalize:
         assert kinds == {"built": 498, "fraction addition is not single valued": 634}
         digest = hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()
         assert digest == "5d721ee58b1ccffb64777021a5691031cc17dcf70e112114ec3f7ecef3c6e1b9"
+
+    def test_built_classes_match_reference(self):
+        # every localization of the moduli 2-8 family that builds has the
+        # classes of the relation written from its definition
+        built = 0
+        for ring in enumerate_family(RingFamilySpec(moduli=tuple(range(2, 9)))):
+            if not ring.has_identity:
+                continue
+            for smask in canonical_mcs_list(ring):
+                try:
+                    loc = localize(ring, smask)
+                except ConstructionError:
+                    continue
+                related = reference_relation(ring, smask)
+                for p in loc.pairs:
+                    for q in loc.pairs:
+                        assert related(p, q) == (loc.class_of[p] == loc.class_of[q]), (ring.name, smask, p, q)
+                built += 1
+        assert built == 130
+
+    def test_transitivity_refusals_match_reference(self):
+        # every "not transitive" refusal on the random tables names pairs
+        # with p1 ~ p2 ~ p3 and p1 not related to p3 under the definition
+        refused = 0
+        for ring in random_identity_tables():
+            for smask in canonical_mcs_list(ring):
+                try:
+                    localize(ring, smask)
+                except ConstructionError as e:
+                    if str(e) != "localization relation is not transitive":
+                        continue
+                    related = reference_relation(ring, smask)
+                    p1, p2, p3 = e.witness["p1"], e.witness["p2"], e.witness["p3"]
+                    assert related(p1, p2) and related(p2, p3) and not related(p1, p3), (ring.table_key(), smask)
+                    refused += 1
+        assert refused == 2568
 
 
 class TestHoms:

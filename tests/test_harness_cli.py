@@ -24,9 +24,10 @@ from hyperlab.harness import (
     run_quotient_checks,
     run_ring,
     run_theorem_suite,
-    validate_radical_oracle,
 )
 from hyperlab.verdicts import SplitMode
+
+from radical_oracle import validate_radical_oracle
 
 TINY = RingFamilySpec(moduli=(2, 3, 4), phi_sizes=(2,))
 
@@ -581,6 +582,10 @@ class TestCLI:
             assert "argument --mode: invalid choice: 'bogus'" in proc.stderr
         else:
             assert proc.stderr.startswith("error:")
+        if "--u-max" in args:
+            assert proc.stderr == "error: u_max must be at least 2\n"
+        if "--tuple-budget" in args:
+            assert proc.stderr == "error: tuple_budget must be at least 1\n"
 
     @pytest.mark.parametrize("args,unread", [
         (("zphi", "--prop", "product", "--factors", "2,3", "--mode", "all", "--window", "7", "--u", "9"),
