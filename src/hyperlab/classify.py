@@ -126,76 +126,6 @@ def is_primary(ring: FiniteHyperring, pmask: Mask, radmask: Mask) -> Verdict:
 # -- (u,v)-absorbing deciders -------------------------------------------------
 
 
-class _Times(dict):
-    """mask -> mask ∘ x for one element x, filled on first use; None (the
-    empty product) -> {x}."""
-
-    def __init__(self, ring: FiniteHyperring, x: int):
-        super().__init__({None: 1 << x})
-        self.mul, self.x = ring.mul_elem, x
-
-    def __missing__(self, m: Mask) -> Mask:
-        self[m] = out = self.mul(m, self.x)
-        return out
-
-
-class _PrefixSplits:
-    """Split states of the multiset last asked for, given as indices into
-    `times`, and of its prefixes.
-
-    The state of a multiset is, per v-part size j, the set of distinct
-    (v-part product, remainder product) pairs over its splits, None
-    standing for an empty part.  Multisets arrive in canonical order, so
-    consecutive ones share long prefixes and only the changed tail of the
-    prefix chain is rebuilt.  Products are left folds in sorted order, as
-    in `multiset_products`."""
-
-    def __init__(self, times: Sequence[_Times]):
-        self.times = times
-        self.prefix: tuple = ()
-        self.states: list[list[set]] = [[{(None, None)}]]
-
-    def of(self, prefix: tuple) -> list[set]:
-        if prefix != self.prefix:
-            keep = 0
-            while keep < len(self.prefix) and self.prefix[keep] == prefix[keep]:
-                keep += 1
-            del self.states[keep + 1 :]
-            for x in prefix[keep:]:
-                tx = self.times[x]
-                old = self.states[-1]
-                new = [set() for _ in range(len(old) + 1)]
-                for j, pairs in enumerate(old):
-                    new[j + 1].update([(tx[a], b) for a, b in pairs])
-                    new[j].update([(a, tx[b]) for a, b in pairs])
-                self.states.append(new)
-            self.prefix = prefix
-        return self.states[-1]
-
-
-class _TargetBits(dict):
-    """mask m -> (v-part bits, remainder bits, hypothesis bits) of m over
-    the targets (P, C, avoid, label), filled on first use: bit t of each
-    is set where m ⊆ P, m ⊆ C, and m ⊆ P misses avoid, for target t.  A
-    split is ok where its v-part bits or its remainder bits are set."""
-
-    def __init__(self, targets: Sequence[tuple[Mask, Mask, Mask, str]]):
-        super().__init__()
-        self.targets = targets
-
-    def __missing__(self, m: Mask) -> tuple[int, int, int]:
-        bp = bc = bh = 0
-        for t, (pmask, concl, avoid, _) in enumerate(self.targets):
-            if not m & ~pmask:
-                bp |= 1 << t
-                if not m & avoid:
-                    bh |= 1 << t
-            if not m & ~concl:
-                bc |= 1 << t
-        self[m] = out = (bp, bc, bh)
-        return out
-
-
 class _Memo(dict):
     """key -> fn(key), filled on first use."""
 
@@ -226,23 +156,25 @@ def uv_scan(
     does not.  Returns, per target, {(u, v): Verdict} with spaces labelled
     by the target's label.
 
-    Targets are bit-sliced (`_TargetBits`), and so are the last two
-    factors: a u-multiset is a (u-2)-prefix followed by y <= x, and one
-    int of |pool|² * n bits holds a (y, x) grid, slot y * |pool| + x
-    holding the n target bits of the multiset (prefix, pool[y], pool[x]).
-    A valid-slot mask keeps the canonical slots, last(prefix) <= y <= x.
-    Per product mask m and field, four memoized tables, built from a
-    one-factor row of the bits of m∘x per slot x, lay out the bits of m∘y∘x
-    in each slot, of m∘y repeated along row y, of m∘x repeated down column
-    x, and of m in every slot.  y and x each join the v-part or the remainder, so a split (a, b)
-    of the prefix with a v-part of size v-2, v-1 or v gives the splits
-    (a∘y∘x, b), (a∘y, b∘x), (a∘x, b∘y) and (a, b∘y∘x) of every multiset of
-    the grid in a few int operations.  Prefixes come in canonical order and
-    slots row-major, which is canonical order within a prefix, so a pair's
-    witness is its lowest failing valid slot in the first prefix that has
-    one: the multiset (ANY) or its first failing split (ALL).  `tested`
-    counts the multisets meeting the hypothesis up to the witness, or in
-    total for a holding pair, by popcounts of the packed hypothesis bits.
+    Targets are bit-sliced, and so are the last two factors: a u-multiset
+    is a (u-2)-prefix followed by y <= x, and one int of |pool|² * n bits
+    holds a (y, x) grid, slot y * |pool| + x holding the n target bits of
+    the multiset (prefix, pool[y], pool[x]).  A valid-slot mask keeps the
+    canonical slots, last(prefix) <= y <= x.  Per product mask m and field,
+    four memoized tables, built from a one-factor row of the bits of m∘x
+    per slot x, lay out the bits of m∘y∘x in each slot, of m∘y repeated
+    along row y, of m∘x repeated down column x, and of m in every slot.
+    The prefix's splits are its `splits`, read as (v-part, remainder)
+    product pairs.  y and x each join the v-part or the remainder, so a
+    split (a, b) of the prefix with a v-part of size v-2, v-1 or v gives
+    the splits (a∘y∘x, b), (a∘y, b∘x), (a∘x, b∘y) and (a, b∘y∘x) of every
+    multiset of the grid in a few int operations.  Prefixes come in
+    canonical order and slots row-major, which is canonical order within a
+    prefix, so a pair's witness is its lowest failing valid slot in the
+    first prefix that has one: the multiset (ANY) or its first failing
+    split (ALL).  `tested` counts the multisets meeting the hypothesis up
+    to the witness, or in total for a holding pair, by popcounts of the
+    packed hypothesis bits.
     """
     pool = tuple(pool)
     n, size = len(targets), len(pool)
@@ -259,12 +191,29 @@ def uv_scan(
     # parts of an ALL witness are folded on demand
     u_max = max((u for u, _ in uvs), default=2)
     prods = multiset_products(ring, max(u_max - 2, 1), pool)
+    mul = ring.mul_elem
 
     def product(ms: tuple) -> Mask:
-        return prods[ms] if ms in prods else ring.mul_elem(prods[ms[:-1]], ms[-1])
+        return prods[ms] if ms in prods else mul(prods[ms[:-1]], ms[-1])
 
-    bits = _TargetBits(targets)
-    times = [_Times(ring, x) for x in pool]  # by slot
+    def target_bits(m: Mask) -> tuple[int, int, int]:
+        """(v-part bits, remainder bits, hypothesis bits) of m: bit t of
+        each is set where m ⊆ P, m ⊆ C, and m ⊆ P misses avoid, for target
+        t.  A split is ok where its v-part bits or its remainder bits are
+        set."""
+        bp = bc = bh = 0
+        for t, (pmask, concl, avoid, _) in enumerate(targets):
+            if not m & ~pmask:
+                bp |= 1 << t
+                if not m & avoid:
+                    bh |= 1 << t
+            if not m & ~concl:
+                bc |= 1 << t
+        return bp, bc, bh
+
+    bits = _Memo(target_bits)
+    # by slot x: m -> m∘x, None (the empty product) -> {x}
+    times = [_Memo(lambda m, x=x: 1 << x if m is None else mul(m, x)) for x in pool]
 
     def grid(field: int) -> tuple[_Memo, _Memo, _Memo, _Memo]:
         """The tables m -> field of m∘y∘x, m∘y, m∘x and m in slot (y, x),
@@ -294,7 +243,6 @@ def uv_scan(
         found: dict[tuple[int, int], tuple[dict, int]] = {}
         # packed hypothesis bits of a prefix's grid -> prefixes seen
         counts: dict[int, int] = {}
-        prefix_splits = _PrefixSplits(times)
         for head_at in combinations_with_replacement(range(size), u - 2):
             if not live:
                 break
@@ -302,8 +250,12 @@ def uv_scan(
             hb = hb_yx[prods[head] if head else None] & valid[head_at[-1] if head else 0]
             if not hb & live:
                 continue
-            # lv[j + 1]: the prefix's splits with a v-part of size j
-            lv = ((), *prefix_splits.of(head_at), ())
+            # lv[j + 1]: the distinct (v-part, remainder) products of the
+            # prefix's splits with a v-part of size j, None for an empty part
+            lv = ((), *(
+                {(prods[a] if a else None, prods[b] if b else None) for a, b in splits(head, j)}
+                for j in range(u - 1)
+            ), ())
             closed = False
             for v in vs:
                 need = hb & open_[v]

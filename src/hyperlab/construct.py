@@ -17,7 +17,7 @@ from itertools import product as cartesian
 from typing import Optional
 
 from .core import FiniteHyperring, Mask, elems_of, iter_bits, subset
-from .ideals import is_hyperideal
+from .ideals import enumerate_hyperideals, is_hyperideal
 from .verdicts import ConstructionError, ResourceError, UsageError
 
 
@@ -276,8 +276,6 @@ def canonical_mcs_list(ring: FiniteHyperring) -> list[Mask]:
             found.add(closure)
     if rep.units and is_mcs(ring, rep.units):
         found.add(rep.units)
-    from .ideals import enumerate_hyperideals
-
     for q in enumerate_hyperideals(ring).primes():
         comp = ring.full_mask & ~q.mask
         if comp and is_mcs(ring, comp):

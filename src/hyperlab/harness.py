@@ -303,26 +303,14 @@ def check_radical_of_uv_primary_is_prime(ctx: RingContext, f: IdealFacts) -> Ver
     if not holding:
         return holds(space="gated on some (u,v) holding", tested=0)
     rad = f.rad_nil
-    if rad == ctx.ring.full_mask:
-        return fails(
-            {"radical": "full carrier", "holding": holding},
-            space="radical primality",
-            tested=len(holding),
-        )
-    target = ctx.find(rad)
-    if target is None:
-        return fails(
-            {"radical": elems_of(rad), "defect": "not a hyperideal"},
-            space="radical primality",
-            tested=len(holding),
-        )
-    if not target.prime:
-        return fails(
-            {"radical": elems_of(rad), "defect": "not prime", "holding": holding},
-            space="radical primality",
-            tested=len(holding),
-        )
-    return holds(space="radical primality", tested=len(holding))
+    full = rad == ctx.ring.full_mask
+    target = None if full else ctx.find(rad)
+    witness = (
+        {"radical": "full carrier", "holding": holding} if full
+        else {"radical": elems_of(rad), "defect": "not a hyperideal"} if target is None
+        else {"radical": elems_of(rad), "defect": "not prime", "holding": holding}
+    )
+    return decided(target is not None and target.prime, witness, "radical primality", len(holding))
 
 
 def check_uv_arity_monotone(ctx: RingContext, f: IdealFacts) -> Verdict:
@@ -368,13 +356,11 @@ def check_one_absorbing_matches(ctx: RingContext, f: IdealFacts) -> Verdict:
     if (3, 2) not in f.uv_primary:
         return holds(space="needs u_max >= 3", tested=0)
     a, b = f.one_abs, f.uv_primary[(3, 2)]
-    if a.holds != b.holds:
-        return fails(
-            {"triple_loop": a.status, "pair_scan": b.status, "witnesses": [a.witness, b.witness]},
-            space="triple loop vs (3,2) scan",
-            tested=1,
-        )
-    return holds(space="triple loop vs (3,2) scan", tested=1)
+    return decided(
+        a.holds == b.holds,
+        {"triple_loop": a.status, "pair_scan": b.status, "witnesses": [a.witness, b.witness]},
+        "triple loop vs (3,2) scan",
+    )
 
 
 def check_colon_drops_arity(ctx: RingContext, f: IdealFacts) -> Verdict:
@@ -431,20 +417,13 @@ def check_strong_c_radical(ctx: RingContext, f: IdealFacts) -> Verdict:
     if not f.sc.holds:
         return holds(space="gated on strong C", tested=0)
     rad = f.rad_nil
-    if not ideals_mod.is_subgroup(ctx.ring, rad):
-        return fails(
-            {"radical": elems_of(rad), "defect": "not a subgroup"},
-            space="strong C closure of radical",
-            tested=1,
-        )
-    inner = ideals_mod.is_strong_c_hyperideal(ctx.ring, rad)
-    if not inner.holds:
-        return fails(
-            {"radical": elems_of(rad), "witness": inner.witness},
-            space="strong C closure of radical",
-            tested=1,
-        )
-    return holds(space="strong C closure of radical", tested=1)
+    inner = ideals_mod.is_strong_c_hyperideal(ctx.ring, rad) if ideals_mod.is_subgroup(ctx.ring, rad) else None
+    return decided(
+        inner is not None and inner.holds,
+        {"radical": elems_of(rad), "defect": "not a subgroup"} if inner is None
+        else {"radical": elems_of(rad), "witness": inner.witness},
+        "strong C closure of radical",
+    )
 
 
 def _unit_padding_gate(ctx: RingContext, f: IdealFacts) -> Optional[Verdict]:
@@ -587,13 +566,11 @@ def check_radical_forms_agree(ctx: RingContext, f: IdealFacts) -> Verdict:
     radical."""
     if not f.c.holds:
         return holds(space="gated on C-hyperideals", tested=0)
-    if f.rad_nil != f.rad_pi:
-        return fails(
-            {"nilpotent": elems_of(f.rad_nil), "prime_intersection": elems_of(f.rad_pi)},
-            space="radical form agreement",
-            tested=1,
-        )
-    return holds(space="radical form agreement", tested=1)
+    return decided(
+        f.rad_nil == f.rad_pi,
+        {"nilpotent": elems_of(f.rad_nil), "prime_intersection": elems_of(f.rad_pi)},
+        "radical form agreement",
+    )
 
 
 IDEAL_CHECKS: list[tuple[str, Callable[[RingContext, IdealFacts], Verdict]]] = [

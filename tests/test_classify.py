@@ -237,7 +237,7 @@ class TestOneAbsorbingTable:
             raise AssertionError("the 1-absorbing decider reached the (u,v) kernel")
 
         expected = verdicts()
-        for name in ("multiset_products", "uv_scan", "_Times", "_PrefixSplits"):
+        for name in ("multiset_products", "uv_scan", "_Memo", "splits"):
             monkeypatch.setattr(classify, name, refuse)
         assert verdicts() == expected
         with pytest.raises(AssertionError, match="kernel"):

@@ -33,6 +33,21 @@ def test_no_unused_imports(path):
     assert unused_imports(path) == []
 
 
+def test_imports_are_top_level():
+    """Every import of a library module sits at its top level, where the
+    unused-import scan sees it."""
+    nested = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        nested += [
+            f"{path.name}:{node.lineno}"
+            for top in tree.body
+            for node in ast.walk(top)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and node is not top
+        ]
+    assert nested == []
+
+
 def test_no_private_cross_module_imports():
     """A `_`-prefixed name is private to its module: no other hyperlab
     module imports it."""
