@@ -48,26 +48,27 @@ def _require_proper(ring: FiniteHyperring, pmask: Mask) -> None:
 # -- multiset product cache ---------------------------------------------------
 
 
-def multiset_products(ring: FiniteHyperring, max_size: int, pool: Sequence[int]) -> dict[tuple, Mask]:
-    """Hyperproduct masks for every nondecreasing tuple over the sorted
-    `pool` of length <= max_size, built once per (ring, pool) and grown on
-    demand."""
-    pool = tuple(pool)
-    cache = ring._cache.setdefault(("msprod", pool), {"size": 0, "prods": {}})
-    prods: dict[tuple, Mask] = cache["prods"]
-    if cache["size"] >= max_size:
-        return prods
-    lo = cache["size"]
-    if lo == 0:
-        for a in pool:
-            prods[(a,)] = 1 << a
-        lo = 1
-    mul = ring.mul_elem
-    for size in range(lo + 1, max_size + 1):
-        for ms in combinations_with_replacement(pool, size):
-            prods[ms] = mul(prods[ms[:-1]], ms[-1])
-    cache["size"] = max(cache["size"], max_size)
-    return prods
+class _Memo(dict):
+    """key -> fn(key), filled on first use."""
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        self[key] = out = self.fn(key)
+        return out
+
+
+def multiset_products(ring: FiniteHyperring) -> dict[tuple, Optional[Mask]]:
+    """Hyperproduct masks of nondecreasing element tuples, one memo per
+    ring: a tuple's product is folded from its prefix's the first time it
+    is read.  The empty tuple maps to None, the empty product."""
+    if "msprod" not in ring._cache:
+        prods = ring._cache["msprod"] = _Memo(lambda ms: ring.mul_elem(prods[ms[:-1]], ms[-1]))
+        prods[()] = None
+        prods.update(((a,), 1 << a) for a in range(ring.n))
+    return ring._cache["msprod"]
 
 
 def _complement(ms: Sequence[int], part: Sequence[int]) -> tuple:
@@ -126,18 +127,6 @@ def is_primary(ring: FiniteHyperring, pmask: Mask, radmask: Mask) -> Verdict:
 # -- (u,v)-absorbing deciders -------------------------------------------------
 
 
-class _Memo(dict):
-    """key -> fn(key), filled on first use."""
-
-    def __init__(self, fn):
-        super().__init__()
-        self.fn = fn
-
-    def __missing__(self, key):
-        self[key] = out = self.fn(key)
-        return out
-
-
 def uv_scan(
     ring: FiniteHyperring,
     targets: Sequence[tuple[Mask, Mask, Mask, str]],
@@ -174,7 +163,8 @@ def uv_scan(
     first prefix that has one: the multiset (ANY) or its first failing
     split (ALL).  `tested` counts the multisets meeting the hypothesis up
     to the witness, or in total for a holding pair, by popcounts of the
-    packed hypothesis bits.
+    packed hypothesis bits.  Products are read off `multiset_products`,
+    the ring's one product memo, filled on first use.
     """
     pool = tuple(pool)
     n, size = len(targets), len(pool)
@@ -187,14 +177,8 @@ def uv_scan(
     valid = [0] * (size + 1)
     for lo in reversed(range(size)):
         valid[lo] = valid[lo + 1] | (every * row_ones >> n * lo << n * lo << row * lo)
-    # the products of the heads, the (u-2)-prefixes; the (u_max - 1)-factor
-    # parts of an ALL witness are folded on demand
-    u_max = max((u for u, _ in uvs), default=2)
-    prods = multiset_products(ring, max(u_max - 2, 1), pool)
+    prods = multiset_products(ring)
     mul = ring.mul_elem
-
-    def product(ms: tuple) -> Mask:
-        return prods[ms] if ms in prods else mul(prods[ms[:-1]], ms[-1])
 
     def target_bits(m: Mask) -> tuple[int, int, int]:
         """(v-part bits, remainder bits, hypothesis bits) of m: bit t of
@@ -247,15 +231,12 @@ def uv_scan(
             if not live:
                 break
             head = tuple(pool[i] for i in head_at)
-            hb = hb_yx[prods[head] if head else None] & valid[head_at[-1] if head else 0]
+            hb = hb_yx[prods[head]] & valid[head_at[-1] if head else 0]
             if not hb & live:
                 continue
             # lv[j + 1]: the distinct (v-part, remainder) products of the
             # prefix's splits with a v-part of size j, None for an empty part
-            lv = ((), *(
-                {(prods[a] if a else None, prods[b] if b else None) for a, b in splits(head, j)}
-                for j in range(u - 1)
-            ), ())
+            lv = ((), *({(prods[a], prods[b]) for a, b in splits(head, j)} for j in range(u - 1)), ())
             closed = False
             for v in vs:
                 need = hb & open_[v]
@@ -295,7 +276,7 @@ def uv_scan(
                             vp, rest = next(
                                 (vp, rest)
                                 for vp, rest in splits(ms, v)
-                                if not (bits[product(vp)][0] | bits[product(rest)][1]) >> t & 1
+                                if not (bits[prods[vp]][0] | bits[prods[rest]][1]) >> t & 1
                             )
                             witness = {"factors": list(vp + rest), "v_part": list(vp), "rest": list(rest)}
                         tested = sum(c * (g >> t & ones).bit_count() for g, c in counts.items())
@@ -490,7 +471,7 @@ def check_v1v_characterization(
     uv = UVParams(v + 1, v)
     lattice = enumerate_hyperideals(ring)
     nonunits = elems_of(ring.unit_report().nonunits)
-    prods = multiset_products(ring, v, nonunits)
+    prods = multiset_products(ring)
     notp = ~pmask
 
     if clause_i is None:
@@ -522,16 +503,14 @@ def check_v1v_characterization(
     clause_iii = first_failure("v-multisets times hyperideals", clause_iii_cases())
 
     # (iv) products of v+1 proper hyperideals, aggregated like the element
-    # deciders: remainder ideal must fall into rad(P)
-    # the table does not depend on P, so it is built once per (ring, v)
+    # deciders: remainder ideal must fall into rad(P).  The products depend
+    # on neither P nor v: one memo per ring over tuples of indices into
+    # `proper`, each folded from its prefix's product on first use
     proper = [b.mask for b in lattice.proper()]
-    iprod: Optional[dict[tuple, Mask]] = ring._cache.get(("iprod", v))
-    if iprod is None:
-        iprod = {(i,): m for i, m in enumerate(proper)}
-        for size in range(2, v + 2):
-            for idxs in combinations_with_replacement(range(len(proper)), size):
-                iprod[idxs] = ring.set_mul(iprod[idxs[:-1]], proper[idxs[-1]])
-        ring._cache[("iprod", v)] = iprod
+    if "iprod" not in ring._cache:
+        iprod = ring._cache["iprod"] = _Memo(lambda idxs: ring.set_mul(iprod[idxs[:-1]], proper[idxs[-1]]))
+        iprod.update(((i,), m) for i, m in enumerate(proper))
+    iprod = ring._cache["iprod"]
 
     def clause_iv_witness(idxs: tuple) -> Optional[dict]:
         if mode is SplitMode.ANY:

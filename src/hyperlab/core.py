@@ -27,8 +27,9 @@ class TableFormatError(ValueError):
 
 def _check_square(n, table, what: str) -> None:
     """TableFormatError unless n is a positive int and `table` an n*n list
-    of rows."""
-    if not isinstance(n, int):
+    of rows.  Here and in the cell checks `type(x) is int` also refuses
+    bools, which JSON true and false load as."""
+    if type(n) is not int:
         raise TableFormatError(f"n={n!r} is not an integer")
     if n <= 0:
         raise TableFormatError("carrier must be nonempty")
@@ -102,10 +103,10 @@ class FiniteHyperring:
         for a in range(n):
             for b in range(n):
                 x = add[a][b]
-                if not (isinstance(x, int) and 0 <= x < n):
+                if not (type(x) is int and 0 <= x < n):
                     raise TableFormatError(f"add[{a}][{b}]={x} out of range")
                 m = hmul_masks[a][b]
-                if not isinstance(m, int) or m & ~full:
+                if type(m) is not int or m & ~full:
                     raise TableFormatError(f"hmul[{a}][{b}] out of range")
                 if m == 0:
                     raise TableFormatError(f"hmul[{a}][{b}] is empty")
@@ -127,7 +128,7 @@ class FiniteHyperring:
         def cell_mask(a: int, b: int) -> Mask:
             cell = hmul_sets[a][b]
             elems = list(cell) if isinstance(cell, Iterable) else None
-            if elems is None or not all(isinstance(x, int) and 0 <= x < n for x in elems):
+            if elems is None or not all(type(x) is int and 0 <= x < n for x in elems):
                 raise TableFormatError(f"hmul[{a}][{b}]={cell!r} out of range: need a list of elements 0..{n - 1}")
             return mask_of(elems)
 

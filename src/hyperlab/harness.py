@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations
 from math import comb
 from typing import Callable, Optional, Sequence
@@ -375,13 +375,14 @@ def check_colon_drops_arity(ctx: RingContext, f: IdealFacts) -> Verdict:
     if not ring.has_identity:
         return skipped("ring has no identity", space="standing identity hypothesis")
     pool = elems_of(ring.unit_report().nonunits & ~f.mask)
+    colon_by = cache(lambda x: colon(ring, f.mask, 1 << x))
 
     def cases():
         for (u, v), verdict in f.uv_primary.items():
             if v < 2 or not verdict.holds:
                 continue
             for x in pool:
-                cmask = colon(ring, f.mask, 1 << x)
+                cmask = colon_by(x)
                 target = ctx.find(cmask)
                 if target is None:
                     defect = "full carrier" if cmask == ring.full_mask else "not a hyperideal"

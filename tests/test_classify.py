@@ -3,7 +3,7 @@ including the two split readings and witness replay."""
 import hashlib
 import json
 from collections import Counter
-from functools import cache
+from functools import cache, reduce
 from itertools import combinations_with_replacement, product
 
 import pytest
@@ -24,7 +24,7 @@ from hyperlab.classify import (
     splits,
 )
 from hyperlab.core import elems_of, mask_of, parse_ring_spec, subset
-from hyperlab.harness import RingFamilySpec, enumerate_family
+from hyperlab.harness import Report, RingFamilySpec, enumerate_family, run_ring
 from hyperlab.ideals import (
     enumerate_hyperideals,
     is_c_hyperideal,
@@ -323,6 +323,31 @@ class TestCharacterization:
         assert len(rows) == 4392
         assert sum('"fails"' in r for r in rows) == 196
         assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == CLAUSE_DIGEST
+
+    def test_ideal_products_are_one_memo_per_ring(self):
+        """Clause (iv) keeps its products of proper hyperideals in one memo
+        per ring, shared by every P and v: after run_ring, a ring whose
+        C-hyperideals went through the four-way check holds it under
+        "iprod" alone, and each entry is the left fold of its ideals."""
+        spec = RingFamilySpec(moduli=tuple(range(2, 9)))
+        checked = 0
+        for ring in enumerate_family(spec):
+            if not ring.validate().ok:
+                continue
+            report = Report()
+            run_ring(ring, spec, report)
+            keys = [k for k in ring._cache if k == "iprod" or isinstance(k, tuple) and k[0] == "iprod"]
+            ran = any(
+                r["property"] == "top-arity-four-way-agreement" and r["space"] == "four-way characterization"
+                for r in report.records
+            )
+            assert keys == (["iprod"] if ran else []), ring.name
+            if ran:
+                proper = [b.mask for b in enumerate_hyperideals(ring).proper()]
+                for idxs, m in ring._cache["iprod"].items():
+                    assert m == reduce(ring.set_mul, [proper[i] for i in idxs]), (ring.name, idxs)
+                checked += 1
+        assert checked == 85
 
 
 class TestDivided:

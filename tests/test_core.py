@@ -105,6 +105,11 @@ class TestParsing:
         with pytest.raises(TableFormatError, match="name=5 is not a string"):
             load_table_file(str(path))
 
+    def test_bool_product_mask_is_rejected(self):
+        # a mask passed to the constructor directly, not read from a file
+        with pytest.raises(TableFormatError, match=r"hmul\[0\]\[0\]"):
+            FiniteHyperring(1, [[0]], [[True]])
+
     def test_table_file_not_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{nope")

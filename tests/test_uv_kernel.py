@@ -13,7 +13,9 @@ from hyperlab.classify import (
     is_uv_absorbing_i_primary,
     is_uv_absorbing_prime,
     is_uv_absorbing_primary,
+    multiset_products,
     replay_uv_counterexample,
+    splits,
     uv_scan,
 )
 from hyperlab.core import elems_of, mask_of, parse_ring_spec
@@ -274,15 +276,27 @@ def test_grid_is_row_major():
 
 
 def test_products_stop_at_the_longest_head():
-    """At u_max = 5 the kernel keeps the products of its heads, the (u-2)-
-    prefixes of at most 3 factors, and no longer.  The 4-factor v-parts
-    and remainders of ALL witnesses at (5,1) and (5,4) are folded on
-    demand, and each witness is still the reference's."""
+    """At u_max = 5 the kernel reads the products of its heads, the (u-2)-
+    prefixes of at most 3 factors, off the ring's product memo.  The only
+    longer products it reads are the 4-factor v-parts and remainders of
+    ALL witnesses at (5,1) and (5,4), and each witness is still the
+    reference's."""
     ring = parse_ring_spec(Z12_WITHOUT_IDENTITY[0])
     pool = tuple(elems_of(ring.unit_report().nonunits))
     targets = proper_targets(ring)
     mat_p, mat_q = compute_uv_matrices(ring, targets, U_MAX, SplitMode.ALL)
-    assert ring._cache[("msprod", pool)]["size"] == 3
+    prods = dict(multiset_products(ring))
+    assert max(map(len, prods)) == 4
+    witness_parts = {
+        part
+        for row in mat_p + mat_q
+        for (_, v), verdict in row.items()
+        if verdict.fails
+        for split in splits(tuple(sorted(verdict.witness["factors"])), v)
+        for part in split
+    }
+    assert {ms for ms in prods if len(ms) == 4} <= witness_parts
+    assert all(m == (ring.hyperproduct(ms) if ms else None) for ms, m in prods.items())
     ref = Reference(ring, pool)
     long_parts = 0
     for (pmask, rad), row_p, row_q in zip(targets, mat_p, mat_q):
