@@ -64,11 +64,13 @@ def multiset_products(ring: FiniteHyperring) -> dict[tuple, Optional[Mask]]:
     """Hyperproduct masks of nondecreasing element tuples, one memo per
     ring: a tuple's product is folded from its prefix's the first time it
     is read.  The empty tuple maps to None, the empty product."""
-    if "msprod" not in ring._cache:
-        prods = ring._cache["msprod"] = _Memo(lambda ms: ring.mul_elem(prods[ms[:-1]], ms[-1]))
+    def build():
+        prods = _Memo(lambda ms: ring.mul_elem(prods[ms[:-1]], ms[-1]))
         prods[()] = None
         prods.update(((a,), 1 << a) for a in range(ring.n))
-    return ring._cache["msprod"]
+        return prods
+
+    return ring.memo("msprod", build)
 
 
 def _complement(ms: Sequence[int], part: Sequence[int]) -> tuple:
@@ -353,19 +355,17 @@ def is_uv_absorbing_i_primary(
 def _triple_table(ring: FiniteHyperring) -> tuple[list[int], list[Mask]]:
     """The nonunits and, for every nondecreasing triple of them in
     canonical order, its product mask x∘y∘z, folded from `ring.hmul` alone;
-    built once per ring.  A product of two is one `hmul` cell, so the table
+    its caller keeps one per ring.  A product of two is one `hmul` cell, so the table
     holds no pair products."""
-    if "triples" not in ring._cache:
-        hm = ring.hmul
-        nonunits = elems_of(ring.unit_report().nonunits)
-        totals = []
-        for a, b, c in combinations_with_replacement(nonunits, 3):
-            total = 0
-            for e in iter_bits(hm[a][b]):
-                total |= hm[e][c]
-            totals.append(total)
-        ring._cache["triples"] = (nonunits, totals)
-    return ring._cache["triples"]
+    hm = ring.hmul
+    nonunits = elems_of(ring.unit_report().nonunits)
+    totals = []
+    for a, b, c in combinations_with_replacement(nonunits, 3):
+        total = 0
+        for e in iter_bits(hm[a][b]):
+            total |= hm[e][c]
+        totals.append(total)
+    return nonunits, totals
 
 
 def is_1_absorbing_primary(
@@ -382,7 +382,7 @@ def is_1_absorbing_primary(
     """
     _require_proper(ring, pmask)
     hm = ring.hmul
-    nonunits, totals = _triple_table(ring)
+    nonunits, totals = ring.memo("triples", lambda: _triple_table(ring))
     notp = ~pmask
     hits = 0
     space = f"nonunit triples mode={mode.value}"
@@ -507,10 +507,12 @@ def check_v1v_characterization(
     # on neither P nor v: one memo per ring over tuples of indices into
     # `proper`, each folded from its prefix's product on first use
     proper = [b.mask for b in lattice.proper()]
-    if "iprod" not in ring._cache:
-        iprod = ring._cache["iprod"] = _Memo(lambda idxs: ring.set_mul(iprod[idxs[:-1]], proper[idxs[-1]]))
+    def build():
+        iprod = _Memo(lambda idxs: ring.set_mul(iprod[idxs[:-1]], proper[idxs[-1]]))
         iprod.update(((i,), m) for i, m in enumerate(proper))
-    iprod = ring._cache["iprod"]
+        return iprod
+
+    iprod = ring.memo("iprod", build)
 
     def clause_iv_witness(idxs: tuple) -> Optional[dict]:
         if mode is SplitMode.ANY:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from .verdicts import UsageError
 
@@ -119,6 +119,12 @@ class FiniteHyperring:
         self.neg = self._find_negs()
         self._cache: dict = {}
 
+    def memo(self, key: str, build: Callable[[], Any]) -> Any:
+        """The ring's value under `key`, made by `build()` on first use."""
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
+
     # -- construction helpers -------------------------------------------
 
     @classmethod
@@ -224,8 +230,9 @@ class FiniteHyperring:
     # -- validation ------------------------------------------------------
 
     def validate(self) -> ValidationReport:
-        if "validation" in self._cache:
-            return self._cache["validation"]
+        return self.memo("validation", self._validate)
+
+    def _validate(self) -> ValidationReport:
         failures: list[AxiomFailure] = []
         n, add, hm = self.n, self.add, self.hmul
 
@@ -308,9 +315,7 @@ class FiniteHyperring:
             if not first("weak-distributivity", weak_distributivity()):
                 strongly = None
 
-        report = ValidationReport(not failures, failures, strongly)
-        self._cache["validation"] = report
-        return report
+        return ValidationReport(not failures, failures, strongly)
 
     # -- identities and units ---------------------------------------------
 
@@ -318,8 +323,9 @@ class FiniteHyperring:
         """Identities e (a in e∘a for every a) and units x (some identity
         lies in y∘x for some y).  No identity is a legal state; then the
         unit set is empty and every element counts as a nonunit."""
-        if "units" in self._cache:
-            return self._cache["units"]
+        return self.memo("units", self._unit_report)
+
+    def _unit_report(self) -> UnitReport:
         n, hm = self.n, self.hmul
         idents = 0
         for e in range(n):
@@ -332,9 +338,7 @@ class FiniteHyperring:
                 col = hm[x]
                 if any(col[y] & idents for y in range(n)):
                     units |= 1 << x
-        rep = UnitReport(idents, units, self.full_mask & ~units)
-        self._cache["units"] = rep
-        return rep
+        return UnitReport(idents, units, self.full_mask & ~units)
 
     @property
     def has_identity(self) -> bool:
@@ -347,15 +351,15 @@ class FiniteHyperring:
 
     def table_key(self) -> bytes:
         """Canonical bytes for deduplicating rings with identical structure."""
-        if "table_key" in self._cache:
-            return self._cache["table_key"]
+        return self.memo("table_key", self._table_key)
+
+    def _table_key(self) -> bytes:
         parts = [self.n.to_bytes(2, "big")]
         for row in self.add:
             parts.extend(x.to_bytes(2, "big") for x in row)
         for row in self.hmul:
             parts.extend(m.to_bytes((self.n + 7) // 8, "big") for m in row)
-        key = self._cache["table_key"] = b"".join(parts)
-        return key
+        return b"".join(parts)
 
     def __repr__(self):
         return f"FiniteHyperring({self.name!r}, n={self.n})"

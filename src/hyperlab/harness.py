@@ -11,10 +11,10 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache, cached_property, wraps
 from itertools import combinations
 from math import comb
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import classify, construct, ideals as ideals_mod, zphi
 from .core import FiniteHyperring, Mask, elems_of, iter_bits, subset
@@ -236,7 +236,8 @@ class RingContext:
         ideal mask, for every ideal that meets the premises of
         check_strong_c_unit_padding: one kernel call per ring, made when the
         first such ideal is checked."""
-        checked = [f for f in self.facts if _unit_padding_gate(self, f) is None]
+        premises = check_strong_c_unit_padding.premises
+        checked = [f for f in self.facts if all(p.test(self, f) for p in premises)]
         rows = classify.uv_scan(
             self.ring,
             [(f.mask, f.rad_nil, 0, "absorbing-primary") for f in checked],
@@ -288,20 +289,53 @@ def derived_context(ctx: RingContext, ring: FiniteHyperring) -> RingContext:
 # -- theorem checks --------------------------------------------------------------
 
 
+class Premise(NamedTuple):
+    """A hypothesis of a theorem check, met where `test(ctx, f)` is true.
+    Where it is not, the check's row is `skipped` for `reason` if one is
+    given, else a gated `holds` that tested nothing; `space` names it."""
+
+    space: str
+    test: Callable[[RingContext, IdealFacts], bool]
+    reason: Optional[str] = None
+
+    def unmet(self) -> Verdict:
+        return skipped(self.reason, space=self.space) if self.reason else holds(space=self.space, tested=0)
+
+
+IDENTITY = Premise("standing identity hypothesis", lambda ctx, f: ctx.ring.has_identity, "ring has no identity")
+C = Premise("gated on C-hyperideals", lambda ctx, f: f.c.holds)
+STRONG_C = Premise("gated on strong C", lambda ctx, f: f.sc.holds)
+NONLOCAL_STRONG_C = Premise("gated on nonlocal ring and strong C", lambda ctx, f: not ctx.lattice.local and f.sc.holds)
+
+
+def premised(*premises: Premise):
+    """Make a theorem check of its conclusion: the check writes the row of
+    its first unmet premise, in the order given, and runs the conclusion
+    only when every premise is met.  The check keeps the conclusion's name
+    and exposes `premises` and the conclusion as `__wrapped__`."""
+    def attach(conclusion):
+        @wraps(conclusion)
+        def check(ctx: RingContext, f: IdealFacts) -> Verdict:
+            for premise in premises:
+                if not premise.test(ctx, f):
+                    return premise.unmet()
+            return conclusion(ctx, f)
+
+        check.premises = premises
+        return check
+
+    return attach
+
+
+@premised(IDENTITY, C, Premise("gated on some (u,v) holding", lambda ctx, f: any(v.holds for v in f.uv_primary.values())))
 def check_radical_of_uv_primary_is_prime(ctx: RingContext, f: IdealFacts) -> Verdict:
     """A C-hyperideal that is (u,v)-absorbing primary for some u > v must
     have a prime radical.
 
     Stated for rings with an identity; without one the radical of a proper
-    hyperideal can be the full carrier (observed on even-multiplier rings),
-    so identityless rings are reported as skipped."""
-    if not ctx.ring.has_identity:
-        return skipped("ring has no identity", space="standing identity hypothesis")
-    if not f.c.holds:
-        return holds(space="gated on C-hyperideals", tested=0)
+    hyperideal can be the full carrier: on z4:0,2 the ideal {0,2} is
+    (u,v)-absorbing primary and its radical is {0,1,2,3}."""
     holding = [list(k) for k, v in f.uv_primary.items() if v.holds]
-    if not holding:
-        return holds(space="gated on some (u,v) holding", tested=0)
     rad = f.rad_nil
     full = rad == ctx.ring.full_mask
     target = None if full else ctx.find(rad)
@@ -313,6 +347,7 @@ def check_radical_of_uv_primary_is_prime(ctx: RingContext, f: IdealFacts) -> Ver
     return decided(target is not None and target.prime, witness, "radical primality", len(holding))
 
 
+@premised()
 def check_uv_arity_monotone(ctx: RingContext, f: IdealFacts) -> Verdict:
     """holds(u,v) must propagate to (u+1,v+1) and to (w,v) for w up to u+3
     within the scan cap."""
@@ -330,6 +365,7 @@ def check_uv_arity_monotone(ctx: RingContext, f: IdealFacts) -> Verdict:
     return first_failure("arity monotonicity", cases())
 
 
+@premised()
 def check_uv_prime_implies_primary(ctx: RingContext, f: IdealFacts) -> Verdict:
     return first_failure("prime strengthens primary", (
         None if f.uv_primary[uv].holds else {"at": list(uv), "witness": f.uv_primary[uv].witness}
@@ -346,15 +382,13 @@ def _all_uv_hold(space: str, uv_primary: dict, **head) -> Verdict:
     ))
 
 
+@premised(Premise("gated on primary", lambda ctx, f: f.primary.holds))
 def check_primary_implies_uv(ctx: RingContext, f: IdealFacts) -> Verdict:
-    if not f.primary.holds:
-        return holds(space="gated on primary", tested=0)
     return _all_uv_hold("primary implies every (u,v)", f.uv_primary)
 
 
+@premised(Premise("needs u_max >= 3", lambda ctx, f: (3, 2) in f.uv_primary))
 def check_one_absorbing_matches(ctx: RingContext, f: IdealFacts) -> Verdict:
-    if (3, 2) not in f.uv_primary:
-        return holds(space="needs u_max >= 3", tested=0)
     a, b = f.one_abs, f.uv_primary[(3, 2)]
     return decided(
         a.holds == b.holds,
@@ -363,17 +397,16 @@ def check_one_absorbing_matches(ctx: RingContext, f: IdealFacts) -> Verdict:
     )
 
 
+@premised(IDENTITY)
 def check_colon_drops_arity(ctx: RingContext, f: IdealFacts) -> Verdict:
     """(P : x) for a nonunit x outside P inherits the property one arity
     lower.
 
     Stated for rings with an identity: there e ∘ x ⊆ P forces x into P, so
     the colon by an outside element stays proper.  Without an identity the
-    colon can absorb the whole carrier (observed empirically), so
-    identityless rings are reported as skipped."""
+    colon can absorb the whole carrier: on z4:0,2 the colon of {0} by 2 is
+    {0,1,2,3}."""
     ring = ctx.ring
-    if not ring.has_identity:
-        return skipped("ring has no identity", space="standing identity hypothesis")
     pool = elems_of(ring.unit_report().nonunits & ~f.mask)
     colon_by = cache(lambda x: colon(ring, f.mask, 1 << x))
 
@@ -396,11 +429,12 @@ def check_colon_drops_arity(ctx: RingContext, f: IdealFacts) -> Verdict:
     return first_failure("colon arity descent", cases())
 
 
+@premised(Premise(
+    "gated on local ring and prime C-hyperideal", lambda ctx, f: ctx.lattice.local and f.prime and f.c.holds
+))
 def check_prime_times_maximal(ctx: RingContext, f: IdealFacts) -> Verdict:
     """In a local ring, a prime C-hyperideal times the maximal hyperideal
     is (u,v)-absorbing primary for every u > v."""
-    if not ctx.lattice.local or not (f.prime and f.c.holds):
-        return holds(space="gated on local ring and prime C-hyperideal", tested=0)
     mmask = ctx.lattice.maximals()[0].mask
     pm = ideal_product(ctx.ring, f.mask, mmask).mask
     target = ctx.find(pm)
@@ -413,10 +447,9 @@ def check_prime_times_maximal(ctx: RingContext, f: IdealFacts) -> Verdict:
     return _all_uv_hold("prime times maximal", target.uv_primary, product=elems_of(pm))
 
 
+@premised(STRONG_C)
 def check_strong_c_radical(ctx: RingContext, f: IdealFacts) -> Verdict:
     """The radical of a strong C-hyperideal is strong C."""
-    if not f.sc.holds:
-        return holds(space="gated on strong C", tested=0)
     rad = f.rad_nil
     inner = ideals_mod.is_strong_c_hyperideal(ctx.ring, rad) if ideals_mod.is_subgroup(ctx.ring, rad) else None
     return decided(
@@ -427,30 +460,21 @@ def check_strong_c_radical(ctx: RingContext, f: IdealFacts) -> Verdict:
     )
 
 
-def _unit_padding_gate(ctx: RingContext, f: IdealFacts) -> Optional[Verdict]:
-    """The gated verdict of check_strong_c_unit_padding, or None when its
-    premises hold for f."""
+def _a_plus_one_nonunit(ctx: RingContext, f: IdealFacts) -> bool:
+    """Some a in P and identity e have a+e a nonunit."""
     ring = ctx.ring
     rep = ring.unit_report()
-    if not f.sc.holds or not rep.identities:
-        return holds(space="gated on strong C and an identity", tested=0)
-    gate = any(
-        rep.nonunits >> ring.add[a][e] & 1
-        for e in iter_bits(rep.identities)
-        for a in iter_bits(f.mask)
-    )
-    if not gate:
-        return holds(space="gated on a+1 nonunit for some a in P", tested=0)
-    return None
+    return any(rep.nonunits >> ring.add[a][e] & 1 for e in iter_bits(rep.identities) for a in iter_bits(f.mask))
 
 
+@premised(
+    Premise("gated on strong C and an identity", lambda ctx, f: f.sc.holds and ctx.ring.has_identity),
+    Premise("gated on a+1 nonunit for some a in P", _a_plus_one_nonunit),
+)
 def check_strong_c_unit_padding(ctx: RingContext, f: IdealFacts) -> Verdict:
     """For a strong C-hyperideal containing some a with a+1 a nonunit, the
     (u,v) condition quantified over nonunits is equivalent to the same
     condition quantified over the whole carrier."""
-    gated = _unit_padding_gate(ctx, f)
-    if gated is not None:
-        return gated
     budget = ctx.spec.tuple_budget
     if estimated_multisets(ctx.ring.n, ctx.spec.u_max) > budget:
         return skipped(BUDGET_EXCEEDED, space=f"full-carrier scan over tuple budget {budget}")
@@ -469,14 +493,11 @@ def check_strong_c_unit_padding(ctx: RingContext, f: IdealFacts) -> Verdict:
     return first_failure("unit padding equivalence", cases())
 
 
+@premised(IDENTITY, NONLOCAL_STRONG_C)
 def check_nonlocal_arity_descent(ctx: RingContext, f: IdealFacts) -> Verdict:
     """If the ring is not local, (u+1,v+1) or (u+1,v) forces (u,v) for
-    strong C-hyperideals."""
-    if not ctx.ring.has_identity:
-        # without units the local dichotomy has finite counterexamples
-        return skipped("ring has no identity", space="standing identity hypothesis")
-    if ctx.lattice.local or not f.sc.holds:
-        return holds(space="gated on nonlocal ring and strong C", tested=0)
+    strong C-hyperideals.  Without an identity this fails on the nonlocal
+    z12:2,8, whose {0,6} is (3,2)- but not (2,1)-absorbing primary."""
     return first_failure("nonlocal arity descent", (
         None if f.uv_primary[(u, v)].holds else {
             "premise": list(premise), "conclusion": [u, v], "witness": f.uv_primary[(u, v)].witness
@@ -501,22 +522,18 @@ def _uv_matches_primary(space: str, f: IdealFacts, v_min: int) -> Verdict:
     ))
 
 
+@premised(IDENTITY, NONLOCAL_STRONG_C)
 def check_nonlocal_equals_primary(ctx: RingContext, f: IdealFacts) -> Verdict:
     """Nonlocal ring, strong C-hyperideal, v >= 2: (u,v)-absorbing primary
-    is the same as primary."""
-    if not ctx.ring.has_identity:
-        return skipped("ring has no identity", space="standing identity hypothesis")
-    if ctx.lattice.local or not f.sc.holds:
-        return holds(space="gated on nonlocal ring and strong C", tested=0)
+    is the same as primary.  Without an identity this fails on z12:2,8,
+    whose {0,6} is (3,2)-absorbing primary but not primary."""
     return _uv_matches_primary("nonlocal equivalence with primary", f, 2)
 
 
+@premised(STRONG_C)
 def check_arity_gap_forces_local(ctx: RingContext, f: IdealFacts) -> Verdict:
     """A strong C-hyperideal that is (u+1,v)- but not (u,v)-absorbing
     primary forces a local ring whose maximal hyperideal is the radical."""
-    if not f.sc.holds:
-        return holds(space="gated on strong C", tested=0)
-
     def cases():
         for u, v in uv_pairs(ctx.spec.u_max - 1):
             if not (f.uv_primary[(u + 1, v)].holds and not f.uv_primary[(u, v)].holds):
@@ -535,11 +552,9 @@ def check_arity_gap_forces_local(ctx: RingContext, f: IdealFacts) -> Verdict:
     return first_failure("arity gap forces local", cases())
 
 
+@premised(C)
 def check_top_arity_four_way(ctx: RingContext, f: IdealFacts) -> Verdict:
     """The four faces of the (v+1,v) property must agree on C-hyperideals."""
-    if not f.c.holds:
-        return holds(space="gated on C-hyperideals", tested=0)
-
     def cases():
         for v in range(1, ctx.spec.u_max):
             rep = classify.check_v1v_characterization(
@@ -554,19 +569,17 @@ def check_top_arity_four_way(ctx: RingContext, f: IdealFacts) -> Verdict:
     return first_failure("four-way characterization", cases())
 
 
+@premised(Premise("gated on divided ring and C-hyperideal", lambda ctx, f: ctx.divided.holds and f.c.holds))
 def check_divided_equals_primary(ctx: RingContext, f: IdealFacts) -> Verdict:
     """In a divided ring, (u,v)-absorbing primary C-hyperideals are exactly
     the primary ones."""
-    if not ctx.divided.holds or not f.c.holds:
-        return holds(space="gated on divided ring and C-hyperideal", tested=0)
     return _uv_matches_primary("divided equivalence with primary", f, 1)
 
 
+@premised(C)
 def check_radical_forms_agree(ctx: RingContext, f: IdealFacts) -> Verdict:
     """On C-hyperideals the nilpotent radical equals the prime-intersection
     radical."""
-    if not f.c.holds:
-        return holds(space="gated on C-hyperideals", tested=0)
     return decided(
         f.rad_nil == f.rad_pi,
         {"nilpotent": elems_of(f.rad_nil), "prime_intersection": elems_of(f.rad_pi)},

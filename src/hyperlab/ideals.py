@@ -132,8 +132,10 @@ def enumerate_subgroups(ring: FiniteHyperring) -> list[Mask]:
 
 
 def enumerate_hyperideals(ring: FiniteHyperring) -> IdealLattice:
-    if "lattice" in ring._cache:
-        return ring._cache["lattice"]
+    return ring.memo("lattice", lambda: _lattice(ring))
+
+
+def _lattice(ring: FiniteHyperring) -> IdealLattice:
     masks = [m for m in enumerate_subgroups(ring) if absorbs(ring, m) is None]
     ideals = [HyperIdeal(ring, m) for m in masks]
     full = ring.full_mask
@@ -155,9 +157,7 @@ def enumerate_hyperideals(ring: FiniteHyperring) -> IdealLattice:
             found = True
     if not found:
         jac = full
-    lattice = IdealLattice(ring, ideals, prime, maximal, jac, sum(maximal) == 1)
-    ring._cache["lattice"] = lattice
-    return lattice
+    return IdealLattice(ring, ideals, prime, maximal, jac, sum(maximal) == 1)
 
 
 def prime_pair_witness(ring: FiniteHyperring, pmask: Mask) -> Optional[tuple]:
@@ -240,8 +240,10 @@ def product_set_closure(ring: FiniteHyperring) -> dict[Mask, tuple]:
     family is verified to be a fixed point rather than trusted to stop at
     any particular product length.
     """
-    if "prodsets" in ring._cache:
-        return ring._cache["prodsets"]
+    return ring.memo("prodsets", lambda: _product_sets(ring))
+
+
+def _product_sets(ring: FiniteHyperring) -> dict[Mask, tuple]:
     out: dict[Mask, tuple] = {}
     work: list[Mask] = []
     for a in range(ring.n):
@@ -256,7 +258,6 @@ def product_set_closure(ring: FiniteHyperring) -> dict[Mask, tuple]:
             if m2 not in out:
                 out[m2] = factors + (a,)
                 work.append(m2)
-    ring._cache["prodsets"] = out
     return out
 
 

@@ -2,10 +2,11 @@
 the exact worked integer examples through the full-family theorem sweep.
 Budgets are wall-clock seconds and are asserted, not advisory."""
 import time
+from collections import Counter
 
 import pytest
 
-from hyperlab.harness import RingFamilySpec, run_golden_examples, run_theorem_suite
+from hyperlab.harness import IDEAL_CHECKS, RingFamilySpec, run_golden_examples, run_theorem_suite
 from hyperlab.verdicts import UVParams
 from hyperlab.zphi import (
     ZPhiRing,
@@ -99,6 +100,44 @@ def test_criterion_5_theorem_suite_zero_violations(family_run, golden_run):
     assert golden_run.skipped == 0
     assert golden_run.violations == 0
     assert len(golden_run.records) == 19
+
+
+# Rows of the default sweep that each premise of a theorem check gated,
+# keyed by (property, the premise's space): 24,075 gated `holds` rows and
+# 2,380 identity skips.
+PREMISE_COVERAGE = {
+    ("radical-of-uv-primary-is-prime", "standing identity hypothesis"): 595,
+    ("radical-of-uv-primary-is-prime", "gated on C-hyperideals"): 1655,
+    ("radical-of-uv-primary-is-prime", "gated on some (u,v) holding"): 31,
+    ("primary-implies-uv-primary", "gated on primary"): 770,
+    ("one-absorbing-primary-matches-3-2", "needs u_max >= 3"): 0,
+    ("colon-by-nonunit-drops-arity", "standing identity hypothesis"): 595,
+    ("prime-times-maximal-is-uv-primary", "gated on local ring and prime C-hyperideal"): 2586,
+    ("strong-c-radical-is-strong-c", "gated on strong C"): 2627,
+    ("strong-c-unit-padding", "gated on strong C and an identity"): 2730,
+    ("strong-c-unit-padding", "gated on a+1 nonunit for some a in P"): 23,
+    ("nonlocal-arity-descent", "standing identity hypothesis"): 595,
+    ("nonlocal-arity-descent", "gated on nonlocal ring and strong C"): 2156,
+    ("nonlocal-uv-primary-equals-primary", "standing identity hypothesis"): 595,
+    ("nonlocal-uv-primary-equals-primary", "gated on nonlocal ring and strong C"): 2156,
+    ("arity-gap-forces-local-with-maximal-radical", "gated on strong C"): 2627,
+    ("top-arity-four-way-agreement", "gated on C-hyperideals"): 2103,
+    ("divided-ring-uv-primary-equals-primary", "gated on divided ring and C-hyperideal"): 2508,
+    ("radical-forms-agree-on-c-hyperideal", "gated on C-hyperideals"): 2103,
+}
+
+
+def test_criterion_5_premise_coverage(family_run):
+    """How often each premise stopped its check on the default family: a
+    change that gates a check away, or lets through what a premise used to
+    stop, moves a count."""
+    report, _ = family_run
+    rows = Counter((r["property"], r["status"], r["space"]) for r in report.records if r["params"]["tested"] == 0)
+    coverage = {
+        (prop, p.space): rows[prop, p.unmet().status, p.space] for prop, check in IDEAL_CHECKS for p in check.premises
+    }
+    assert coverage == PREMISE_COVERAGE
+    assert sum(coverage.values()) == 26455
 
 
 def test_criterion_6_radical_consistency(family_run):

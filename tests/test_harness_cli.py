@@ -365,10 +365,34 @@ class TestScanBudget:
         ctx = build_ring_context(parse_ring_spec(self.RING), RingFamilySpec(tuple_budget=2992))
         verdict = harness.check_strong_c_unit_padding(ctx, ctx.find(mask_of(self.EVENS)))
         assert verdict.holds and verdict.tested > 0
-        assert "full_pool_uv" in vars(ctx)
+        assert list(ctx.full_pool_uv) == [mask_of(self.EVENS)]
         report = Report()
         run_ring(ctx.ring, RingFamilySpec(tuple_budget=2992), report)
         assert not report.incomplete
+
+
+class TestPremises:
+    """The identity hypothesis of each check that states one is needed: on
+    these identity-free rings every other premise is met and the conclusion
+    fails.  (property, ring, ideal, part of the conclusion's witness)"""
+
+    IDENTITY_NEEDED = [
+        ("colon-by-nonunit-drops-arity", "z4:0,2", [0], {"x": 2, "colon": [0, 1, 2, 3], "defect": "full carrier"}),
+        ("radical-of-uv-primary-is-prime", "z4:0,2", [0, 2], {"radical": "full carrier"}),
+        ("nonlocal-arity-descent", "z12:2,8", [0, 6], {"premise": [3, 2], "conclusion": [2, 1]}),
+        ("nonlocal-uv-primary-equals-primary", "z12:2,8", [0, 6], {"at": [3, 2], "primary_status": "fails"}),
+    ]
+
+    @pytest.mark.parametrize("prop,spec,ideal,witness", IDENTITY_NEEDED, ids=[c[0] for c in IDENTITY_NEEDED])
+    def test_identity_hypothesis_is_needed(self, prop, spec, ideal, witness):
+        check = dict(IDEAL_CHECKS)[prop]
+        ctx = build_ring_context(parse_ring_spec(spec), RingFamilySpec())
+        f = ctx.find(mask_of(ideal))
+        assert [p.test(ctx, f) for p in check.premises] == [p is not harness.IDENTITY for p in check.premises]
+        assert check(ctx, f) == verdicts.skipped("ring has no identity", space="standing identity hypothesis")
+        conclusion = check.__wrapped__(ctx, f)
+        assert conclusion.fails
+        assert {k: conclusion.witness[k] for k in witness} == witness
 
 
 class TestFamily:

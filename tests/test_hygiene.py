@@ -1,9 +1,11 @@
 """Source hygiene: every name a library module imports at top level is
 used in that module, no module imports another module's private names,
 every command line option is read by its subcommand, every option of
-`check` and `zphi` is read by some property, and only `verdicts` spells a
-row status, so dead imports, options that change nothing and a second
-status vocabulary cannot creep back in."""
+`check` and `zphi` is read by some property, only `verdicts` spells a
+row status, only `core` touches a ring's cache, and a theorem check's
+gated rows come only from its declared premises, so dead imports, options
+that change nothing, a second status vocabulary, hand-rolled memos and
+hand-written gates cannot creep back in."""
 import argparse
 import ast
 from pathlib import Path
@@ -11,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from hyperlab.cli import CHECK_PROPS, ZPHI_PROPS, build_parser
+from hyperlab.harness import IDEAL_CHECKS, Premise
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "hyperlab"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -73,6 +76,85 @@ def test_status_literals_live_in_verdicts():
         if isinstance(node, ast.Constant) and node.value in STATUSES
     ]
     assert found == []
+
+
+def test_only_core_touches_the_ring_cache():
+    """Per-ring memos go through `FiniteHyperring.memo`: no module but
+    core.py reads or writes `._cache`."""
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in MODULES
+        if path.name != "core.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and node.attr == "_cache"
+    ]
+    assert found == []
+
+
+UNGATED = ["uv-arity-monotone", "uv-prime-implies-uv-primary"]
+
+
+def test_every_ideal_check_exposes_its_premises():
+    assert all(
+        isinstance(check.premises, tuple) and all(isinstance(p, Premise) for p in check.premises)
+        for _, check in IDEAL_CHECKS
+    )
+    assert [prop for prop, check in IDEAL_CHECKS if not check.premises] == UNGATED
+
+
+def _premise_texts() -> set[str]:
+    return {text for _, check in IDEAL_CHECKS for p in check.premises for text in (p.space, p.reason) if text}
+
+
+def _is_gate_text(node: ast.AST, texts: set[str]) -> bool:
+    return isinstance(node, ast.Constant) and isinstance(node.value, str) and (
+        node.value in texts or node.value.startswith("gated on")
+    )
+
+
+def test_gated_rows_come_only_from_premises():
+    """The text of an unmet premise's row, and any "gated on" text, appears
+    in harness.py only where a premise is declared: a module-level
+    `Premise` or a check's decorator."""
+    tree = ast.parse((SRC / "harness.py").read_text())
+    declared = set()
+    for top in tree.body:
+        if isinstance(top, ast.Assign) and getattr(getattr(top.value, "func", None), "id", None) == "Premise":
+            declared |= {id(node) for node in ast.walk(top)}
+        elif isinstance(top, ast.FunctionDef):
+            declared |= {id(node) for deco in top.decorator_list for node in ast.walk(deco)}
+    texts = _premise_texts()
+    stray = [
+        f"harness.py:{node.lineno} {node.value!r}"
+        for node in ast.walk(tree)
+        if _is_gate_text(node, texts) and id(node) not in declared
+    ]
+    assert stray == []
+
+
+def _writes_gated_row(node: ast.AST) -> bool:
+    """A call `holds(..., tested=0)` or `holds(space, 0)`."""
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "holds"):
+        return False
+    tested = [k.value for k in node.keywords if k.arg == "tested"] + node.args[1:2]
+    return any(isinstance(t, ast.Constant) and t.value == 0 for t in tested)
+
+
+def test_no_conclusion_writes_a_gated_row():
+    """A check's conclusion, its body after the premises, writes no gated
+    `holds` by hand, whatever its text."""
+    functions = {
+        node.name: node for node in ast.parse((SRC / "harness.py").read_text()).body
+        if isinstance(node, ast.FunctionDef)
+    }
+    by_hand = [
+        f"{check.__wrapped__.__name__}:{node.lineno}"
+        for _, check in IDEAL_CHECKS
+        for stmt in functions[check.__wrapped__.__name__].body
+        for node in ast.walk(stmt)
+        if _writes_gated_row(node)
+    ]
+    assert by_hand == []
 
 
 def args_reads(functions: dict[str, ast.FunctionDef], name: str, position: int = 0) -> set[str]:
