@@ -65,9 +65,7 @@ from .zphi import (
 from .construct import (
     GoodHom,
     LocalizedRing,
-    MatrixModel,
     canonical_mcs_list,
-    corner_product_agrees,
     gamma_mask,
     localize,
     matrix_hyperring,

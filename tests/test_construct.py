@@ -1,9 +1,10 @@
-"""Derived structures: quotients with their canonical maps, matrix
-carriers, multiplicatively closed sets, and localization."""
+"""Derived structures: quotients with their canonical maps, the M_2
+carrier, multiplicatively closed sets, and localization."""
 import hashlib
 import json
 import random
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
@@ -11,7 +12,6 @@ from hyperlab.construct import (
     GoodHom,
     canonical_mcs_list,
     check_good_hom,
-    corner_product_agrees,
     gamma_mask,
     identity_hom,
     is_mcs,
@@ -114,6 +114,19 @@ class TestQuotient:
             "weak-distributivity violated at (1, 1, 1)",
         ]
 
+    def test_ill_defined_coset_product_refused(self):
+        # {0, 2} absorbs every product, but 1∘3 = {0} lies in the coset of
+        # 0 while 1∘1 = {1} does not: the coset product of [1] and [1]
+        # depends on representatives.  The quotient table itself validates,
+        # so the projection's multiplicative law is what refuses it
+        hmul = [[1] * 4 for _ in range(4)]
+        hmul[1][1] = hmul[3][3] = mask_of({1})
+        ring = zn_table_ring(4, hmul)
+        with pytest.raises(ConstructionError) as exc:
+            quotient(ring, mask_of({0, 2}))
+        assert str(exc.value) == "quotient projection is not a good homomorphism"
+        assert exc.value.witness == [{"law": "multiplicative", "x": 1, "y": 3}]
+
     def test_full_carrier_rejected(self, z8):
         with pytest.raises(UsageError, match="full carrier"):
             quotient(z8, z8.full_mask)
@@ -127,18 +140,20 @@ class TestQuotient:
         bad = GoodHom(z8, z8, tuple((i + 1) % 8 for i in range(8)))
         assert check_good_hom(bad) != []
 
+    def test_additive_law_checked(self):
+        # every product is {0}, so any map fixing 0 keeps the multiplicative
+        # law; swapping 1 and 2 breaks only the additive one
+        ring = null_product_ring(4)
+        assert check_good_hom(GoodHom(ring, ring, (0, 2, 1, 3))) == [
+            {"law": "additive", "x": x, "y": y} for x, y in [(1, 1), (1, 3), (2, 2), (2, 3), (3, 3)]
+        ]
+
 
 class TestMatrix:
-    def test_dimension_one_is_the_base(self, z8):
-        model = matrix_hyperring(z8, 1)
-        assert model.ring.n == z8.n
-        assert model.ring.table_key() == z8.table_key()
-        assert model.elements[:2] == ((0,), (1,))
-
     def test_oriented_product_refused_when_asymmetric(self):
         z2 = FiniteHyperring.zn_phi(2, [0, 1])
         with pytest.raises(ConstructionError) as exc:
-            matrix_hyperring(z2, 2)
+            matrix_hyperring(z2)
         w = exc.value.witness
         assert w["kind"] == "noncommutative-product"
         assert w["pair"] == [[0, 0, 0, 1], [0, 0, 1, 0]]
@@ -153,30 +168,15 @@ class TestMatrix:
             hm = r.hmul
             assert r.set_add(hm[1][1], hm[0][0]) != r.set_add(hm[0][0], hm[1][0]), r.name
 
-    def test_dimension_cap(self, z8):
-        with pytest.raises(UsageError, match="1 or 2"):
-            matrix_hyperring(z8, 3)
-
     def test_carrier_cap(self):
         z3 = FiniteHyperring.zn_phi(3, [1, 2])
-        with pytest.raises(ResourceError, match="exceeds cap"):
-            matrix_hyperring(z3, 2)
-        # a raised cap admits an 81-element carrier when the product
-        # table stays symmetric
-        model = matrix_hyperring(null_product_ring(3), 2, cap=81)
-        assert model.ring.n == 81
-        assert model.ring.validate().ok
+        with pytest.raises(ResourceError, match="exceeds cap 64"):
+            matrix_hyperring(z3)
 
     def test_null_product_base_builds(self):
-        model = matrix_hyperring(null_product_ring(), 2)
-        assert model.ring.n == 16
-        assert model.ring.validate().ok
-        base = model.base
-        assert all(
-            corner_product_agrees(model, a, b)
-            for a in base.elements()
-            for b in base.elements()
-        )
+        mring = matrix_hyperring(null_product_ring())
+        assert mring.n == 16
+        assert mring.validate().ok
 
 
 class TestMCS:
@@ -189,9 +189,31 @@ class TestMCS:
     def test_closure(self, z8):
         assert elems_of(mcs_closure(z8, mask_of({1}))) == [1, 3]
 
+    def test_closure_matches_reference(self, z8, z6u):
+        # the closure straight from its definition: add every product of
+        # two members until nothing changes.  Seeds of up to three elements
+        # reach closures of all 8 elements of z8, so a walk that skips
+        # members past the first few shows
+        def reference(ring, seed):
+            grown = seed
+            while True:
+                cur = grown
+                for s in elems_of(cur):
+                    for t in elems_of(cur):
+                        grown |= ring.hmul[s][t]
+                if grown == cur:
+                    return cur
+
+        for ring in (z8, z6u):
+            for k in (1, 2, 3):
+                for seed in combinations(range(ring.n), k):
+                    assert mcs_closure(ring, mask_of(seed)) == reference(ring, mask_of(seed)), (ring.name, seed)
+
     def test_predicates(self, z8):
         assert is_mcs(z8, mask_of({1, 3}))
         assert not is_mcs(z8, mask_of({0, 2}))
+        # closed under ∘ (every product is {0}) but holds no identity
+        assert not is_mcs(z8, mask_of({0, 4}))
 
     def test_gamma_of_small_ideal(self, z8):
         assert gamma_mask(z8, mask_of({0, 4})) == EVENS8

@@ -9,7 +9,7 @@ from dataclasses import replace
 
 import pytest
 
-from hyperlab import construct, harness, verdicts
+from hyperlab import harness, verdicts
 from hyperlab.core import FiniteHyperring, mask_of, parse_ring_spec
 from hyperlab.harness import (
     IDEAL_CHECKS,
@@ -17,6 +17,7 @@ from hyperlab.harness import (
     RingFamilySpec,
     build_ring_context,
     check_equal_radical_intersections,
+    derived_context,
     enumerate_family,
     run_golden_examples,
     run_localization_checks,
@@ -257,30 +258,28 @@ class TestTransferBranches:
             row([0], [0, 2], "preimage", [0, 2]),
         ]
 
-    def test_matrix_corner_and_descent_failures(self, monkeypatch):
-        # the family's only matrix candidate is refused as noncommutative;
-        # a base with the null product builds a 16-element matrix ring
-        base = FiniteHyperring.from_element_table(2, [[0, 1], [1, 0]], [[[0], [0]], [[0], [0]]], name="null-z2")
-        real = construct.corner_product_agrees
-        monkeypatch.setattr(construct, "corner_product_agrees", lambda model, a, b: (a, b) != (0, 1) and real(model, a, b))
-        ctx = build_ring_context(base, RingFamilySpec(moduli=(2,)))
-        planted = dict(ctx.facts[0].uv_primary)
-        planted[(3, 2)] = verdicts.fails({"planted": [3, 2]}, space="planted")
-        ctx.facts[0] = replace(ctx.facts[0], uv_primary=planted)
-        report = Report()
-        run_matrix_checks(ctx, report)
-        assert report.to_jsonl().splitlines() == [json.dumps(r) for r in [
-            {"ring": "null-z2", "ideal": None, "property": "matrix-ring-valid",
-             "params": {"tested": 1, "size": 16}, "status": "holds", "witness": None,
-             "space": "matrix construction"},
-            {"ring": "null-z2", "ideal": None, "property": "matrix-corner-products-agree",
-             "params": {"tested": 2}, "status": "fails", "witness": {"a": 0, "b": 1},
-             "space": "corner products"},
-            {"ring": "null-z2", "ideal": [0], "property": "matrix-ideal-descent",
-             "params": {"tested": 3}, "status": "fails",
-             "witness": {"at": [3, 2], "base_uv_witness": {"planted": [3, 2]}, "base_c_witness": None},
-             "space": "matrix descent"},
-        ]]
+    def test_matrix_checks_write_one_row_per_branch(self):
+        # the family's only matrix candidate is refused as noncommutative,
+        # a base with the null product builds a 16-element matrix ring, and
+        # a Z_3 base exceeds the carrier cap and writes nothing
+        null = FiniteHyperring.from_element_table(2, [[0, 1], [1, 0]], [[[0], [0]], [[0], [0]]], name="null-z2")
+        rows = []
+        for ring in (parse_ring_spec("z2:0,1"), null, parse_ring_spec("z3:1,2")):
+            report = Report()
+            run_matrix_checks(build_ring_context(ring, RingFamilySpec(moduli=(ring.n,))), report)
+            rows.append(report.to_jsonl().splitlines())
+        assert rows == [
+            [json.dumps({"ring": "z2:0,1", "ideal": None, "property": "matrix-ring-valid",
+                         "params": {"tested": 1, "reason": "matrix product is not commutative over this base"},
+                         "status": "skipped",
+                         "witness": {"kind": "noncommutative-product", "pair": [[0, 0, 0, 1], [0, 0, 1, 0]],
+                                     "left": [[0, 0, 0, 0], [0, 0, 1, 0]], "right": [[0, 0, 0, 0]]},
+                         "space": "matrix construction"})],
+            [json.dumps({"ring": "null-z2", "ideal": None, "property": "matrix-ring-valid",
+                         "params": {"tested": 1, "size": 16}, "status": "holds", "witness": None,
+                         "space": "matrix construction"})],
+            [],
+        ]
 
     def test_localization_forward_target_missing(self, empty_derived_lookup):
         ctx = build_ring_context(parse_ring_spec("z6:1,5"), RingFamilySpec())
@@ -303,6 +302,14 @@ class TestTransferBranches:
 
 
 class TestDerivedContexts:
+    def test_other_table_gets_its_own_context(self):
+        # same carrier size, different products: only an equal table may
+        # reuse the parent's context
+        ctx = build_ring_context(parse_ring_spec("z8:1,3"), RingFamilySpec())
+        other = parse_ring_spec("z8:1,5")
+        assert derived_context(ctx, parse_ring_spec("z8:1,3")) is ctx
+        assert derived_context(ctx, other).ring is other
+
     @pytest.mark.parametrize("spec,derived", [
         ("z8:1,3", ["z8:1,3/(4 cosets)", "z8:1,3/(2 cosets)"]),
         ("z9:0,1", ["z9:0,1/(3 cosets)", "loc(z9:0,1,2)"]),
