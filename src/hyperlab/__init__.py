@@ -28,7 +28,6 @@ from .verdicts import (
     Verdict,
 )
 from .ideals import (
-    HyperIdeal,
     IdealLattice,
     colon,
     enumerate_hyperideals,

@@ -19,7 +19,6 @@ from typing import Optional, Sequence
 
 from .core import FiniteHyperring, Mask, elems_of, iter_bits, subset
 from .ideals import (
-    HyperIdeal,
     colon,
     enumerate_hyperideals,
     generate,
@@ -346,7 +345,7 @@ def is_uv_absorbing_i_primary(
 ) -> Verdict:
     """Variant whose hypothesis also avoids the product ideal I∘P: the
     u-product must lie in P and miss I∘P entirely."""
-    ip = ideal_product(ring, imask, pmask).mask
+    ip = ideal_product(ring, imask, pmask)
     verdict = _uv_one(ring, (pmask, radmask, ip, "absorbing-i-primary"), uv, mode)
     verdict.extra["ideal_product"] = elems_of(ip)
     return verdict
@@ -492,13 +491,13 @@ def check_v1v_characterization(
 
     # (iii) product ∘ Q ⊆ P forces the product into P or Q into rad(P)
     def clause_iii_cases():
-        absorbed: dict[Mask, list[HyperIdeal]] = {}
+        absorbed: dict[Mask, list[Mask]] = {}
         for ms in combinations_with_replacement(nonunits, v):
             pm = prods[ms]
             if pm not in absorbed:
-                absorbed[pm] = [q for q in lattice.ideals if not ring.set_mul(pm, q.mask) & notp]
+                absorbed[pm] = [q for q in lattice.ideals if not ring.set_mul(pm, q) & notp]
             for q in absorbed[pm]:
-                yield {"factors": list(ms), "ideal": q.members()} if pm & notp and q.mask & ~radmask else None
+                yield {"factors": list(ms), "ideal": elems_of(q)} if pm & notp and q & ~radmask else None
 
     clause_iii = first_failure("v-multisets times hyperideals", clause_iii_cases())
 
@@ -506,7 +505,7 @@ def check_v1v_characterization(
     # deciders: remainder ideal must fall into rad(P).  The products depend
     # on neither P nor v: one memo per ring over tuples of indices into
     # `proper`, each folded from its prefix's product on first use
-    proper = [b.mask for b in lattice.proper()]
+    proper = lattice.proper()
     def build():
         iprod = _Memo(lambda idxs: ring.set_mul(iprod[idxs[:-1]], proper[idxs[-1]]))
         iprod.update(((i,), m) for i, m in enumerate(proper))
@@ -539,10 +538,10 @@ def check_v1v_characterization(
 def is_divided(ring: FiniteHyperring) -> Verdict:
     """Every prime hyperideal is comparable with every principal one:
     Q ⊆ <a> whenever a is outside the prime Q."""
-    principal = cache(lambda a: generate(ring, 1 << a).mask)
+    principal = cache(lambda a: generate(ring, 1 << a))
     return first_failure("primes vs principal hyperideals", (
-        {"prime": q.members(), "a": a, "principal": elems_of(principal(a))} if q.mask & ~principal(a) else None
+        {"prime": elems_of(q), "a": a, "principal": elems_of(principal(a))} if q & ~principal(a) else None
         for q in enumerate_hyperideals(ring).primes()
         for a in range(ring.n)
-        if a not in q
+        if not q >> a & 1
     ))

@@ -108,8 +108,11 @@ def _emit(report: Report, args) -> None:
         lines.append(report.summary())
         body = "\n".join(lines)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(body + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(body + "\n")
+        except OSError as exc:
+            raise UsageError(f"cannot write report to {args.out!r}: {exc}") from exc
         if not args.json:
             print(report.summary())
     else:
@@ -138,12 +141,13 @@ def cmd_ideals(args) -> int:
     lattice = enumerate_hyperideals(ring)
     report = Report()
     for b, prime, maximal in zip(lattice.ideals, lattice.prime, lattice.maximal):
-        flags = {"prime": prime, "maximal": maximal, "proper": b.proper}
-        if b.proper:
-            flags["c"] = is_c_hyperideal(ring, b.mask).holds
-            flags["strong_c"] = is_strong_c_hyperideal(ring, b.mask).holds
-            flags["radical"] = elems_of(radical_nilpotent(ring, b.mask))
-        report.add_verdict(ring.name, b.members(), "hyperideal", {}, holds("lattice dump", 1, **flags))
+        proper = b != ring.full_mask
+        flags = {"prime": prime, "maximal": maximal, "proper": proper}
+        if proper:
+            flags["c"] = is_c_hyperideal(ring, b).holds
+            flags["strong_c"] = is_strong_c_hyperideal(ring, b).holds
+            flags["radical"] = elems_of(radical_nilpotent(ring, b))
+        report.add_verdict(ring.name, elems_of(b), "hyperideal", {}, holds("lattice dump", 1, **flags))
     _emit(report, args)
     return 0
 

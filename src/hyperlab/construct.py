@@ -75,10 +75,6 @@ def nonunit_preservation_witness(hom: GoodHom) -> Optional[int]:
     return None
 
 
-def identity_hom(ring: FiniteHyperring) -> GoodHom:
-    return GoodHom(ring, ring, tuple(range(ring.n)))
-
-
 # -- quotient -----------------------------------------------------------------
 
 
@@ -229,7 +225,7 @@ def canonical_mcs_list(ring: FiniteHyperring) -> list[Mask]:
     if rep.units and is_mcs(ring, rep.units):
         found.add(rep.units)
     for q in enumerate_hyperideals(ring).primes():
-        comp = ring.full_mask & ~q.mask
+        comp = ring.full_mask & ~q
         if comp and is_mcs(ring, comp):
             found.add(comp)
     return sorted(found)

@@ -19,7 +19,6 @@ from typing import Callable, NamedTuple, Optional, Sequence
 from . import classify, construct, ideals as ideals_mod, zphi
 from .core import FiniteHyperring, Mask, elems_of, iter_bits, subset
 from .ideals import (
-    HyperIdeal,
     colon,
     enumerate_hyperideals,
     ideal_product,
@@ -181,7 +180,7 @@ def enumerate_family(spec: RingFamilySpec) -> list[FiniteHyperring]:
 
 @dataclass
 class IdealFacts:
-    ideal: HyperIdeal
+    mask: Mask
     rad_nil: Mask
     rad_pi: Mask
     prime: bool
@@ -191,10 +190,6 @@ class IdealFacts:
     one_abs: Verdict
     uv_primary: dict[tuple[int, int], Verdict] = field(default_factory=dict)
     uv_prime: dict[tuple[int, int], Verdict] = field(default_factory=dict)
-
-    @property
-    def mask(self) -> Mask:
-        return self.ideal.mask
 
 
 def uv_pairs(u_max: int) -> list[tuple[int, int]]:
@@ -256,26 +251,26 @@ def estimated_multisets(pool_size: int, u_max: int) -> int:
 def build_ring_context(ring: FiniteHyperring, spec: RingFamilySpec) -> RingContext:
     ctx = RingContext(ring, spec)
     ctx.lattice = enumerate_hyperideals(ring)
-    pairs = [(b, p) for b, p in zip(ctx.lattice.ideals, ctx.lattice.prime) if b.proper]
+    pairs = [(b, p) for b, p in zip(ctx.lattice.ideals, ctx.lattice.prime) if b != ring.full_mask]
     proper = [b for b, _ in pairs]
-    rads = [radical_nilpotent(ring, b.mask) for b in proper]
-    targets = [(b.mask, r) for b, r in zip(proper, rads)]
+    rads = [radical_nilpotent(ring, b) for b in proper]
+    targets = list(zip(proper, rads))
     mat_p, mat_q = compute_uv_matrices(ring, targets, spec.u_max, spec.mode)
     for i, b in enumerate(proper):
         f = IdealFacts(
-            ideal=b,
+            mask=b,
             rad_nil=rads[i],
-            rad_pi=radical_prime_intersection(ring, b.mask),
+            rad_pi=radical_prime_intersection(ring, b),
             prime=pairs[i][1],
-            c=ideals_mod.is_c_hyperideal(ring, b.mask),
-            sc=ideals_mod.is_strong_c_hyperideal(ring, b.mask),
-            primary=classify.is_primary(ring, b.mask, rads[i]),
-            one_abs=classify.is_1_absorbing_primary(ring, b.mask, rads[i], mode=spec.mode),
+            c=ideals_mod.is_c_hyperideal(ring, b),
+            sc=ideals_mod.is_strong_c_hyperideal(ring, b),
+            primary=classify.is_primary(ring, b, rads[i]),
+            one_abs=classify.is_1_absorbing_primary(ring, b, rads[i], mode=spec.mode),
             uv_primary=mat_p[i],
             uv_prime=mat_q[i],
         )
         ctx.facts.append(f)
-        ctx.by_mask[b.mask] = f
+        ctx.by_mask[b] = f
     ctx.divided = classify.is_divided(ring)
     return ctx
 
@@ -436,8 +431,8 @@ def check_colon_drops_arity(ctx: RingContext, f: IdealFacts) -> Verdict:
 def check_prime_times_maximal(ctx: RingContext, f: IdealFacts) -> Verdict:
     """In a local ring, a prime C-hyperideal times the maximal hyperideal
     is (u,v)-absorbing primary for every u > v."""
-    mmask = ctx.lattice.maximals()[0].mask
-    pm = ideal_product(ctx.ring, f.mask, mmask).mask
+    mmask = ctx.lattice.maximals()[0]
+    pm = ideal_product(ctx.ring, f.mask, mmask)
     target = ctx.find(pm)
     if target is None:
         return fails(
@@ -542,7 +537,7 @@ def check_arity_gap_forces_local(ctx: RingContext, f: IdealFacts) -> Verdict:
             if not ctx.lattice.local:
                 yield {"premise": [u + 1, v], "gap_at": [u, v], "defect": "ring not local"}
                 continue
-            mmask = ctx.lattice.maximals()[0].mask
+            mmask = ctx.lattice.maximals()[0]
             yield None if f.rad_nil == mmask else {
                 "premise": [u + 1, v],
                 "gap_at": [u, v],
@@ -616,7 +611,7 @@ def check_equal_radical_intersections(ctx: RingContext, report: Report) -> None:
                 continue
             inter = f1.mask & f2.mask
             target = ctx.find(inter)
-            components = [f1.ideal.members(), f2.ideal.members()]
+            components = [elems_of(f1.mask), elems_of(f2.mask)]
             verdict = first_failure("equal-radical intersections", (
                 {"components": components, "defect": "intersection not in lattice"} if target is None
                 else None if target.uv_primary[uv].holds
@@ -639,7 +634,7 @@ def record_radical_comparison_on_non_c(ctx: RingContext, report: Report) -> None
     for f in ctx.facts:
         if f.c.holds:
             continue
-        report.add_verdict(ctx.ring.name, f.ideal.members(), "radical-forms-compared", {}, holds(
+        report.add_verdict(ctx.ring.name, elems_of(f.mask), "radical-forms-compared", {}, holds(
             "non-C radical comparison, no assertion",
             1,
             nilpotent=elems_of(f.rad_nil),
@@ -677,15 +672,15 @@ def run_quotient_checks(ctx: RingContext, report: Report) -> None:
             q, hom = construct.quotient(ring, f.mask)
         except ConstructionError as e:
             report.add_verdict(
-                name, f.ideal.members(), "quotient-is-hyperring", {}, refused(e, "quotient construction")
+                name, elems_of(f.mask), "quotient-is-hyperring", {}, refused(e, "quotient construction")
             )
             continue
         report.add_verdict(
-            name, f.ideal.members(), "quotient-is-hyperring", {}, holds("quotient construction", 1, cosets=q.n)
+            name, elems_of(f.mask), "quotient-is-hyperring", {}, holds("quotient construction", 1, cosets=q.n)
         )
         bad = construct.nonunit_preservation_witness(hom)
         if bad is not None:
-            report.add_verdict(name, f.ideal.members(), "good-hom-transfer", {}, skipped(
+            report.add_verdict(name, elems_of(f.mask), "good-hom-transfer", {}, skipped(
                 "nonunit maps to a unit", "quotient projection transfer", element=bad
             ))
             continue
@@ -701,7 +696,7 @@ def run_quotient_checks(ctx: RingContext, report: Report) -> None:
                     continue
                 mask = carry(g.mask)
                 report.add_verdict(
-                    name, g.ideal.members(), f"good-hom-{side}-transfer", {"kernel": f.ideal.members()},
+                    name, elems_of(g.mask), f"good-hom-{side}-transfer", {"kernel": elems_of(f.mask)},
                     _hom_transfer(side, g, mask, other.find(mask)),
                 )
 
@@ -755,12 +750,12 @@ def run_localization_checks(ctx: RingContext, report: Report) -> None:
                     for (u, v), v1 in f.uv_primary.items()
                     if v >= 2 and v1.holds
                 ))
-                report.add_verdict(name, f.ideal.members(), "localization-forward", {"s": s_members}, verdict)
+                report.add_verdict(name, elems_of(f.mask), "localization-forward", {"s": s_members}, verdict)
                 # radical commutes with localization on these instances
                 if limg is not None:
                     lrad = loc.ideal_image(f.rad_nil)
                     rad_l = radical_nilpotent(loc.ring, img)
-                    report.add_verdict(name, f.ideal.members(), "radical-commutes-with-localization", {}, decided(
+                    report.add_verdict(name, elems_of(f.mask), "radical-commutes-with-localization", {}, decided(
                         lrad == rad_l,
                         {"localized_radical": elems_of(lrad), "radical_of_localized": elems_of(rad_l)},
                         "localization radical",
@@ -774,7 +769,7 @@ def run_localization_checks(ctx: RingContext, report: Report) -> None:
                     for uv in f.uv_primary
                     if limg is not None and limg.uv_primary[uv].holds
                 ))
-                report.add_verdict(name, f.ideal.members(), "localization-reverse", {"s": s_members}, verdict)
+                report.add_verdict(name, elems_of(f.mask), "localization-reverse", {"s": s_members}, verdict)
 
 
 # -- suite drivers -----------------------------------------------------------------
@@ -810,7 +805,7 @@ def run_ring(ring: FiniteHyperring, spec: RingFamilySpec, report: Report) -> Non
     for f in ctx.facts:
         for prop, fn in IDEAL_CHECKS:
             verdict = fn(ctx, f)
-            report.add_verdict(name, f.ideal.members(), prop, {}, verdict)
+            report.add_verdict(name, elems_of(f.mask), prop, {}, verdict)
     check_equal_radical_intersections(ctx, report)
     record_radical_comparison_on_non_c(ctx, report)
     if spec.include_constructions:

@@ -1,8 +1,11 @@
 """Hyperideals of a finite multiplicative hyperring.
 
 A hyperideal is an additive subgroup B with r ∘ x ⊆ B for every carrier
-element r and x in B.  The full lattice is enumerated by walking additive
-subgroups and filtering by absorption, which is exhaustive at desk scale.
+element r and x in B.  Like every other subset of the carrier it is a
+plain ``Mask``: ``generate``, ``ideal_product`` and the entries of
+``enumerate_hyperideals(ring).ideals`` are ints.  The full lattice is
+enumerated by walking additive subgroups and filtering by absorption,
+which is exhaustive at desk scale.
 """
 from __future__ import annotations
 
@@ -11,22 +14,6 @@ from typing import Optional
 
 from .core import FiniteHyperring, Mask, elems_of, iter_bits, subset
 from .verdicts import UsageError, Verdict, first_failure
-
-
-@dataclass
-class HyperIdeal:
-    ring: FiniteHyperring
-    mask: Mask
-
-    def members(self) -> list[int]:
-        return elems_of(self.mask)
-
-    @property
-    def proper(self) -> bool:
-        return self.mask != self.ring.full_mask
-
-    def __contains__(self, x: int) -> bool:
-        return bool(self.mask >> x & 1)
 
 
 def is_subgroup(ring: FiniteHyperring, mask: Mask) -> bool:
@@ -78,7 +65,7 @@ def subgroup_closure(ring: FiniteHyperring, mask: Mask) -> Mask:
     return closed
 
 
-def generate(ring: FiniteHyperring, seed: Mask) -> HyperIdeal:
+def generate(ring: FiniteHyperring, seed: Mask) -> Mask:
     """Least hyperideal containing the seed set (closure under group
     subtraction and carrier absorption)."""
     cur = subgroup_closure(ring, seed)
@@ -91,25 +78,25 @@ def generate(ring: FiniteHyperring, seed: Mask) -> HyperIdeal:
         if grown != cur:
             cur = subgroup_closure(ring, grown)
             continue
-        return HyperIdeal(ring, cur)
+        return cur
 
 
 @dataclass
 class IdealLattice:
     ring: FiniteHyperring
-    ideals: list[HyperIdeal]
+    ideals: list[Mask]
     prime: list[bool]
     maximal: list[bool]
     jacobson: Mask
     local: bool
 
-    def proper(self) -> list[HyperIdeal]:
-        return [b for b in self.ideals if b.proper]
+    def proper(self) -> list[Mask]:
+        return [b for b in self.ideals if b != self.ring.full_mask]
 
-    def primes(self) -> list[HyperIdeal]:
+    def primes(self) -> list[Mask]:
         return [b for b, p in zip(self.ideals, self.prime) if p]
 
-    def maximals(self) -> list[HyperIdeal]:
+    def maximals(self) -> list[Mask]:
         return [b for b, m in zip(self.ideals, self.maximal) if m]
 
 
@@ -136,27 +123,20 @@ def enumerate_hyperideals(ring: FiniteHyperring) -> IdealLattice:
 
 
 def _lattice(ring: FiniteHyperring) -> IdealLattice:
-    masks = [m for m in enumerate_subgroups(ring) if absorbs(ring, m) is None]
-    ideals = [HyperIdeal(ring, m) for m in masks]
+    ideals = [m for m in enumerate_subgroups(ring) if absorbs(ring, m) is None]
     full = ring.full_mask
-    prime = [b.proper and prime_pair_witness(ring, b.mask) is None for b in ideals]
+    prime = [b != full and prime_pair_witness(ring, b) is None for b in ideals]
     maximal = []
     for b in ideals:
-        if not b.proper:
+        if b == full:
             maximal.append(False)
             continue
-        strictly_between = any(
-            c.mask != b.mask and c.mask != full and subset(b.mask, c.mask) for c in ideals
-        )
+        strictly_between = any(c != b and c != full and subset(b, c) for c in ideals)
         maximal.append(not strictly_between)
     jac = full
-    found = False
     for b, m in zip(ideals, maximal):
         if m:
-            jac &= b.mask
-            found = True
-    if not found:
-        jac = full
+            jac &= b
     return IdealLattice(ring, ideals, prime, maximal, jac, sum(maximal) == 1)
 
 
@@ -199,8 +179,8 @@ def radical_prime_intersection(ring: FiniteHyperring, bmask: Mask) -> Mask:
     lattice = enumerate_hyperideals(ring)
     out = ring.full_mask
     for b, p in zip(lattice.ideals, lattice.prime):
-        if p and subset(bmask, b.mask):
-            out &= b.mask
+        if p and subset(bmask, b):
+            out &= b
     return out
 
 
@@ -298,7 +278,7 @@ def is_strong_c_hyperideal(ring: FiniteHyperring, bmask: Mask) -> Verdict:
     ))
 
 
-def ideal_product(ring: FiniteHyperring, p: Mask, q: Mask) -> HyperIdeal:
+def ideal_product(ring: FiniteHyperring, p: Mask, q: Mask) -> Mask:
     """Hyperideal generated by all pointwise products p ∘ q."""
     seed = 0
     hm = ring.hmul

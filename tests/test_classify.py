@@ -137,12 +137,12 @@ class TestAbsorbingDeciders:
     def test_one_absorbing_matches_3_2(self, z8, z6a, z6u, z7):
         for ring in (z8, z6a, z6u, z7):
             for ideal in enumerate_hyperideals(ring).ideals:
-                if not ideal.proper:
+                if ideal == ring.full_mask:
                     continue
-                rad = radical_nilpotent(ring, ideal.mask)
-                a = is_1_absorbing_primary(ring, ideal.mask, rad)
-                b = is_uv_absorbing_primary(ring, ideal.mask, rad, UVParams(3, 2))
-                assert a.status == b.status, elems_of(ideal.mask)
+                rad = radical_nilpotent(ring, ideal)
+                a = is_1_absorbing_primary(ring, ideal, rad)
+                b = is_uv_absorbing_primary(ring, ideal, rad, UVParams(3, 2))
+                assert a.status == b.status, elems_of(ideal)
 
     def test_split_mode_table(self, z6u):
         for (u, v), witness in Z6U_SPLIT_TABLE.items():
@@ -211,11 +211,11 @@ class TestOneAbsorbingTable:
         for ring in rings:
             product = cache(ring.hyperproduct)
             for b in enumerate_hyperideals(ring).proper():
-                rad = radical_nilpotent(ring, b.mask)
+                rad = radical_nilpotent(ring, b)
                 for mode in SplitMode:
-                    v = is_1_absorbing_primary(ring, b.mask, rad, mode)
-                    expected = one_absorbing_reference(ring, product, b.mask, rad, mode)
-                    assert (v.status, v.witness, v.tested, v.checked_space) == expected, (ring.name, b.members())
+                    v = is_1_absorbing_primary(ring, b, rad, mode)
+                    expected = one_absorbing_reference(ring, product, b, rad, mode)
+                    assert (v.status, v.witness, v.tested, v.checked_space) == expected, (ring.name, elems_of(b))
                     compared[mode, v.status] += 1
         assert compared == {
             (SplitMode.ANY, HOLDS): 1193,
@@ -227,7 +227,7 @@ class TestOneAbsorbingTable:
         def verdicts():
             # fresh rings, so each call builds its own triple tables
             return [
-                is_1_absorbing_primary(ring, b.mask, radical_nilpotent(ring, b.mask), mode).to_record()
+                is_1_absorbing_primary(ring, b, radical_nilpotent(ring, b), mode).to_record()
                 for ring in map(parse_ring_spec, ("z8:1,3", "z6:1,5", "z12:4,9", "z10:2,5"))
                 for b in enumerate_hyperideals(ring).proper()
                 for mode in SplitMode
@@ -249,7 +249,7 @@ class TestHierarchy:
         for ring in rings:
             lat = enumerate_hyperideals(ring)
             for ideal, prime in zip(lat.ideals, lat.prime):
-                if ideal.proper:
+                if ideal != ring.full_mask:
                     yield ring, ideal, prime
 
     def test_prime_implies_uv_prime(self, z8, z6a, z6u, z7):
@@ -258,31 +258,31 @@ class TestHierarchy:
             if not prime:
                 continue
             for uv in pairs:
-                assert is_uv_absorbing_prime(ring, ideal.mask, uv).holds
+                assert is_uv_absorbing_prime(ring, ideal, uv).holds
 
     def test_uv_prime_implies_uv_primary(self, z8, z6a, z6u, z7):
         pairs = [UVParams(u, v) for u in range(2, 5) for v in range(1, u)]
         for ring, ideal, _ in self.all_proper([z8, z6a, z6u, z7]):
-            rad = radical_nilpotent(ring, ideal.mask)
+            rad = radical_nilpotent(ring, ideal)
             for uv in pairs:
-                if is_uv_absorbing_prime(ring, ideal.mask, uv).holds:
-                    assert is_uv_absorbing_primary(ring, ideal.mask, rad, uv).holds
+                if is_uv_absorbing_prime(ring, ideal, uv).holds:
+                    assert is_uv_absorbing_primary(ring, ideal, rad, uv).holds
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_all_mode_implies_any_mode(self, z8, z6a, z6u, data):
         ring = data.draw(st.sampled_from([z8, z6a, z6u]))
         lat = enumerate_hyperideals(ring)
-        ideal = data.draw(st.sampled_from([i for i in lat.ideals if i.proper]))
+        ideal = data.draw(st.sampled_from([i for i in lat.ideals if i != ring.full_mask]))
         u = data.draw(st.integers(2, 5))
         v = data.draw(st.integers(1, u - 1))
-        rad = radical_nilpotent(ring, ideal.mask)
+        rad = radical_nilpotent(ring, ideal)
         strict = is_uv_absorbing_primary(
-            ring, ideal.mask, rad, UVParams(u, v), mode=SplitMode.ALL
+            ring, ideal, rad, UVParams(u, v), mode=SplitMode.ALL
         )
         if strict.holds:
             assert is_uv_absorbing_primary(
-                ring, ideal.mask, rad, UVParams(u, v), mode=SplitMode.ANY
+                ring, ideal, rad, UVParams(u, v), mode=SplitMode.ANY
             ).holds
 
 
@@ -313,12 +313,12 @@ class TestCharacterization:
         for mode in (SplitMode.ALL, SplitMode.ANY):
             for ring in rings:
                 for b in enumerate_hyperideals(ring).proper():
-                    rad = radical_nilpotent(ring, b.mask)
+                    rad = radical_nilpotent(ring, b)
                     for v in (1, 2, 3):
-                        rep = check_v1v_characterization(ring, b.mask, rad, v, mode=mode)
+                        rep = check_v1v_characterization(ring, b, rad, v, mode=mode)
                         for c in (rep.ii, rep.iii, rep.iv):
                             rows.append(json.dumps(
-                                [ring.name, b.members(), v, mode.value, c.status, c.witness, c.tested, c.checked_space]
+                                [ring.name, elems_of(b), v, mode.value, c.status, c.witness, c.tested, c.checked_space]
                             ))
         assert len(rows) == 4392
         assert sum('"fails"' in r for r in rows) == 196
@@ -343,7 +343,7 @@ class TestCharacterization:
             )
             assert keys == (["iprod"] if ran else []), ring.name
             if ran:
-                proper = [b.mask for b in enumerate_hyperideals(ring).proper()]
+                proper = enumerate_hyperideals(ring).proper()
                 for idxs, m in ring._cache["iprod"].items():
                     assert m == reduce(ring.set_mul, [proper[i] for i in idxs]), (ring.name, idxs)
                 checked += 1
@@ -374,16 +374,16 @@ class TestDeciderPin:
                 continue
             rows.append([ring.name, None, "divided", is_divided(ring).to_record()])
             for b in enumerate_hyperideals(ring).proper():
-                rad = radical_nilpotent(ring, b.mask)
+                rad = radical_nilpotent(ring, b)
                 verdicts = {
-                    "primary": is_primary(ring, b.mask, rad),
-                    "c": is_c_hyperideal(ring, b.mask),
-                    "strong-c": is_strong_c_hyperideal(ring, b.mask),
-                    "prime": is_prime(ring, b.mask),
-                    "1-absorbing-any": is_1_absorbing_primary(ring, b.mask, rad, SplitMode.ANY),
-                    "1-absorbing-all": is_1_absorbing_primary(ring, b.mask, rad, SplitMode.ALL),
+                    "primary": is_primary(ring, b, rad),
+                    "c": is_c_hyperideal(ring, b),
+                    "strong-c": is_strong_c_hyperideal(ring, b),
+                    "prime": is_prime(ring, b),
+                    "1-absorbing-any": is_1_absorbing_primary(ring, b, rad, SplitMode.ANY),
+                    "1-absorbing-all": is_1_absorbing_primary(ring, b, rad, SplitMode.ALL),
                 }
-                rows += [[ring.name, b.members(), name, v.to_record()] for name, v in verdicts.items()]
+                rows += [[ring.name, elems_of(b), name, v.to_record()] for name, v in verdicts.items()]
         kinds = Counter((name, rec["status"]) for _, _, name, rec in rows)
         assert len(rows) == 7653
         assert kinds == {

@@ -13,7 +13,6 @@ from hyperlab.construct import (
     canonical_mcs_list,
     check_good_hom,
     gamma_mask,
-    identity_hom,
     is_mcs,
     localize,
     matrix_hyperring,
@@ -332,6 +331,6 @@ class TestLocalize:
 
 class TestHoms:
     def test_identity_hom_is_clean(self, z8):
-        hom = identity_hom(z8)
+        hom = GoodHom(z8, z8, tuple(range(8)))
         assert check_good_hom(hom) == []
         assert nonunit_preservation_witness(hom) is None

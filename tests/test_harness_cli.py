@@ -578,6 +578,14 @@ class TestCLI:
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:")
 
+    def test_unwritable_out_is_usage_error(self, tmp_path):
+        out = tmp_path / "missing" / "x.txt"
+        proc = run_cli("validate", "--ring", "z6:1,5", "--out", str(out))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"error: cannot write report to {str(out)!r}")
+        assert len(proc.stderr.splitlines()) == 1
+        assert not out.parent.exists()
+
     @pytest.mark.parametrize("args", [
         ("sweep", "--u-max", "1"),
         ("sweep", "--tuple-budget", "0"),

@@ -89,7 +89,7 @@ def assert_matches_reference(ring, ref, verdict, pmask, concl_mask, u, v, mode, 
 
 
 def proper_targets(ring):
-    return [(b.mask, radical_nilpotent(ring, b.mask)) for b in enumerate_hyperideals(ring).ideals if b.proper]
+    return [(b, radical_nilpotent(ring, b)) for b in enumerate_hyperideals(ring).ideals if b != ring.full_mask]
 
 
 def family():
@@ -146,7 +146,7 @@ def test_full_pool_and_avoid_paths(mode):
                 assert row[(u, v)].checked_space == space
                 assert_matches_reference(ring, ref_wide, row[(u, v)], pmask, rad, u, v, mode)
         avoided = [
-            (p, r, ideal_product(ring, i, p).mask, i) for p, r in targets for i, _ in targets
+            (p, r, ideal_product(ring, i, p), i) for p, r in targets for i, _ in targets
         ]
         rows = uv_scan(
             ring,
@@ -185,7 +185,7 @@ def test_mixed_readings_in_one_call(mode):
                 ((p, r, 0, "absorbing-primary"), partial(is_uv_absorbing_primary, ring, p, r)),
                 ((p, p, 0, "absorbing-prime"), partial(is_uv_absorbing_prime, ring, p)),
                 (
-                    (p, r, ideal_product(ring, i, p).mask, "absorbing-i-primary"),
+                    (p, r, ideal_product(ring, i, p), "absorbing-i-primary"),
                     partial(is_uv_absorbing_i_primary, ring, p, i, r),
                 ),
             ]
