@@ -17,7 +17,7 @@ from functools import cache
 from itertools import combinations, combinations_with_replacement
 from typing import Optional, Sequence
 
-from .core import FiniteHyperring, Mask, elems_of, iter_bits, subset
+from .core import FiniteHyperring, Mask, elems_of, iter_bits
 from .ideals import (
     colon,
     enumerate_hyperideals,
@@ -31,6 +31,7 @@ from .verdicts import (
     UsageError,
     UVParams,
     Verdict,
+    decided,
     fails,
     first_failure,
     holds,
@@ -464,9 +465,15 @@ def check_v1v_characterization(
     mode: SplitMode = SplitMode.ANY,
     clause_i: Optional[Verdict] = None,
 ) -> CharacterizationReport:
+    """The four clauses for P with radical `radmask` at arity v; `clause_i`
+    is the (v+1, v) verdict when the caller already has it.  Raises
+    UsageError on a table whose hypermultiplication is not commutative,
+    which clauses (ii) and (iii) read through one colon."""
     if v < 1:
         raise ParameterError("v must be >= 1")
     _require_proper(ring, pmask)
+    if ring.hmul != tuple(zip(*ring.hmul)):
+        raise UsageError("the characterization needs a commutative hypermultiplication")
     uv = UVParams(v + 1, v)
     lattice = enumerate_hyperideals(ring)
     nonunits = elems_of(ring.unit_report().nonunits)
@@ -476,50 +483,66 @@ def check_v1v_characterization(
     if clause_i is None:
         clause_i = is_uv_absorbing_primary(ring, pmask, radmask, uv, mode=mode)
 
-    # (ii) every colon by a v-product that escapes P stays inside rad(P)
-    def clause_ii_cases():
-        colons: dict[Mask, Mask] = {}
-        for ms in combinations_with_replacement(nonunits, v):
-            pm = prods[ms]
-            if not pm & notp:
-                continue
-            if pm not in colons:
-                colons[pm] = colon(ring, pmask, pm)
-            yield {"factors": list(ms), "colon": elems_of(colons[pm])} if colons[pm] & ~radmask else None
+    # (ii) every colon by a v-product that escapes P stays inside rad(P);
+    # (iii) product ∘ Q ⊆ P forces the product into P or Q into rad(P).
+    # Both read a v-multiset only through its product pm, and on a
+    # commutative table pm ∘ Q ⊆ P exactly when Q ⊆ (P : pm).  So each
+    # distinct product gets its colon, the ideals it absorbs into P and,
+    # when pm escapes P, the index of the first of those outside rad(P);
+    # one walk over the v-multisets then counts and finds both clauses'
+    # cases
+    def product_facts(pm: Mask) -> tuple[Mask, list[Mask], Optional[int]]:
+        col = colon(ring, pmask, pm)
+        absorbed = [q for q in lattice.ideals if not q & ~col]
+        bad = next((k for k, q in enumerate(absorbed) if q & ~radmask), None) if pm & notp else None
+        return col, absorbed, bad
 
-    clause_ii = first_failure("v-multisets with product escaping P", clause_ii_cases())
-
-    # (iii) product ∘ Q ⊆ P forces the product into P or Q into rad(P)
-    def clause_iii_cases():
-        absorbed: dict[Mask, list[Mask]] = {}
-        for ms in combinations_with_replacement(nonunits, v):
-            pm = prods[ms]
-            if pm not in absorbed:
-                absorbed[pm] = [q for q in lattice.ideals if not ring.set_mul(pm, q) & notp]
-            for q in absorbed[pm]:
-                yield {"factors": list(ms), "ideal": elems_of(q)} if pm & notp and q & ~radmask else None
-
-    clause_iii = first_failure("v-multisets times hyperideals", clause_iii_cases())
+    facts = _Memo(product_facts)
+    tested_ii = tested_iii = 0
+    witness_ii = witness_iii = None
+    for ms in combinations_with_replacement(nonunits, v):
+        pm = prods[ms]
+        col, absorbed, bad = facts[pm]
+        if witness_ii is None and pm & notp:
+            tested_ii += 1
+            if col & ~radmask:
+                witness_ii = {"factors": list(ms), "colon": elems_of(col)}
+        if witness_iii is None:
+            if bad is None:
+                tested_iii += len(absorbed)
+            else:
+                tested_iii += bad + 1
+                witness_iii = {"factors": list(ms), "ideal": elems_of(absorbed[bad])}
+        if witness_ii is not None and witness_iii is not None:
+            break
+    clause_ii = decided(witness_ii is None, witness_ii, "v-multisets with product escaping P", tested_ii)
+    clause_iii = decided(witness_iii is None, witness_iii, "v-multisets times hyperideals", tested_iii)
 
     # (iv) products of v+1 proper hyperideals, aggregated like the element
     # deciders: remainder ideal must fall into rad(P).  The products depend
     # on neither P nor v: one memo per ring over tuples of indices into
-    # `proper`, each folded from its prefix's product on first use
+    # `proper`, each folded from its prefix's product on first use, and
+    # the folds keyed on (prefix product, ideal index), so tuples whose
+    # prefixes have one product share them.  A split (Q, rest) can fail
+    # only when Q escapes rad(P), so that is tested before rest's product
+    # is read
     proper = lattice.proper()
     def build():
-        iprod = _Memo(lambda idxs: ring.set_mul(iprod[idxs[:-1]], proper[idxs[-1]]))
+        fold = _Memo(lambda key: ring.set_mul(key[0], proper[key[1]]))
+        iprod = _Memo(lambda idxs: fold[iprod[idxs[:-1]], idxs[-1]])
         iprod.update(((i,), m) for i, m in enumerate(proper))
         return iprod
 
     iprod = ring.memo("iprod", build)
+    escapes = [bool(q & ~radmask) for q in proper]
 
     def clause_iv_witness(idxs: tuple) -> Optional[dict]:
         if mode is SplitMode.ANY:
-            if any(not iprod[rest] & notp or subset(proper[q], radmask) for (q,), rest in splits(idxs, 1)):
+            if any(not escapes[q] or not iprod[rest] & notp for (q,), rest in splits(idxs, 1)):
                 return None
             return {"ideals": [elems_of(proper[i]) for i in idxs]}
         for (q,), rest in splits(idxs, 1):
-            if iprod[rest] & notp and proper[q] & ~radmask:
+            if escapes[q] and iprod[rest] & notp:
                 return {"ideals": [elems_of(proper[i]) for i in rest], "last": elems_of(proper[q])}
         return None
 

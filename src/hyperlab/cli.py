@@ -16,9 +16,11 @@ from typing import Callable, Optional, Sequence
 from . import classify, zphi
 from .core import FiniteHyperring, Mask, TableFormatError, elems_of, mask_of, parse_ring_spec
 from .harness import (
+    BUDGET_EXCEEDED,
     Report,
     RingFamilySpec,
     axioms_verdict,
+    estimated_multisets,
     run_golden_examples,
     run_theorem_suite,
 )
@@ -37,6 +39,7 @@ from .verdicts import (
     UVParams,
     decided,
     holds,
+    skipped,
 )
 
 
@@ -204,7 +207,19 @@ def cmd_check(args) -> int:
         _emit(report, args)
         return _exit_code(report)
 
-    if prop == "prime":
+    if prop == "uv-i-primary":
+        imask = _ideal_mask(ring, args.aux_ideal, "aux ideal")
+        if not is_hyperideal(ring, imask):
+            raise UsageError(f"{args.aux_ideal!r} is not a hyperideal of {args.ring}")
+        params["aux_ideal"] = elems_of(imask)
+
+    # a (u,v) scan is refused where the sweep would refuse the ring's scan
+    # up to u_max = u, under the sweep's default budget
+    pool = bin(ring.unit_report().nonunits).count("1")
+    budget = RingFamilySpec().tuple_budget
+    if "u" in CHECK_PROPS[prop] and estimated_multisets(pool, uv.u) > budget:
+        verdict = skipped(BUDGET_EXCEEDED, space=f"nonunit scan over tuple budget {budget}", pool=pool)
+    elif prop == "prime":
         verdict = classify.is_prime(ring, pmask)
     elif prop == "primary":
         verdict = classify.is_primary(ring, pmask, rad)
@@ -217,11 +232,7 @@ def cmd_check(args) -> int:
     elif prop == "uv-prime":
         verdict = classify.is_uv_absorbing_prime(ring, pmask, uv, mode=mode)
     elif prop == "uv-i-primary":
-        imask = _ideal_mask(ring, args.aux_ideal, "aux ideal")
-        if not is_hyperideal(ring, imask):
-            raise UsageError(f"{args.aux_ideal!r} is not a hyperideal of {args.ring}")
         verdict = classify.is_uv_absorbing_i_primary(ring, pmask, imask, rad, uv, mode=mode)
-        params["aux_ideal"] = elems_of(imask)
     else:
         verdict = classify.is_1_absorbing_primary(ring, pmask, rad, mode=mode)
 

@@ -23,7 +23,7 @@ from hyperlab.classify import (
     replay_uv_counterexample,
     splits,
 )
-from hyperlab.core import elems_of, mask_of, parse_ring_spec, subset
+from hyperlab.core import FiniteHyperring, elems_of, mask_of, parse_ring_spec, subset
 from hyperlab.harness import Report, RingFamilySpec, enumerate_family, run_ring
 from hyperlab.ideals import (
     enumerate_hyperideals,
@@ -31,7 +31,7 @@ from hyperlab.ideals import (
     is_strong_c_hyperideal,
     radical_nilpotent,
 )
-from hyperlab.verdicts import FAILS, HOLDS, ParameterError, SplitMode, UVParams
+from hyperlab.verdicts import FAILS, HOLDS, ParameterError, SplitMode, UsageError, UVParams, holds
 
 EVENS8 = mask_of({0, 2, 4, 6})
 ZERO = mask_of({0})
@@ -297,6 +297,74 @@ class TestAuxIdealVariant:
         assert v.extra["ideal_product"] == [0]
 
 
+def characterization_reference(ring, pmask, radmask, v, mode):
+    """(status, witness, tested, space) of clauses (ii)-(iv) of the (v+1, v)
+    characterization straight from the definitions, each product folded
+    afresh by `ring.hyperproduct` or `ring.set_mul` for every case.
+    (ii): a v-multiset of nonunits whose product escapes P is a case; it
+    fails when the colon (P : product) leaves rad(P).  (iii): a
+    (v-multiset, hyperideal Q) with product ∘ Q ⊆ P is a case; it fails
+    when the product escapes P and Q leaves rad(P).  (iv): a (v+1)-multiset
+    of proper hyperideals whose product lies in P is a case; a split
+    (Q, rest), in `splits` order, fails when rest's product escapes P and Q
+    leaves rad(P), and the case fails when every split does (ANY) or at its
+    first failing split (ALL)."""
+    def walk(space, cases):
+        tested = 0
+        for witness in cases:
+            tested += 1
+            if witness is not None:
+                return FAILS, witness, tested, space
+        return HOLDS, None, tested, space
+
+    lattice = enumerate_hyperideals(ring)
+    proper = lattice.proper()
+    multisets = list(combinations_with_replacement(elems_of(ring.unit_report().nonunits), v))
+
+    def clause_ii():
+        for ms in multisets:
+            pm = ring.hyperproduct(ms)
+            if subset(pm, pmask):
+                continue
+            col = mask_of({a for a in range(ring.n) if subset(ring.set_mul(1 << a, pm), pmask)})
+            yield None if subset(col, radmask) else {"factors": list(ms), "colon": elems_of(col)}
+
+    def clause_iii():
+        for ms in multisets:
+            pm = ring.hyperproduct(ms)
+            for q in lattice.ideals:
+                if subset(ring.set_mul(pm, q), pmask):
+                    bad = not subset(pm, pmask) and not subset(q, radmask)
+                    yield {"factors": list(ms), "ideal": elems_of(q)} if bad else None
+
+    def product(idxs):
+        return reduce(ring.set_mul, [proper[i] for i in idxs])
+
+    def clause_iv():
+        for idxs in combinations_with_replacement(range(len(proper)), v + 1):
+            if not subset(product(idxs), pmask):
+                continue
+            failing = [
+                (q, rest)
+                for (q,), rest in splits(idxs, 1)
+                if not subset(product(rest), pmask) and not subset(proper[q], radmask)
+            ]
+            if mode is SplitMode.ANY:
+                every = len(failing) == len(splits(idxs, 1))
+                yield {"ideals": [elems_of(proper[i]) for i in idxs]} if every else None
+            elif failing:
+                q, rest = failing[0]
+                yield {"ideals": [elems_of(proper[i]) for i in rest], "last": elems_of(proper[q])}
+            else:
+                yield None
+
+    return (
+        walk("v-multisets with product escaping P", clause_ii()),
+        walk("v-multisets times hyperideals", clause_iii()),
+        walk("(v+1)-multisets of proper hyperideals", clause_iv()),
+    )
+
+
 class TestCharacterization:
     def test_z8_report(self, z8):
         rep = check_v1v_characterization(z8, mask_of({0, 4}), EVENS8, v=1)
@@ -323,6 +391,40 @@ class TestCharacterization:
         assert len(rows) == 4392
         assert sum('"fails"' in r for r in rows) == 196
         assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == CLAUSE_DIGEST
+
+    def test_clauses_match_literal_reference_on_family(self):
+        # every proper ideal of moduli 2-10, v = 1..3, both modes, rings
+        # without units (every element a nonunit) included: status,
+        # witness, tested and space of clauses (ii)-(iv)
+        rings = enumerate_family(RingFamilySpec(moduli=tuple(range(2, 11))))
+        assert sum(not ring.unit_report().units for ring in rings) == 60
+        compared = Counter()
+        for ring in rings:
+            for b in enumerate_hyperideals(ring).proper():
+                rad = radical_nilpotent(ring, b)
+                for v in (1, 2, 3):
+                    for mode in SplitMode:
+                        rep = check_v1v_characterization(ring, b, rad, v, mode=mode, clause_i=holds())
+                        got = tuple((c.status, c.witness, c.tested, c.checked_space) for c in (rep.ii, rep.iii, rep.iv))
+                        assert got == characterization_reference(ring, b, rad, v, mode), (ring.name, elems_of(b), v)
+                        compared.update(zip(("ii", "iii", "iv"), (status for status, *_ in got)))
+        assert compared == {
+            ("ii", HOLDS): 6062,
+            ("ii", FAILS): 1096,
+            ("iii", HOLDS): 6062,
+            ("iii", FAILS): 1096,
+            ("iv", HOLDS): 6436,
+            ("iv", FAILS): 722,
+        }
+
+    def test_noncommutative_table_refused(self):
+        # a ∘ b ⊆ P exactly when b ∘ a ⊆ P is what lets one colon serve
+        # clauses (ii) and (iii); a table where 0 ∘ 1 = {0} but 1 ∘ 0 = {1}
+        # has no such identity, and is refused
+        ring = FiniteHyperring(2, [[0, 1], [1, 0]], [[0b01, 0b01], [0b10, 0b11]], name="noncommutative")
+        assert "hmul-commutativity" in {f.axiom for f in ring.validate().failures}
+        with pytest.raises(UsageError, match="commutative"):
+            check_v1v_characterization(ring, ZERO, ZERO, 1)
 
     def test_ideal_products_are_one_memo_per_ring(self):
         """Clause (iv) keeps its products of proper hyperideals in one memo

@@ -85,12 +85,12 @@ def _flipped_uv_matrices(real):
     return compute
 
 
-def run_cli(*args):
+def run_cli(*args, timeout=600):
     return subprocess.run(
         [sys.executable, "-m", "hyperlab", *args],
         capture_output=True,
         text=True,
-        timeout=600,
+        timeout=timeout,
     )
 
 
@@ -570,6 +570,26 @@ class TestCLI:
         proc = run_cli(*args, "--mode", "all")
         assert proc.returncode == 2
         assert "unrecognized arguments: --mode all" in proc.stderr
+
+    @pytest.mark.parametrize("prop,extra", [
+        ("uv-primary", ()),
+        ("uv-prime", ()),
+        ("uv-i-primary", ("--aux-ideal", "0")),
+    ])
+    def test_check_scan_over_budget_is_skipped(self, prop, extra):
+        # z12:1,5 has 8 nonunits: a scan up to u = 40 counts 377,348,985
+        # multisets, over the default budget, so the check refuses it
+        # without scanning, in one row that marks the report incomplete
+        args = ("check", "--ring", "z12:1,5", "--prop", prop, "--ideal", "0", "--u", "40", "--v", "1", *extra)
+        proc = run_cli(*args, "--json", timeout=30)
+        assert proc.returncode == 0
+        (rec,) = map(json.loads, proc.stdout.splitlines())
+        assert rec["status"] == "skipped"
+        assert rec["space"] == "nonunit scan over tuple budget 10000000"
+        assert {k: rec["params"][k] for k in ("u", "tested", "reason", "pool")} == {
+            "u": 40, "tested": 0, "reason": "multiset budget exceeded", "pool": 8,
+        }
+        assert run_cli(*args, timeout=30).stdout.rstrip().endswith("incomplete=True")
 
     def test_check_missing_arity_is_usage_error(self):
         proc = run_cli(
