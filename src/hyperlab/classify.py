@@ -13,8 +13,9 @@ integer examples this library reproduces.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, reduce
 from itertools import combinations, combinations_with_replacement
+from operator import or_
 from typing import Optional, Sequence
 
 from .core import FiniteHyperring, Mask, elems_of, iter_bits
@@ -129,6 +130,62 @@ def is_primary(ring: FiniteHyperring, pmask: Mask, radmask: Mask) -> Verdict:
 # -- (u,v)-absorbing deciders -------------------------------------------------
 
 
+def target_bits(targets: Sequence[tuple[Mask, Mask, Mask, str]]) -> _Memo:
+    """m -> (v-part bits, remainder bits, hypothesis bits) of the product
+    mask m: bit t of each is set where m ⊆ P, m ⊆ C, and m ⊆ P misses
+    avoid, for target t.  A split is ok where its v-part bits or its
+    remainder bits are set."""
+    def read(m: Mask) -> tuple[int, int, int]:
+        bp = bc = bh = 0
+        for t, (pmask, concl, avoid, _) in enumerate(targets):
+            if not m & ~pmask:
+                bp |= 1 << t
+                if not m & avoid:
+                    bh |= 1 << t
+            if not m & ~concl:
+                bc |= 1 << t
+        return bp, bc, bh
+
+    return _Memo(read)
+
+
+def uv_flags(
+    ring: FiniteHyperring,
+    bits: _Memo,
+    every: int,
+    uvs: Sequence[tuple[int, int]],
+    pool: Sequence[int],
+) -> dict[tuple[int, int], int]:
+    """Per (u, v), the target bits of the pairs that can fail over `pool`.
+    Under ALL a pair fails where some split (A, B) has prod(A ⊎ B) in the
+    hypothesis, prod(A) ⊄ P and prod(B) ⊄ C, so the flags are the OR, over
+    the distinct products α of the v-multisets and β of the
+    (u-v)-multisets, of hyp(α∘β) & ~vpart(α) & ~concl(β) read off `bits`:
+    exactly the failing pairs under ALL, a superset under ANY.  That needs
+    prod(A ⊎ B) = α∘β, so a table that is not commutative and associative
+    gets every target flagged."""
+    axioms = {f.axiom for f in ring.validate().failures}
+    if axioms & {"hmul-commutativity", "hmul-associativity"}:
+        return dict.fromkeys(uvs, every)
+    # prods[k]: the distinct products of the k-multisets of the pool
+    prods = [set(), {1 << x for x in pool}]
+    for _ in range(2, max((u for u, _ in uvs), default=0)):
+        prods.append({ring.mul_elem(m, x) for m in prods[-1] for x in pool})
+    # α∘β, read under (min, max): (u, v) and (u, u-v) pair the same products
+    both = _Memo(lambda ab: ring.set_mul(*ab))
+    flags = {}
+    for u, v in uvs:
+        got = 0
+        for a in prods[v]:
+            gap = every & ~bits[a][0]
+            for b in prods[u - v]:
+                fail = gap & ~bits[b][1] & ~got
+                if fail:
+                    got |= bits[both[(a, b) if a < b else (b, a)]][2] & fail
+        flags[(u, v)] = got
+    return flags
+
+
 def uv_scan(
     ring: FiniteHyperring,
     targets: Sequence[tuple[Mask, Mask, Mask, str]],
@@ -146,6 +203,11 @@ def uv_scan(
     a pair fails at a multiset where no split passes; ALL: where some split
     does not.  Returns, per target, {(u, v): Verdict} with spaces labelled
     by the target's label.
+
+    Before the pass, `uv_flags` marks the pairs that can fail.  A prefix
+    is searched only where its hypothesis bits meet a flagged pair that
+    has no witness yet, and every prefix, searched or not, adds its
+    hypothesis bits to the `tested` counts until every pair has a witness.
 
     Targets are bit-sliced, and so are the last two factors: a u-multiset
     is a (u-2)-prefix followed by y <= x, and one int of |pool|² * n bits
@@ -181,23 +243,8 @@ def uv_scan(
         valid[lo] = valid[lo + 1] | (every * row_ones >> n * lo << n * lo << row * lo)
     prods = multiset_products(ring)
     mul = ring.mul_elem
-
-    def target_bits(m: Mask) -> tuple[int, int, int]:
-        """(v-part bits, remainder bits, hypothesis bits) of m: bit t of
-        each is set where m ⊆ P, m ⊆ C, and m ⊆ P misses avoid, for target
-        t.  A split is ok where its v-part bits or its remainder bits are
-        set."""
-        bp = bc = bh = 0
-        for t, (pmask, concl, avoid, _) in enumerate(targets):
-            if not m & ~pmask:
-                bp |= 1 << t
-                if not m & avoid:
-                    bh |= 1 << t
-            if not m & ~concl:
-                bc |= 1 << t
-        return bp, bc, bh
-
-    bits = _Memo(target_bits)
+    bits = target_bits(targets)
+    flags = uv_flags(ring, bits, every, uvs, pool)
     # by slot x: m -> m∘x, None (the empty product) -> {x}
     times = [_Memo(lambda m, x=x: 1 << x if m is None else mul(m, x)) for x in pool]
 
@@ -222,19 +269,18 @@ def uv_scan(
     for u, v in uvs:
         vs_of.setdefault(u, []).append(v)
     for u, vs in vs_of.items():
-        # open_[v]: the target bits of pairs with no witness yet, in every
-        # slot; live: their union over v
-        open_ = dict.fromkeys(vs, every * ones)
-        live = every * ones
+        # open_[v]: the target bits of flagged pairs with no witness yet, in
+        # every slot; live: their union over v, the bits worth a search
+        open_ = {v: flags[(u, v)] * ones for v in vs}
+        live = reduce(or_, open_.values())
         found: dict[tuple[int, int], tuple[dict, int]] = {}
         # packed hypothesis bits of a prefix's grid -> prefixes seen
         counts: dict[int, int] = {}
         for head_at in combinations_with_replacement(range(size), u - 2):
-            if not live:
-                break
             head = tuple(pool[i] for i in head_at)
             hb = hb_yx[prods[head]] & valid[head_at[-1] if head else 0]
             if not hb & live:
+                counts[hb] = counts.get(hb, 0) + 1
                 continue
             # lv[j + 1]: the distinct (v-part, remainder) products of the
             # prefix's splits with a v-part of size j, None for an empty part
@@ -286,9 +332,9 @@ def uv_scan(
                         found[(t, v)] = (witness, tested)
             counts[hb] = counts.get(hb, 0) + 1
             if closed:
-                live = 0
-                for v in vs:
-                    live |= open_[v]
+                if len(found) == n * len(vs):
+                    break
+                live = reduce(or_, open_.values())
         for t, (verdicts, target) in enumerate(zip(out, targets)):
             total = sum(c * (g >> t & ones).bit_count() for g, c in counts.items())
             for v in vs:

@@ -2,7 +2,9 @@
 against a literal reference decider written straight from the definition:
 frozenset products folded from the multiplication table, distinct v-parts
 in sorted order, remainders by multiset difference, no bitsets and no
-shared product cache."""
+shared product cache.  The kernel's flags, the pairs it searches, are
+checked against the same verdicts."""
+import random
 from collections import Counter
 from functools import partial
 from itertools import combinations, combinations_with_replacement
@@ -16,9 +18,11 @@ from hyperlab.classify import (
     multiset_products,
     replay_uv_counterexample,
     splits,
+    target_bits,
+    uv_flags,
     uv_scan,
 )
-from hyperlab.core import elems_of, mask_of, parse_ring_spec
+from hyperlab.core import FiniteHyperring, elems_of, mask_of, parse_ring_spec
 from hyperlab.harness import RingFamilySpec, compute_uv_matrices, enumerate_family, uv_pairs
 from hyperlab.ideals import enumerate_hyperideals, ideal_product, radical_nilpotent
 from hyperlab.verdicts import FAILS, HOLDS, SplitMode, UVParams
@@ -88,6 +92,20 @@ def assert_matches_reference(ring, ref, verdict, pmask, concl_mask, u, v, mode, 
         assert replay_uv_counterexample(ring, pmask, concl_mask, verdict.witness["factors"], v, mode=mode)
 
 
+def assert_flags_match(ring, targets, rows, uvs, mode, pool):
+    """`uv_flags` against the verdicts of one kernel call, which each
+    caller checks against the reference: under ALL a pair is flagged
+    exactly when it fails, under ANY every failing pair is flagged."""
+    flags = uv_flags(ring, target_bits(targets), (1 << len(targets)) - 1, uvs, pool)
+    for t, row in enumerate(rows):
+        for uv in uvs:
+            flagged = bool(flags[uv] >> t & 1)
+            if mode is SplitMode.ALL:
+                assert flagged == row[uv].fails, (ring.name, targets[t][:3], uv)
+            else:
+                assert flagged or not row[uv].fails, (ring.name, targets[t][:3], uv)
+
+
 def proper_targets(ring):
     return [(b, radical_nilpotent(ring, b)) for b in enumerate_hyperideals(ring).ideals if b != ring.full_mask]
 
@@ -109,6 +127,7 @@ def assert_matrix_matches_reference(ring, targets, uvs, mode, pool):
         assert list(row) == uvs
         for u, v in uvs:
             assert_matches_reference(ring, ref, row[(u, v)], pmask, concl, u, v, mode)
+    assert_flags_match(ring, primary + prime, rows, uvs, mode, pool)
 
 
 @pytest.mark.parametrize("mode", list(SplitMode))
@@ -125,6 +144,9 @@ def test_matrix_matches_one_target_deciders_and_reference(mode):
                 assert row_q[(u, v)] == is_uv_absorbing_prime(ring, pmask, uv, mode=mode)
                 assert_matches_reference(ring, ref, row_p[(u, v)], pmask, rad, u, v, mode)
                 assert_matches_reference(ring, ref, row_q[(u, v)], pmask, pmask, u, v, mode)
+        readings = [(p, r, 0, "absorbing-primary") for p, r in targets]
+        readings += [(p, p, 0, "absorbing-prime") for p, _ in targets]
+        assert_flags_match(ring, readings, mat_p + mat_q, uv_pairs(U_MAX), mode, nonunits)
 
 
 @pytest.mark.parametrize("mode", list(SplitMode))
@@ -137,9 +159,9 @@ def test_full_pool_and_avoid_paths(mode):
         nonunits = elems_of(ring.unit_report().nonunits)
         carrier = list(range(ring.n))
         ref_wide, ref = Reference(ring, carrier), Reference(ring, nonunits)
-        wide = uv_scan(
-            ring, [(p, r, 0, "absorbing-primary") for p, r in targets], uv_pairs(U_MAX_WIDE), mode, carrier
-        )
+        primary = [(p, r, 0, "absorbing-primary") for p, r in targets]
+        wide = uv_scan(ring, primary, uv_pairs(U_MAX_WIDE), mode, carrier)
+        assert_flags_match(ring, primary, wide, uv_pairs(U_MAX_WIDE), mode, carrier)
         for (pmask, rad), row in zip(targets, wide):
             for u, v in uv_pairs(U_MAX_WIDE):
                 space = f"absorbing-primary u={u} v={v} pool={ring.n} mode={mode.value}"
@@ -148,19 +170,68 @@ def test_full_pool_and_avoid_paths(mode):
         avoided = [
             (p, r, ideal_product(ring, i, p), i) for p, r in targets for i, _ in targets
         ]
-        rows = uv_scan(
-            ring,
-            [(p, r, a, "absorbing-i-primary") for p, r, a, _ in avoided],
-            uv_pairs(U_MAX_WIDE),
-            mode,
-            nonunits,
-        )
+        i_primary = [(p, r, a, "absorbing-i-primary") for p, r, a, _ in avoided]
+        rows = uv_scan(ring, i_primary, uv_pairs(U_MAX_WIDE), mode, nonunits)
+        assert_flags_match(ring, i_primary, rows, uv_pairs(U_MAX_WIDE), mode, nonunits)
         for (pmask, rad, avoid, imask), row in zip(avoided, rows):
             for u, v in uv_pairs(U_MAX_WIDE):
                 one = is_uv_absorbing_i_primary(ring, pmask, imask, rad, UVParams(u, v), mode=mode)
                 assert one.extra == {"ideal_product": elems_of(avoid)}
                 assert fields(row[(u, v)]) == fields(one)
                 assert_matches_reference(ring, ref, one, pmask, rad, u, v, mode, avoid)
+
+
+def test_arbitrary_mask_targets():
+    """Seeded targets whose P, C and avoid are arbitrary masks, not
+    ideals, over the nonunit pool and the full carrier, in both modes,
+    field for field against the reference, flags included.  On family
+    ideals u never matters under ALL, so these are the targets on which
+    the remainder products, and with them u, decide verdicts."""
+    rng = random.Random(2026)
+    moved = set()
+    for ring in enumerate_family(FAMILY):
+        full = ring.full_mask + 1
+        targets = [
+            (rng.randrange(1, full), rng.randrange(full), rng.choice((0, rng.randrange(full))), "masks")
+            for _ in range(4)
+        ]
+        nonunits = elems_of(ring.unit_report().nonunits)
+        for pool, uvs in ((nonunits, uv_pairs(U_MAX)), (list(range(ring.n)), uv_pairs(U_MAX_WIDE))):
+            ref = Reference(ring, pool)
+            for mode in SplitMode:
+                rows = uv_scan(ring, targets, uvs, mode, pool)
+                for (pmask, concl, avoid, _), row in zip(targets, rows):
+                    for u, v in uvs:
+                        assert_matches_reference(ring, ref, row[(u, v)], pmask, concl, u, v, mode, avoid)
+                        # (u, v) and (u + 1, v) apart: u decides
+                        if (u + 1, v) in row and row[(u, v)].status != row[(u + 1, v)].status:
+                            moved.add((u, v))
+                assert_flags_match(ring, targets, rows, uvs, mode, pool)
+    assert moved
+
+
+# Two-element tables on which the product identity prod(A ⊎ B) =
+# prod(A) ∘ prod(B) breaks, and flags read from distinct products would
+# miss the (3,2) failure under ALL: one commutative but not associative,
+# one associative but not commutative.
+BROKEN_IDENTITY = [
+    ("hmul-associativity", [[0b10, 0b10], [0b10, 0b01]], 0b01, 0b10),
+    ("hmul-commutativity", [[0b11, 0b10], [0b11, 0b10]], 0b10, 0b00),
+]
+
+
+@pytest.mark.parametrize("axiom, hmul, pmask, concl", BROKEN_IDENTITY, ids=[b[0] for b in BROKEN_IDENTITY])
+def test_flags_need_a_commutative_associative_table(axiom, hmul, pmask, concl):
+    ring = FiniteHyperring(2, [[0, 1], [1, 0]], hmul, name=axiom)
+    assert {f.axiom for f in ring.validate().failures} & {"hmul-commutativity", "hmul-associativity"} == {axiom}
+    pool, uvs = [0, 1], uv_pairs(U_MAX_WIDE)
+    ref = Reference(ring, pool)
+    for mode in SplitMode:
+        (row,) = uv_scan(ring, [(pmask, concl, 0, "absorbing-primary")], uvs, mode, pool)
+        for u, v in uvs:
+            assert_matches_reference(ring, ref, row[(u, v)], pmask, concl, u, v, mode)
+        if mode is SplitMode.ALL:
+            assert row[(3, 2)].fails
 
 
 def fields(verdict):
