@@ -32,7 +32,6 @@ from .verdicts import (
     UsageError,
     UVParams,
     Verdict,
-    decided,
     fails,
     first_failure,
     holds,
@@ -72,6 +71,33 @@ def multiset_products(ring: FiniteHyperring) -> dict[tuple, Optional[Mask]]:
         return prods
 
     return ring.memo("msprod", build)
+
+
+def multiset_counts(ring: FiniteHyperring, elems: Sequence[int], k_max: int) -> list[list[dict]]:
+    """tables[i][k]: product mask -> the number of k-multisets of elems[:i]
+    with that product, folded in the order of `elems` (None, the empty
+    product, for k = 0).  A DP over distinct products: adding x = elems[i],
+    level k reads level k-1 of the table that already holds x, so repeats
+    are counted.  One memo per ring and `elems`, extended to k_max on
+    demand."""
+    elems = tuple(elems)
+    tables = ring.memo(("mscounts", elems), lambda: [[{None: 1}] for _ in range(len(elems) + 1)])
+    for k in range(len(tables[0]), k_max + 1):
+        tables[0].append({})
+        for i, x in enumerate(elems):
+            level = dict(tables[i][k])
+            for m, c in tables[i + 1][k - 1].items():
+                m = 1 << x if m is None else ring.mul_elem(m, x)
+                level[m] = level.get(m, 0) + c
+            tables[i + 1].append(level)
+    return tables
+
+
+def _fold_order_free(ring: FiniteHyperring) -> bool:
+    """hmul is commutative and associative, so prod(A ⊎ B) = prod(A) ∘
+    prod(B) whatever order either is folded in."""
+    axioms = {f.axiom for f in ring.validate().failures}
+    return not axioms & {"hmul-commutativity", "hmul-associativity"}
 
 
 def _complement(ms: Sequence[int], part: Sequence[int]) -> tuple:
@@ -164,13 +190,11 @@ def uv_flags(
     exactly the failing pairs under ALL, a superset under ANY.  That needs
     prod(A ⊎ B) = α∘β, so a table that is not commutative and associative
     gets every target flagged."""
-    axioms = {f.axiom for f in ring.validate().failures}
-    if axioms & {"hmul-commutativity", "hmul-associativity"}:
+    if not _fold_order_free(ring):
         return dict.fromkeys(uvs, every)
-    # prods[k]: the distinct products of the k-multisets of the pool
-    prods = [set(), {1 << x for x in pool}]
-    for _ in range(2, max((u for u, _ in uvs), default=0)):
-        prods.append({ring.mul_elem(m, x) for m in prods[-1] for x in pool})
+    # prods[k]: the distinct products of the k-multisets of the pool, keys
+    # of their counts
+    prods = multiset_counts(ring, pool, max((u for u, _ in uvs), default=0))[-1]
     # α∘β, read under (min, max): (u, v) and (u, u-v) pair the same products
     both = _Memo(lambda ab: ring.set_mul(*ab))
     flags = {}
@@ -204,10 +228,14 @@ def uv_scan(
     does not.  Returns, per target, {(u, v): Verdict} with spaces labelled
     by the target's label.
 
-    Before the pass, `uv_flags` marks the pairs that can fail.  A prefix
-    is searched only where its hypothesis bits meet a flagged pair that
-    has no witness yet, and every prefix, searched or not, adds its
-    hypothesis bits to the `tested` counts until every pair has a witness.
+    Before the pass, `uv_flags` marks the pairs that can fail.  A pair
+    that holds takes `tested` from `multiset_counts`, which counts the
+    u-multisets of the pool by product, with no walk.  Prefixes are walked
+    only while a flagged pair has no witness, and a prefix is searched
+    only where its hypothesis bits meet such a pair.  A witness's `tested`
+    is read from the hypothesis bits of the prefixes searched before it:
+    a prefix skipped holds no hypothesis bit of a target still open, so
+    it adds nothing to a later witness's count.
 
     Targets are bit-sliced, and so are the last two factors: a u-multiset
     is a (u-2)-prefix followed by y <= x, and one int of |pool|² * n bits
@@ -225,10 +253,10 @@ def uv_scan(
     canonical order and slots row-major, which is canonical order within a
     prefix, so a pair's witness is its lowest failing valid slot in the
     first prefix that has one: the multiset (ANY) or its first failing
-    split (ALL).  `tested` counts the multisets meeting the hypothesis up
-    to the witness, or in total for a holding pair, by popcounts of the
-    packed hypothesis bits.  Products are read off `multiset_products`,
-    the ring's one product memo, filled on first use.
+    split (ALL).  A witness's `tested` counts the multisets meeting the
+    hypothesis up to it, by popcounts of the packed hypothesis bits.
+    Products are read off `multiset_products`, the ring's one product
+    memo, filled on first use.
     """
     pool = tuple(pool)
     n, size = len(targets), len(pool)
@@ -245,6 +273,9 @@ def uv_scan(
     mul = ring.mul_elem
     bits = target_bits(targets)
     flags = uv_flags(ring, bits, every, uvs, pool)
+    # totals[u]: the u-multisets of the pool by product, folded as the grid
+    # folds them, so this holds on every table
+    totals = multiset_counts(ring, pool, max((u for u, _ in uvs), default=0))[-1]
     # by slot x: m -> m∘x, None (the empty product) -> {x}
     times = [_Memo(lambda m, x=x: 1 << x if m is None else mul(m, x)) for x in pool]
 
@@ -274,13 +305,12 @@ def uv_scan(
         open_ = {v: flags[(u, v)] * ones for v in vs}
         live = reduce(or_, open_.values())
         found: dict[tuple[int, int], tuple[dict, int]] = {}
-        # packed hypothesis bits of a prefix's grid -> prefixes seen
+        # packed hypothesis bits of a prefix's grid -> prefixes searched
         counts: dict[int, int] = {}
-        for head_at in combinations_with_replacement(range(size), u - 2):
+        for head_at in combinations_with_replacement(range(size), u - 2) if live else ():
             head = tuple(pool[i] for i in head_at)
             hb = hb_yx[prods[head]] & valid[head_at[-1] if head else 0]
             if not hb & live:
-                counts[hb] = counts.get(hb, 0) + 1
                 continue
             # lv[j + 1]: the distinct (v-part, remainder) products of the
             # prefix's splits with a v-part of size j, None for an empty part
@@ -332,11 +362,11 @@ def uv_scan(
                         found[(t, v)] = (witness, tested)
             counts[hb] = counts.get(hb, 0) + 1
             if closed:
-                if len(found) == n * len(vs):
-                    break
                 live = reduce(or_, open_.values())
+                if not live:
+                    break
         for t, (verdicts, target) in enumerate(zip(out, targets)):
-            total = sum(c * (g >> t & ones).bit_count() for g, c in counts.items())
+            total = sum(c for m, c in totals[u].items() if bits[m][2] >> t & 1)
             for v in vs:
                 space = f"{target[3]} u={u} v={v} pool={len(pool)} mode={mode.value}"
                 if (t, v) in found:
@@ -513,17 +543,17 @@ def check_v1v_characterization(
 ) -> CharacterizationReport:
     """The four clauses for P with radical `radmask` at arity v; `clause_i`
     is the (v+1, v) verdict when the caller already has it.  Raises
-    UsageError on a table whose hypermultiplication is not commutative,
-    which clauses (ii) and (iii) read through one colon."""
+    UsageError on a table whose hypermultiplication is not commutative and
+    associative: clauses (ii) and (iii) read a product through one colon
+    and fold it in any order."""
     if v < 1:
         raise ParameterError("v must be >= 1")
     _require_proper(ring, pmask)
-    if ring.hmul != tuple(zip(*ring.hmul)):
-        raise UsageError("the characterization needs a commutative hypermultiplication")
+    if not _fold_order_free(ring):
+        raise UsageError("the characterization needs a commutative, associative hypermultiplication")
     uv = UVParams(v + 1, v)
     lattice = enumerate_hyperideals(ring)
     nonunits = elems_of(ring.unit_report().nonunits)
-    prods = multiset_products(ring)
     notp = ~pmask
 
     if clause_i is None:
@@ -534,9 +564,7 @@ def check_v1v_characterization(
     # Both read a v-multiset only through its product pm, and on a
     # commutative table pm ∘ Q ⊆ P exactly when Q ⊆ (P : pm).  So each
     # distinct product gets its colon, the ideals it absorbs into P and,
-    # when pm escapes P, the index of the first of those outside rad(P);
-    # one walk over the v-multisets then counts and finds both clauses'
-    # cases
+    # when pm escapes P, the index of the first of those outside rad(P)
     def product_facts(pm: Mask) -> tuple[Mask, list[Mask], Optional[int]]:
         col = colon(ring, pmask, pm)
         absorbed = [q for q in lattice.ideals if not q & ~col]
@@ -544,25 +572,51 @@ def check_v1v_characterization(
         return col, absorbed, bad
 
     facts = _Memo(product_facts)
-    tested_ii = tested_iii = 0
-    witness_ii = witness_iii = None
-    for ms in combinations_with_replacement(nonunits, v):
-        pm = prods[ms]
-        col, absorbed, bad = facts[pm]
-        if witness_ii is None and pm & notp:
-            tested_ii += 1
-            if col & ~radmask:
-                witness_ii = {"factors": list(ms), "colon": elems_of(col)}
-        if witness_iii is None:
-            if bad is None:
-                tested_iii += len(absorbed)
-            else:
-                tested_iii += bad + 1
-                witness_iii = {"factors": list(ms), "ideal": elems_of(absorbed[bad])}
-        if witness_ii is not None and witness_iii is not None:
-            break
-    clause_ii = decided(witness_ii is None, witness_ii, "v-multisets with product escaping P", tested_ii)
-    clause_iii = decided(witness_iii is None, witness_iii, "v-multisets times hyperideals", tested_iii)
+    # tables[p - j][k]: the k-multisets of nonunits[j:] by product
+    p = len(nonunits)
+    tables = multiset_counts(ring, nonunits[::-1], v)
+
+    def clause(space: str, weight, is_bad, witness) -> Verdict:
+        """Holds, with the weights of every v-multiset's product summed,
+        when no product at level v is bad.  Otherwise fails at the first
+        v-multiset in canonical order whose product is bad, built position
+        by position: the least x whose completions, drawn from x and the
+        nonunits after it, reach a bad product is taken, and each x skipped
+        adds the weights of its completions; witness(product) gives the
+        witness's own weight and its fields besides the factors."""
+        if not any(map(is_bad, tables[p][v])):
+            return holds(space, sum(c * weight(m) for m, c in tables[p][v].items()))
+        factors, pre, tested, j = [], None, 0, 0
+        for i in range(v):
+            for j in range(j, p):
+                x = nonunits[j]
+                head = 1 << x if pre is None else ring.mul_elem(pre, x)
+                ends: dict[Mask, int] = {}
+                for s, c in tables[p - j][v - i - 1].items():
+                    m = head if s is None else ring.set_mul(head, s)
+                    ends[m] = ends.get(m, 0) + c
+                if any(map(is_bad, ends)):
+                    break
+                tested += sum(c * weight(m) for m, c in ends.items())
+            factors.append(x)
+            pre = head
+        own, fields = witness(pre)
+        return fails({"factors": factors, **fields}, space, tested + own)
+
+    # (ii): a case per product escaping P, failing where its colon leaves
+    # rad(P); (iii): a case per ideal a product absorbs, failing at `bad`
+    clause_ii = clause(
+        "v-multisets with product escaping P",
+        lambda m: bool(m & notp),
+        lambda m: bool(m & notp and facts[m][0] & ~radmask),
+        lambda m: (1, {"colon": elems_of(facts[m][0])}),
+    )
+    clause_iii = clause(
+        "v-multisets times hyperideals",
+        lambda m: len(facts[m][1]),
+        lambda m: facts[m][2] is not None,
+        lambda m: (facts[m][2] + 1, {"ideal": elems_of(facts[m][1][facts[m][2]])}),
+    )
 
     # (iv) products of v+1 proper hyperideals, aggregated like the element
     # deciders: remainder ideal must fall into rad(P).  The products depend

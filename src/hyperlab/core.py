@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
+from typing import Any, Callable, Hashable, Iterable, Iterator, Optional, Sequence
 
 from .verdicts import UsageError
 
@@ -119,7 +119,7 @@ class FiniteHyperring:
         self.neg = self._find_negs()
         self._cache: dict = {}
 
-    def memo(self, key: str, build: Callable[[], Any]) -> Any:
+    def memo(self, key: Hashable, build: Callable[[], Any]) -> Any:
         """The ring's value under `key`, made by `build()` on first use."""
         if key not in self._cache:
             self._cache[key] = build()

@@ -426,6 +426,34 @@ class TestCharacterization:
         with pytest.raises(UsageError, match="commutative"):
             check_v1v_characterization(ring, ZERO, ZERO, 1)
 
+    def test_nonassociative_table_refused(self):
+        # commutative, but (0 ∘ 0) ∘ 1 = {0, 1, 2} and 0 ∘ (0 ∘ 1) = {1, 2}:
+        # clauses (ii) and (iii) fold a product in any order, so the table
+        # is refused; found by a seeded search over symmetric tables on Z_2
+        # and Z_3 addition for one whose only failing axiom is associativity
+        ring = FiniteHyperring(
+            3, [[0, 1, 2], [1, 2, 0], [2, 0, 1]], [[7, 6, 6], [6, 5, 3], [6, 3, 5]], name="nonassociative"
+        )
+        assert {f.axiom for f in ring.validate().failures} == {"hmul-associativity"}
+        with pytest.raises(UsageError, match="commutative"):
+            check_v1v_characterization(ring, ZERO, ZERO, 1)
+
+    def test_reads_counts_not_multiset_products(self):
+        """Clauses (ii) and (iii) read product counts, so a fresh ring
+        keeps no multiset product memo after the characterization; its
+        counts are one memo over the reversed nonunits, extended as v
+        grows."""
+        for spec in ("z8:1,3", "z12:4,9", "z9:0,1"):
+            ring = parse_ring_spec(spec)
+            nonunits = tuple(elems_of(ring.unit_report().nonunits))
+            for b in enumerate_hyperideals(ring).proper():
+                for v in (1, 2, 3):
+                    check_v1v_characterization(ring, b, radical_nilpotent(ring, b), v, clause_i=holds())
+            assert "msprod" not in ring._cache, spec
+            counts = [k for k in ring._cache if isinstance(k, tuple) and k[0] == "mscounts"]
+            assert counts == [("mscounts", nonunits[::-1])], spec
+            assert [len(t) for t in ring._cache[counts[0]]] == [4] * (len(nonunits) + 1)
+
     def test_ideal_products_are_one_memo_per_ring(self):
         """Clause (iv) keeps its products of proper hyperideals in one memo
         per ring, shared by every P and v: after run_ring, a ring whose
@@ -450,6 +478,56 @@ class TestCharacterization:
                     assert m == reduce(ring.set_mul, [proper[i] for i in idxs]), (ring.name, idxs)
                 checked += 1
         assert checked == 85
+
+
+def literal_counts(ring, elems, k, canonical=False):
+    """Counter of the products of the k-multisets of `elems`, each folded
+    by `ring.hyperproduct` in the order of `elems`, or with `canonical` in
+    ascending order; None counts the one empty multiset."""
+    if k == 0:
+        return Counter({None: 1})
+    return Counter(
+        ring.hyperproduct(sorted(ms) if canonical else ms) for ms in combinations_with_replacement(elems, k)
+    )
+
+
+class TestMultisetCounts:
+    K_MAX = 4
+
+    def assert_tables(self, ring, elems, canonical=False):
+        tables = classify.multiset_counts(ring, elems, self.K_MAX)
+        assert len(tables) == len(elems) + 1
+        for i, table in enumerate(tables):
+            assert len(table) == self.K_MAX + 1
+            for k, level in enumerate(table):
+                assert level == literal_counts(ring, elems[:i], k, canonical), (ring.name, elems[:i], k)
+
+    def test_forward_order_on_family(self):
+        for ring in enumerate_family(RingFamilySpec(moduli=(4, 5, 6, 7, 8, 9), phi_sizes=(2,))):
+            self.assert_tables(ring, elems_of(ring.unit_report().nonunits))
+            self.assert_tables(ring, list(range(ring.n)))
+
+    def test_forward_order_on_noncommutative_table(self):
+        # the fold follows `elems`, so the counts hold on any table
+        ring = FiniteHyperring(2, [[0, 1], [1, 0]], [[0b01, 0b01], [0b10, 0b11]], name="noncommutative")
+        assert "hmul-commutativity" in {f.axiom for f in ring.validate().failures}
+        self.assert_tables(ring, [0, 1])
+        self.assert_tables(ring, [1, 0])
+
+    def test_reversed_order_counts_canonical_products(self):
+        # what the characterization relies on: on a commutative, associative
+        # table the counts over reversed elements are those of the products
+        # folded in ascending order
+        for ring in enumerate_family(RingFamilySpec(moduli=(4, 5, 6, 7, 8, 9), phi_sizes=(2,))):
+            assert ring.validate().ok
+            self.assert_tables(ring, elems_of(ring.unit_report().nonunits)[::-1], canonical=True)
+
+    def test_extends_one_memo(self):
+        ring = parse_ring_spec("z12:4,9")
+        first = classify.multiset_counts(ring, range(12), 2)
+        assert classify.multiset_counts(ring, list(range(12)), 4) is first
+        assert [len(t) for t in first] == [5] * 13
+        assert sum(first[-1][4].values()) == 1365
 
 
 class TestDivided:

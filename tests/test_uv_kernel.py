@@ -2,11 +2,10 @@
 against a literal reference decider written straight from the definition:
 frozenset products folded from the multiplication table, distinct v-parts
 in sorted order, remainders by multiset difference, no bitsets and no
-shared product cache.  The kernel's flags, the pairs it searches, are
-checked against the same verdicts."""
+product cache shared with the library.  The kernel's flags, the pairs it
+searches, are checked against the same verdicts."""
 import random
-from collections import Counter
-from functools import partial
+from functools import cache, partial
 from itertools import combinations, combinations_with_replacement
 
 import pytest
@@ -34,7 +33,18 @@ U_MAX_WIDE = 4
 
 
 class Reference:
-    """Literal (u,v) decider over one ring and one element pool."""
+    """Literal (u,v) decider over one ring and one element pool.  Tests
+    get one per (table, pool) for the whole session from `Reference.of`,
+    since building its rows is almost all of its cost."""
+
+    made: dict = {}
+
+    @classmethod
+    def of(cls, ring, pool):
+        key = (ring.table_key(), tuple(pool))
+        if key not in cls.made:
+            cls.made[key] = cls(ring, pool)
+        return cls.made[key]
 
     def __init__(self, ring, pool):
         self.table = [[frozenset(elems_of(ring.hmul[a][b])) for b in range(ring.n)] for a in range(ring.n)]
@@ -53,13 +63,14 @@ class Reference:
     def splits(self, u, v):
         """Every u-multiset in canonical order with its product and its
         (v-part, remainder, v-part product, remainder product) splits, one
-        per distinct v-part, in sorted order."""
+        per distinct v-part, in sorted order.  A split takes the members
+        at v positions of the sorted multiset as its v-part and the members
+        at the other positions as its remainder, so both are sorted."""
         if (u, v) not in self.rows:
             self.rows[(u, v)] = [
                 (ms, self.product(ms), [
                     (vp, rest, self.product(vp), self.product(rest))
-                    for vp in sorted(set(combinations(ms, v)))
-                    for rest in [tuple(sorted((Counter(ms) - Counter(vp)).elements()))]
+                    for vp, rest in remainders(ms, v)
                 ])
                 for ms in combinations_with_replacement(self.pool, u)
             ]
@@ -83,6 +94,25 @@ class Reference:
                 vp, rest, _, _ = splits[passes.index(False)]
                 return FAILS, {"factors": list(vp + rest), "v_part": list(vp), "rest": list(rest)}, tested
         return HOLDS, None, tested
+
+
+@cache
+def remainders(ms, v):
+    """(v-part, remainder) for each distinct v-part of the sorted multiset
+    ms, v-parts in sorted order.  They depend on ms alone, so every
+    reference shares them."""
+    out = {}
+    for at in combinations(range(len(ms)), v):
+        vp = tuple(ms[i] for i in at)
+        if vp not in out:
+            out[vp] = tuple(x for i, x in enumerate(ms) if i not in at)
+    return tuple(sorted(out.items()))
+
+
+@pytest.fixture(autouse=True, scope="module")
+def _drop_references():
+    yield
+    Reference.made.clear()
 
 
 def assert_matches_reference(ring, ref, verdict, pmask, concl_mask, u, v, mode, avoid_mask=0):
@@ -118,7 +148,7 @@ def family():
 def assert_matrix_matches_reference(ring, targets, uvs, mode, pool):
     """Both readings of one kernel call over `pool`, for every target and
     (u, v) in `uvs`, field for field against the literal reference."""
-    ref = Reference(ring, pool)
+    ref = Reference.of(ring, pool)
     primary = [(p, r, 0, "absorbing-primary") for p, r in targets]
     prime = [(p, p, 0, "absorbing-prime") for p, _ in targets]
     rows = uv_scan(ring, primary + prime, uvs, mode, pool)
@@ -134,7 +164,7 @@ def assert_matrix_matches_reference(ring, targets, uvs, mode, pool):
 def test_matrix_matches_one_target_deciders_and_reference(mode):
     for ring, targets in family():
         nonunits = elems_of(ring.unit_report().nonunits)
-        ref = Reference(ring, nonunits)
+        ref = Reference.of(ring, nonunits)
         mat_p, mat_q = compute_uv_matrices(ring, targets, U_MAX, mode)
         for (pmask, rad), row_p, row_q in zip(targets, mat_p, mat_q):
             assert list(row_p) == list(row_q) == uv_pairs(U_MAX)
@@ -158,7 +188,7 @@ def test_full_pool_and_avoid_paths(mode):
     for ring, targets in family():
         nonunits = elems_of(ring.unit_report().nonunits)
         carrier = list(range(ring.n))
-        ref_wide, ref = Reference(ring, carrier), Reference(ring, nonunits)
+        ref_wide, ref = Reference.of(ring, carrier), Reference.of(ring, nonunits)
         primary = [(p, r, 0, "absorbing-primary") for p, r in targets]
         wide = uv_scan(ring, primary, uv_pairs(U_MAX_WIDE), mode, carrier)
         assert_flags_match(ring, primary, wide, uv_pairs(U_MAX_WIDE), mode, carrier)
@@ -197,7 +227,7 @@ def test_arbitrary_mask_targets():
         ]
         nonunits = elems_of(ring.unit_report().nonunits)
         for pool, uvs in ((nonunits, uv_pairs(U_MAX)), (list(range(ring.n)), uv_pairs(U_MAX_WIDE))):
-            ref = Reference(ring, pool)
+            ref = Reference.of(ring, pool)
             for mode in SplitMode:
                 rows = uv_scan(ring, targets, uvs, mode, pool)
                 for (pmask, concl, avoid, _), row in zip(targets, rows):
@@ -225,7 +255,7 @@ def test_flags_need_a_commutative_associative_table(axiom, hmul, pmask, concl):
     ring = FiniteHyperring(2, [[0, 1], [1, 0]], hmul, name=axiom)
     assert {f.axiom for f in ring.validate().failures} & {"hmul-commutativity", "hmul-associativity"} == {axiom}
     pool, uvs = [0, 1], uv_pairs(U_MAX_WIDE)
-    ref = Reference(ring, pool)
+    ref = Reference.of(ring, pool)
     for mode in SplitMode:
         (row,) = uv_scan(ring, [(pmask, concl, 0, "absorbing-primary")], uvs, mode, pool)
         for u, v in uvs:
@@ -248,7 +278,7 @@ def test_mixed_readings_in_one_call(mode):
     reading."""
     for ring, targets in family():
         nonunits = elems_of(ring.unit_report().nonunits)
-        ref = Reference(ring, nonunits)
+        ref = Reference.of(ring, nonunits)
         readings = []
         # I runs over the targets shifted by one, so the avoid sets differ
         for (p, r), (i, _) in zip(targets, targets[1:] + targets[:1]):
@@ -325,7 +355,7 @@ def test_lower_of_two_failing_slots_is_the_witness():
     assert verdict[(3, 1)].tested == 22
     # [1,1,4] fails too, and it is the next multiset to meet the hypothesis
     assert replay_uv_counterexample(ring, pmask, rad, [4, 1, 1], 1, mode=SplitMode.ALL)
-    hits = [ms for ms, total, _ in Reference(ring, pool).splits(3, 1) if total == {0}]
+    hits = [ms for ms, total, _ in Reference.of(ring, pool).splits(3, 1) if total == {0}]
     assert (hits.index((1, 1, 2)), hits.index((1, 1, 4))) == (21, 22)
 
 
@@ -340,7 +370,7 @@ def test_grid_is_row_major():
     pmask, concl = mask_of([0]), mask_of([0, 1, 2, 5])
     pool = list(range(ring.n))
     (row,) = uv_scan(ring, [(pmask, concl, 0, "absorbing-primary")], [(2, 1)], SplitMode.ALL, pool)
-    assert_matches_reference(ring, Reference(ring, pool), row[(2, 1)], pmask, concl, 2, 1, SplitMode.ALL)
+    assert_matches_reference(ring, Reference.of(ring, pool), row[(2, 1)], pmask, concl, 2, 1, SplitMode.ALL)
     assert row[(2, 1)].witness["factors"] == [1, 4]
     assert replay_uv_counterexample(ring, pmask, concl, [2, 3], 1, mode=SplitMode.ALL)
     assert min([(1, 4), (2, 3)], key=lambda ms: ms[::-1]) == (2, 3)
@@ -368,7 +398,7 @@ def test_products_stop_at_the_longest_head():
     }
     assert {ms for ms in prods if len(ms) == 4} <= witness_parts
     assert all(m == (ring.hyperproduct(ms) if ms else None) for ms, m in prods.items())
-    ref = Reference(ring, pool)
+    ref = Reference.of(ring, pool)
     long_parts = 0
     for (pmask, rad), row_p, row_q in zip(targets, mat_p, mat_q):
         for row, concl in ((row_p, rad), (row_q, pmask)):
