@@ -37,6 +37,7 @@ from .verdicts import (
     SplitMode,
     UsageError,
     UVParams,
+    Verdict,
     decided,
     holds,
     skipped,
@@ -50,15 +51,20 @@ def _parse_int_list(text: str, what: str) -> list[int]:
         raise UsageError(f"bad {what} list: {text!r}") from exc
 
 
-def _parse_moduli(text: str) -> tuple[int, ...]:
-    """Comma list or a..b range."""
-    if ".." in text:
-        lo, _, hi = text.partition("..")
-        try:
-            return tuple(range(int(lo), int(hi) + 1))
-        except ValueError as exc:
-            raise UsageError(f"bad moduli range: {text!r}") from exc
-    return tuple(_parse_int_list(text, "moduli"))
+def _int_tuple(text: Optional[str], what: str) -> Optional[tuple[int, ...]]:
+    """A comma list as a tuple, or None for an option not given."""
+    return None if text is None else tuple(_parse_int_list(text, what))
+
+
+def _parse_moduli(text: Optional[str]) -> Optional[tuple[int, ...]]:
+    """Comma list or a..b range, or None for an option not given."""
+    if text is None or ".." not in text:
+        return _int_tuple(text, "moduli")
+    lo, _, hi = text.partition("..")
+    try:
+        return tuple(range(int(lo), int(hi) + 1))
+    except ValueError as exc:
+        raise UsageError(f"bad moduli range: {text!r}") from exc
 
 
 def _replay_factors(text: str, u: int, is_nonunit: Callable[[int], bool]) -> list[int]:
@@ -97,7 +103,8 @@ def _check_options(args, reads: dict[str, tuple[str, ...]]) -> None:
             raise UsageError(f"--prop {args.prop} {what} " + ", ".join("--" + n.replace("_", "-") for n in names))
 
 
-def _emit(report: Report, args) -> None:
+def _emit(report: Report, args) -> int:
+    """Write the report as --json and --out ask, and return its exit code."""
     if args.json:
         body = report.to_jsonl()
     else:
@@ -120,10 +127,14 @@ def _emit(report: Report, args) -> None:
             print(report.summary())
     else:
         print(body)
-
-
-def _exit_code(report: Report) -> int:
     return 1 if report.violations else 0
+
+
+def _emit_row(args, ring: str, ideal: Optional[list[int]], prop: str, params: dict, verdict: Verdict) -> int:
+    """Emit a report of the one row and return its exit code."""
+    report = Report()
+    report.add_verdict(ring, ideal, prop, params, verdict)
+    return _emit(report, args)
 
 
 # -- subcommand bodies -----------------------------------------------------------
@@ -131,10 +142,7 @@ def _exit_code(report: Report) -> int:
 
 def cmd_validate(args) -> int:
     ring = parse_ring_spec(args.ring)
-    report = Report()
-    report.add_verdict(ring.name, None, "hyperring-axioms", {}, axioms_verdict(ring, n=ring.n))
-    _emit(report, args)
-    return _exit_code(report)
+    return _emit_row(args, ring.name, None, "hyperring-axioms", {}, axioms_verdict(ring, n=ring.n))
 
 
 def cmd_ideals(args) -> int:
@@ -151,8 +159,7 @@ def cmd_ideals(args) -> int:
             flags["strong_c"] = is_strong_c_hyperideal(ring, b).holds
             flags["radical"] = elems_of(radical_nilpotent(ring, b))
         report.add_verdict(ring.name, elems_of(b), "hyperideal", {}, holds("lattice dump", 1, **flags))
-    _emit(report, args)
-    return 0
+    return _emit(report, args)
 
 
 # The options each property reads, besides --ring, --prop, --json and --out.
@@ -179,11 +186,7 @@ def cmd_check(args) -> int:
     params: dict = {"mode": mode.value} if "mode" in CHECK_PROPS[prop] else {}
 
     if prop == "divided":
-        verdict = classify.is_divided(ring)
-        report = Report()
-        report.add_verdict(ring.name, None, prop, params, verdict)
-        _emit(report, args)
-        return _exit_code(report)
+        return _emit_row(args, ring.name, None, prop, params, classify.is_divided(ring))
 
     pmask = _ideal_mask(ring, args.ideal, "ideal")
     if not is_hyperideal(ring, pmask):
@@ -200,12 +203,9 @@ def cmd_check(args) -> int:
         confirmed = classify.replay_uv_counterexample(
             ring, pmask, concl, factors, uv.v, mode=mode
         )
-        report = Report()
-        report.add_verdict(ring.name, elems_of(pmask), prop, params, decided(
+        return _emit_row(args, ring.name, elems_of(pmask), prop, params, decided(
             not confirmed, {"factors": factors}, "witness replay", replay=True
         ))
-        _emit(report, args)
-        return _exit_code(report)
 
     if prop == "uv-i-primary":
         imask = _ideal_mask(ring, args.aux_ideal, "aux ideal")
@@ -235,30 +235,22 @@ def cmd_check(args) -> int:
         verdict = classify.is_uv_absorbing_i_primary(ring, pmask, imask, rad, uv, mode=mode)
     else:
         verdict = classify.is_1_absorbing_primary(ring, pmask, rad, mode=mode)
-
-    report = Report()
-    report.add_verdict(ring.name, elems_of(pmask), prop, params, verdict)
-    _emit(report, args)
-    return _exit_code(report)
+    return _emit_row(args, ring.name, elems_of(pmask), prop, params, verdict)
 
 
 def cmd_sweep(args) -> int:
-    spec = RingFamilySpec(
-        moduli=_parse_moduli(args.moduli),
-        phi_sizes=tuple(_parse_int_list(args.phi_sizes, "phi sizes")),
-        phi_universe=(
-            tuple(_parse_int_list(args.phi_universe, "phi universe"))
-            if args.phi_universe is not None
-            else None
-        ),
-        u_max=args.u_max,
-        mode=SplitMode(args.mode),
-        tuple_budget=args.tuple_budget,
-        include_constructions=not args.no_constructions,
-    )
-    report = run_theorem_suite(spec, timings=args.timings)
-    _emit(report, args)
-    return _exit_code(report)
+    fields = {
+        "moduli": _parse_moduli(args.moduli),
+        "phi_sizes": _int_tuple(args.phi_sizes, "phi sizes"),
+        "phi_universe": _int_tuple(args.phi_universe, "phi universe"),
+        "u_max": args.u_max,
+        "mode": args.mode and SplitMode(args.mode),
+        "tuple_budget": args.tuple_budget,
+        "include_constructions": args.include_constructions,
+    }
+    # an option not given is left out, so the spec's default holds
+    spec = RingFamilySpec(**{name: value for name, value in fields.items() if value is not None})
+    return _emit(run_theorem_suite(spec, timings=args.timings), args)
 
 
 # The options each property reads, besides --prop, --json and --out.
@@ -275,74 +267,60 @@ ZPHI_PROPS: dict[str, tuple[str, ...]] = {
 def cmd_zphi(args) -> int:
     _check_options(args, ZPHI_PROPS)
     mode = SplitMode(args.mode or "any")
-    report = Report()
     prop = args.prop
     if prop == "intersection":
         ds = _parse_int_list(args.d_list, "generator")
         if not ds:
             raise UsageError("--d-list is required for intersection")
-        report.add_verdict("zphi", ds, "principal-intersection", {}, holds(
+        return _emit_row(args, "zphi", ds, "principal-intersection", {}, holds(
             "least common multiple of the generators", 1, generator=zphi.ideal_intersection(ds)
         ))
-        _emit(report, args)
-        return _exit_code(report)
 
     ring = zphi.ZPhiRing(_parse_int_list("2,3" if args.phi is None else args.phi, "phi"))
     name = "zphi:" + ",".join(map(str, ring.phi))
     if prop in ("uv-primary", "uv-prime"):
         uv = UVParams(args.u, args.v)
         variant = "prime" if prop == "uv-prime" else "primary"
+        params = {"u": args.u, "v": args.v, "mode": mode.value}
         if args.replay is not None:
             factors = _replay_factors(args.replay, uv.u, partial(zphi.is_nonunit, ring))
             confirmed = zphi.replay_int_counterexample(
                 ring, args.d, factors, uv, variant=variant, mode=mode
             )
-            report.add_verdict(name, [args.d], prop, {"u": args.u, "v": args.v, "mode": mode.value}, decided(
+            return _emit_row(args, name, [args.d], prop, params, decided(
                 not confirmed, {"factors": factors}, "witness replay", replay=True
             ))
-        else:
-            if args.window is None:
-                raise UsageError("--window is required for the windowed checks")
-            verdict = zphi.bounded_uv_check(
-                ring, args.d, uv, args.window, variant=variant, mode=mode
-            )
-            report.add_verdict(
-                name,
-                [args.d],
-                prop,
-                {"u": args.u, "v": args.v, "mode": mode.value, "window": args.window},
-                verdict,
-            )
-    elif prop == "product":
+        if args.window is None:
+            raise UsageError("--window is required for the windowed checks")
+        verdict = zphi.bounded_uv_check(
+            ring, args.d, uv, args.window, variant=variant, mode=mode
+        )
+        return _emit_row(args, name, [args.d], prop, {**params, "window": args.window}, verdict)
+    if prop == "product":
         factors = _parse_int_list(args.factors, "factors")
         if not factors:
             raise UsageError("--factors is required for product")
         values = sorted(zphi.int_product(ring, factors))
-        report.add_verdict(name, None, "hyperproduct-exact", {}, holds(
+        return _emit_row(args, name, None, "hyperproduct-exact", {}, holds(
             "exact integer product", 1, factors=factors, value=values
         ))
-    elif prop == "membership":
+    if prop == "membership":
         factors = _parse_int_list(args.factors, "factors")
         if not factors:
             raise UsageError("--factors is required for membership")
         value = zphi.principal_membership(args.d, zphi.int_product(ring, factors))
-        report.add_verdict(name, [args.d], "principal-membership", {}, holds(
+        return _emit_row(args, name, [args.d], "principal-membership", {}, holds(
             "membership against the principal hyperideal", 1, factors=factors, relation=value
         ))
-    else:
-        member = zphi.radical_membership(ring, args.d, args.a)
-        profile = zphi.radical_profile(ring, args.d)
-        report.add_verdict(name, [args.d], "radical-membership", {}, holds(
-            "valuation criterion", 1, a=args.a, member=member, radical_generator=profile.generator
-        ))
-    _emit(report, args)
-    return _exit_code(report)
+    member = zphi.radical_membership(ring, args.d, args.a)
+    profile = zphi.radical_profile(ring, args.d)
+    return _emit_row(args, name, [args.d], "radical-membership", {}, holds(
+        "valuation criterion", 1, a=args.a, member=member, radical_generator=profile.generator
+    ))
 
 
 def cmd_golden(args) -> int:
-    report = run_golden_examples()
-    _emit(report, args)
-    return _exit_code(report)
+    return _emit(run_golden_examples(), args)
 
 
 # -- parser ------------------------------------------------------------------------
@@ -382,17 +360,18 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(fn=cmd_check)
 
+    # no defaults: cmd_sweep leaves an option not given to RingFamilySpec
     p = sub.add_parser("sweep", help="run the theorem suite over a ring family")
-    p.add_argument("--moduli", default="2..12", help="comma list or a..b range")
-    p.add_argument("--phi-sizes", default="2,3")
+    p.add_argument("--moduli", default=None, help="comma list or a..b range")
+    p.add_argument("--phi-sizes", default=None)
     p.add_argument("--phi-universe", default=None, help="residues to draw phi from")
-    p.add_argument("--u-max", type=int, default=5)
-    p.add_argument("--tuple-budget", type=int, default=10_000_000)
-    p.add_argument("--no-constructions", action="store_true")
+    p.add_argument("--u-max", type=int, default=None)
+    p.add_argument("--tuple-budget", type=int, default=None)
+    p.add_argument("--no-constructions", dest="include_constructions", action="store_false", default=None)
     p.add_argument("--timings", action="store_true", help="stamp records with elapsed millis")
-    # the suite's statements quantify over every split; the existential
-    # reading is available with --mode any
-    p.add_argument("--mode", choices=("any", "all"), default="all", help="split aggregation (default: all)")
+    p.add_argument(
+        "--mode", choices=("any", "all"), default=None, help=f"split aggregation (default: {RingFamilySpec().mode.value})"
+    )
     common(p)
     p.set_defaults(fn=cmd_sweep)
 

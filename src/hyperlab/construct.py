@@ -2,8 +2,9 @@
 localizations S^{-1}A, and transfer of classifications along good
 homomorphisms.
 
-Every construction validates its output; a quotient whose table is its
-parent's (the quotient by {0}) takes the parent's validation report.
+Every construction validates its output with `require_valid`, where a
+table equal to its base's (the quotient by {0}) takes the base's
+validation report, and checks the map it comes with by `require_good_hom`.
 Where the underlying theory asserts well-definedness (quotient products
 on cosets, localization operations on equivalence classes), this module
 checks it per instance and raises ConstructionError with a witness
@@ -65,6 +66,21 @@ def check_good_hom(hom: GoodHom) -> list[dict]:
     return failures
 
 
+def require_valid(ring: FiniteHyperring, base: FiniteHyperring, message: str) -> None:
+    """ConstructionError with `message` and the failed axioms unless `ring`,
+    built from `base`, validates; a table equal to the base's takes its report."""
+    report = base.validate() if ring.table_key() == base.table_key() else ring.validate()
+    if not report.ok:
+        raise ConstructionError(message, witness=[f.describe() for f in report.failures])
+
+
+def require_good_hom(hom: GoodHom, message: str) -> None:
+    """ConstructionError with `message` and the failures unless both laws hold."""
+    bad = check_good_hom(hom)
+    if bad:
+        raise ConstructionError(message, witness=bad)
+
+
 def nonunit_preservation_witness(hom: GoodHom) -> Optional[int]:
     """An x nonunit in the source whose image is a unit in the target, if any."""
     src_nonunits = hom.source.unit_report().nonunits
@@ -111,15 +127,9 @@ def quotient(ring: FiniteHyperring, pmask: Mask) -> tuple[FiniteHyperring, GoodH
 
     qhmul = [[project(ring.hmul[reps[i]][reps[j]]) for j in range(qn)] for i in range(qn)]
     q = FiniteHyperring(qn, qadd, qhmul, name=f"{ring.name or 'ring'}/({qn} cosets)")
-    report = ring.validate() if q.table_key() == ring.table_key() else q.validate()
-    if not report.ok:
-        raise ConstructionError(
-            "quotient is not a hyperring", witness=[f.describe() for f in report.failures]
-        )
+    require_valid(q, ring, "quotient is not a hyperring")
     hom = GoodHom(ring, q, tuple(coset_of))
-    bad = check_good_hom(hom)
-    if bad:
-        raise ConstructionError("quotient projection is not a good homomorphism", witness=bad)
+    require_good_hom(hom, "quotient projection is not a good homomorphism")
     return q, hom
 
 
@@ -174,11 +184,7 @@ def matrix_hyperring(ring: FiniteHyperring) -> FiniteHyperring:
                     },
                 )
     mring = FiniteHyperring(size, madd, mhmul, name=f"m2({ring.name or 'ring'})")
-    report = mring.validate()
-    if not report.ok:
-        raise ConstructionError(
-            "matrix hyperring failed validation", witness=[f.describe() for f in report.failures]
-        )
+    require_valid(mring, ring, "matrix hyperring failed validation")
     return mring
 
 
@@ -371,16 +377,10 @@ def localize(ring: FiniteHyperring, smask: Mask) -> LocalizedRing:
             qadd[ci][cj] = qadd[cj][ci] = ref_add.bit_length() - 1
             qhmul[ci][cj] = qhmul[cj][ci] = ref_mul
     loc = FiniteHyperring(qn, qadd, qhmul, name=f"loc({ring.name or 'ring'},{len(s_elems)})")
-    report = loc.validate()
-    if not report.ok:
-        raise ConstructionError(
-            "localized ring failed validation", witness=[f.describe() for f in report.failures]
-        )
+    require_valid(loc, ring, "localized ring failed validation")
     one = min(elems_of(smask & ring.unit_report().identities))
     out = LocalizedRing(ring, smask, loc, pairs, class_of, one)
-    bad = check_good_hom(out.localization_hom())
-    if bad:
-        raise ConstructionError("localization map is not a good homomorphism", witness=bad)
+    require_good_hom(out.localization_hom(), "localization map is not a good homomorphism")
     return out
 
 

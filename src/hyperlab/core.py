@@ -346,9 +346,6 @@ class FiniteHyperring:
 
     # -- misc --------------------------------------------------------------
 
-    def elements(self) -> range:
-        return range(self.n)
-
     def table_key(self) -> bytes:
         """Canonical bytes for deduplicating rings with identical structure."""
         return self.memo("table_key", self._table_key)

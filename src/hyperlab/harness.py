@@ -123,25 +123,16 @@ class Report:
         self.records.append(rec)
         return rec
 
-    @property
-    def violations(self) -> int:
-        return sum(1 for r in self.records if r["status"] == FAILS)
-
-    @property
-    def skipped(self) -> int:
-        return sum(1 for r in self.records if r["status"] == SKIPPED)
-
-    @property
-    def errors(self) -> int:
-        return sum(1 for r in self.records if r["status"] == ERROR)
-
-    @property
-    def vacuous(self) -> int:
+    def count(self, status: str, tested: Optional[int] = None) -> int:
+        """The rows with `status`, and with `tested` cases when it is given."""
         return sum(
-            1
-            for r in self.records
-            if r["status"] == HOLDS and r["params"].get("tested") == 0
+            r["status"] == status and (tested is None or r["params"].get("tested") == tested) for r in self.records
         )
+
+    violations = property(lambda self: self.count(FAILS))
+    skipped = property(lambda self: self.count(SKIPPED))
+    errors = property(lambda self: self.count(ERROR))
+    vacuous = property(lambda self: self.count(HOLDS, tested=0))
 
     def to_jsonl(self) -> str:
         return "\n".join(json.dumps(r, sort_keys=False) for r in self.records)

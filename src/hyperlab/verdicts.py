@@ -79,17 +79,6 @@ class Verdict:
     def fails(self) -> bool:
         return self.status == FAILS
 
-    def to_record(self) -> dict:
-        rec = {
-            "status": self.status,
-            "witness": self.witness,
-            "space": self.checked_space,
-            "tested": self.tested,
-        }
-        if self.extra:
-            rec["extra"] = dict(self.extra)
-        return rec
-
 
 def holds(space: str = "", tested: int = 0, **extra) -> Verdict:
     return Verdict(HOLDS, None, space, tested, dict(extra))

@@ -33,6 +33,8 @@ from hyperlab.ideals import (
 )
 from hyperlab.verdicts import FAILS, HOLDS, ParameterError, SplitMode, UsageError, UVParams, holds
 
+from records import verdict_record
+
 EVENS8 = mask_of({0, 2, 4, 6})
 ZERO = mask_of({0})
 
@@ -227,7 +229,7 @@ class TestOneAbsorbingTable:
         def verdicts():
             # fresh rings, so each call builds its own triple tables
             return [
-                is_1_absorbing_primary(ring, b, radical_nilpotent(ring, b), mode).to_record()
+                verdict_record(is_1_absorbing_primary(ring, b, radical_nilpotent(ring, b), mode))
                 for ring in map(parse_ring_spec, ("z8:1,3", "z6:1,5", "z12:4,9", "z10:2,5"))
                 for b in enumerate_hyperideals(ring).proper()
                 for mode in SplitMode
@@ -552,7 +554,7 @@ class TestDeciderPin:
         for ring in enumerate_family(RingFamilySpec(moduli=tuple(range(2, 11)))):
             if not ring.validate().ok:
                 continue
-            rows.append([ring.name, None, "divided", is_divided(ring).to_record()])
+            rows.append([ring.name, None, "divided", verdict_record(is_divided(ring))])
             for b in enumerate_hyperideals(ring).proper():
                 rad = radical_nilpotent(ring, b)
                 verdicts = {
@@ -563,7 +565,7 @@ class TestDeciderPin:
                     "1-absorbing-any": is_1_absorbing_primary(ring, b, rad, SplitMode.ANY),
                     "1-absorbing-all": is_1_absorbing_primary(ring, b, rad, SplitMode.ALL),
                 }
-                rows += [[ring.name, elems_of(b), name, v.to_record()] for name, v in verdicts.items()]
+                rows += [[ring.name, elems_of(b), name, verdict_record(v)] for name, v in verdicts.items()]
         kinds = Counter((name, rec["status"]) for _, _, name, rec in rows)
         assert len(rows) == 7653
         assert kinds == {

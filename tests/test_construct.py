@@ -19,6 +19,8 @@ from hyperlab.construct import (
     mcs_closure,
     nonunit_preservation_witness,
     quotient,
+    require_good_hom,
+    require_valid,
 )
 from hyperlab.core import FiniteHyperring, elems_of, mask_of
 from hyperlab.harness import RingFamilySpec, enumerate_family
@@ -146,6 +148,43 @@ class TestQuotient:
         assert check_good_hom(GoodHom(ring, ring, (0, 2, 1, 3))) == [
             {"law": "additive", "x": x, "y": y} for x, y in [(1, 1), (1, 3), (2, 2), (2, 3), (3, 3)]
         ]
+
+
+class TestRefusalHelpers:
+    """The validation and map checks every construction refuses through."""
+
+    def test_table_equal_to_the_base_takes_its_report(self, z8):
+        validated = []
+
+        class Watched(FiniteHyperring):
+            def validate(self):
+                validated.append(self.name)
+                return super().validate()
+
+        base = Watched(z8.n, z8.add, z8.hmul, name="base")
+        require_valid(Watched(z8.n, z8.add, z8.hmul, name="derived"), base, "not a hyperring")
+        assert validated == ["base"]
+
+    def test_other_table_of_the_base_size_is_validated(self):
+        # the base validates; the derived table, of the same size, does not
+        derived = zn_table_ring(3, [[1, 1, 1], [1, 4, 5], [1, 5, 7]])
+        with pytest.raises(ConstructionError) as exc:
+            require_valid(derived, ordinary_ring(3), "derived ring is not a hyperring")
+        assert str(exc.value) == "derived ring is not a hyperring"
+        assert exc.value.witness == [
+            "hmul-associativity violated at (1, 1, 2)",
+            "sign-rule violated at (1, 1)",
+            "weak-distributivity violated at (1, 1, 1)",
+        ]
+
+    def test_map_refusal_carries_the_failures(self):
+        ring = null_product_ring(4)
+        swap = GoodHom(ring, ring, (0, 2, 1, 3))
+        with pytest.raises(ConstructionError) as exc:
+            require_good_hom(swap, "map is not a good homomorphism")
+        assert str(exc.value) == "map is not a good homomorphism"
+        assert exc.value.witness == check_good_hom(swap) != []
+        require_good_hom(GoodHom(ring, ring, (0, 1, 2, 3)), "identity map refused")
 
 
 class TestMatrix:

@@ -1,5 +1,6 @@
 """Sweep harness report shape and determinism, oracle self-checks, and the
-command line interface driven through subprocesses."""
+command line interface, driven through subprocesses or, where a test
+patches the library, in-process."""
 import hashlib
 import json
 import subprocess
@@ -9,7 +10,8 @@ from dataclasses import replace
 
 import pytest
 
-from hyperlab import harness, verdicts
+from hyperlab import classify, cli, harness, verdicts
+from hyperlab.cli import classify_cli
 from hyperlab.core import FiniteHyperring, mask_of, parse_ring_spec
 from hyperlab.harness import (
     IDEAL_CHECKS,
@@ -85,12 +87,12 @@ def _flipped_uv_matrices(real):
     return compute
 
 
-def run_cli(*args, timeout=600):
+def run_cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "hyperlab", *args],
         capture_output=True,
         text=True,
-        timeout=timeout,
+        timeout=600,
     )
 
 
@@ -576,20 +578,26 @@ class TestCLI:
         ("uv-prime", ()),
         ("uv-i-primary", ("--aux-ideal", "0")),
     ])
-    def test_check_scan_over_budget_is_skipped(self, prop, extra):
+    def test_check_scan_over_budget_is_skipped(self, prop, extra, monkeypatch, capsys):
         # z12:1,5 has 8 nonunits: a scan up to u = 40 counts 377,348,985
         # multisets, over the default budget, so the check refuses it
-        # without scanning, in one row that marks the report incomplete
-        args = ("check", "--ring", "z12:1,5", "--prop", prop, "--ideal", "0", "--u", "40", "--v", "1", *extra)
-        proc = run_cli(*args, "--json", timeout=30)
-        assert proc.returncode == 0
-        (rec,) = map(json.loads, proc.stdout.splitlines())
+        # without scanning, in one row that marks the report incomplete.
+        # Run in-process with the scan kernel raising, so a check that
+        # starts the scan fails at once instead of running it
+        def no_scan(*args, **kwargs):
+            raise AssertionError("the check started a (u,v) scan")
+
+        monkeypatch.setattr(classify, "uv_scan", no_scan)
+        args = ["check", "--ring", "z12:1,5", "--prop", prop, "--ideal", "0", "--u", "40", "--v", "1", *extra]
+        assert classify_cli([*args, "--json"]) == 0
+        (rec,) = map(json.loads, capsys.readouterr().out.splitlines())
         assert rec["status"] == "skipped"
         assert rec["space"] == "nonunit scan over tuple budget 10000000"
         assert {k: rec["params"][k] for k in ("u", "tested", "reason", "pool")} == {
             "u": 40, "tested": 0, "reason": "multiset budget exceeded", "pool": 8,
         }
-        assert run_cli(*args, timeout=30).stdout.rstrip().endswith("incomplete=True")
+        classify_cli(args)
+        assert capsys.readouterr().out.rstrip().endswith("incomplete=True")
 
     def test_check_missing_arity_is_usage_error(self):
         proc = run_cli(
@@ -792,3 +800,36 @@ class TestCLI:
         assert a.stdout == b.stdout
         rows = [json.loads(line) for line in a.stdout.splitlines() if line]
         assert all(rec["status"] != "fails" for rec in rows)
+
+
+class TestSweepOptions:
+    """`hyperlab sweep` states no default of its own: each option given
+    reaches its RingFamilySpec field, and the others keep the spec's."""
+
+    @staticmethod
+    def spec_of(monkeypatch, argv):
+        runs = []
+        monkeypatch.setattr(cli, "run_theorem_suite", lambda spec, timings: runs.append((spec, timings)) or Report())
+        assert classify_cli(["sweep", *argv]) == 0
+        (run,) = runs
+        return run
+
+    def test_no_options_run_the_default_spec(self, monkeypatch, capsys):
+        assert self.spec_of(monkeypatch, []) == (RingFamilySpec(), False)
+
+    @pytest.mark.parametrize("argv,field,value", [
+        (("--moduli", "3..5"), "moduli", (3, 4, 5)),
+        (("--moduli", "7,4"), "moduli", (7, 4)),
+        (("--phi-sizes", "3"), "phi_sizes", (3,)),
+        (("--phi-universe", "1,5"), "phi_universe", (1, 5)),
+        (("--u-max", "3"), "u_max", 3),
+        (("--tuple-budget", "1000"), "tuple_budget", 1000),
+        (("--mode", "any"), "mode", SplitMode.ANY),
+        (("--no-constructions",), "include_constructions", False),
+    ], ids=["moduli-range", "moduli-list", "phi-sizes", "phi-universe", "u-max", "tuple-budget", "mode",
+            "no-constructions"])
+    def test_each_option_reaches_its_field(self, monkeypatch, capsys, argv, field, value):
+        assert self.spec_of(monkeypatch, argv) == (replace(RingFamilySpec(), **{field: value}), False)
+
+    def test_timings_reach_the_suite(self, monkeypatch, capsys):
+        assert self.spec_of(monkeypatch, ["--timings"]) == (RingFamilySpec(), True)

@@ -19,11 +19,13 @@ from hyperlab.zphi import (
     is_nonunit,
     principal_membership,
     radical_membership,
-    radical_membership_bruteforce,
     radical_profile,
     replay_int_counterexample,
     units,
 )
+
+from radical_oracle import radical_membership_bruteforce
+from records import verdict_record
 
 
 @pytest.fixture(scope="module")
@@ -155,7 +157,7 @@ class TestWindowedChecks:
     def test_windowed_checks_are_deterministic(self, r23):
         a = bounded_uv_check(r23, 12, UVParams(3, 2), window=6, variant="primary")
         b = bounded_uv_check(r23, 12, UVParams(3, 2), window=6, variant="primary")
-        assert a.to_record() == b.to_record()
+        assert verdict_record(a) == verdict_record(b)
 
     def test_replay_confirms_and_rejects(self, r23):
         assert replay_int_counterexample(r23, 12, [2, 2, 3], UVParams(3, 2))
@@ -261,7 +263,7 @@ class TestWindowedReference:
                 SplitMode,
             ):
                 uv = UVParams(u, v)
-                got = bounded_uv_check(ring, d, uv, window, variant=variant, mode=mode).to_record()
+                got = verdict_record(bounded_uv_check(ring, d, uv, window, variant=variant, mode=mode))
                 assert got == _literal_scan(ring, d, uv, window, variant, mode, memo), (
                     d, u, v, window, variant, mode
                 )
