@@ -9,7 +9,11 @@ Where the underlying theory asserts well-definedness (quotient products
 on cosets, localization operations on equivalence classes), this module
 checks it per instance and raises ConstructionError with a witness
 instead of assuming it.  The quotient's coset products are checked once,
-as the multiplicative law of its projection (check_good_hom).
+as the multiplicative law of its projection (check_good_hom).  The one
+case decided by proof instead is a localization with 0 in S over a table
+whose 0 absorbs (0∘x = {0} for every x): every pair is related, so S^{-1}A
+is the one-element ring, returned without building the relation and
+still passed through both checks.
 
 M_2(A) is built only for carriers of at most 64 elements, and over every
 Z_n/Φ ring its product is not commutative, so it is refused there.
@@ -267,7 +271,8 @@ def localize(ring: FiniteHyperring, smask: Mask) -> LocalizedRing:
     """Construct S^{-1}A, verifying the equivalence relation is transitive,
     fraction addition is single valued, and both operations are independent
     of representatives.  Any failure raises ConstructionError with the
-    witnessing pairs."""
+    witnessing pairs.  With 0 in S and 0∘x = {0} for every x the result is
+    the one-element ring, returned without the construction."""
     if not ring.has_identity:
         raise UsageError("localization requires an identity")
     if not is_mcs(ring, smask):
@@ -276,6 +281,14 @@ def localize(ring: FiniteHyperring, smask: Mask) -> LocalizedRing:
     n, k = ring.n, len(s_elems)
     pairs = tuple((a, s) for a in range(n) for s in s_elems)
     hm = ring.hmul
+    name = f"loc({ring.name or 'ring'},{k})"
+    one = min(elems_of(smask & ring.unit_report().identities))
+    zero = ring.zero
+    # with 0 in S and 0∘x = {0} for every x, t = 0 gives 0∘r∘y = {0} =
+    # 0∘s∘x, so every pair is related: S^{-1}A is the one-element ring
+    if zero is not None and smask >> zero & 1 and all(m == 1 << zero for m in hm[zero]):
+        loc = FiniteHyperring(1, [[0]], [[1]], name=name)
+        return _checked_localization(LocalizedRing(ring, smask, loc, pairs, dict.fromkeys(pairs, 0), one))
     # (x, r) ~ (y, s) iff t∘r∘y == t∘s∘x for some t in S.  trip[t][r][y]
     # holds t∘r∘y, with t and r as indices into s_elems; many (t, r) share
     # the set t∘r, so its products with every y are made once per set
@@ -376,12 +389,15 @@ def localize(ring: FiniteHyperring, smask: Mask) -> LocalizedRing:
                 )
             qadd[ci][cj] = qadd[cj][ci] = ref_add.bit_length() - 1
             qhmul[ci][cj] = qhmul[cj][ci] = ref_mul
-    loc = FiniteHyperring(qn, qadd, qhmul, name=f"loc({ring.name or 'ring'},{len(s_elems)})")
-    require_valid(loc, ring, "localized ring failed validation")
-    one = min(elems_of(smask & ring.unit_report().identities))
-    out = LocalizedRing(ring, smask, loc, pairs, class_of, one)
-    require_good_hom(out.localization_hom(), "localization map is not a good homomorphism")
-    return out
+    return _checked_localization(LocalizedRing(ring, smask, FiniteHyperring(qn, qadd, qhmul, name=name), pairs, class_of, one))
+
+
+def _checked_localization(loc: LocalizedRing) -> LocalizedRing:
+    """`loc`, once its ring validates and its localization map is a good
+    homomorphism; ConstructionError otherwise."""
+    require_valid(loc.ring, loc.base, "localized ring failed validation")
+    require_good_hom(loc.localization_hom(), "localization map is not a good homomorphism")
+    return loc
 
 
 def gamma_mask(ring: FiniteHyperring, pmask: Mask) -> Mask:

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cache
+from operator import or_
 from typing import Any, Callable, Hashable, Iterable, Iterator, Optional, Sequence
 
 from .verdicts import UsageError
@@ -235,84 +237,106 @@ class FiniteHyperring:
     def _validate(self) -> ValidationReport:
         failures: list[AxiomFailure] = []
         n, add, hm = self.n, self.add, self.hmul
+        span = range(n)
 
-        # each axiom is a walk over its cases that yields the failing ones;
-        # the first yielded is the axiom's witness
-        def first(axiom: str, walk: Iterator[tuple]) -> bool:
-            witness = next(walk, None)
+        # each axiom's witness is its first failing case in lexicographic
+        # order, or None when the axiom holds
+        def record(axiom: str, witness: Optional[tuple]) -> bool:
             if witness is not None:
                 failures.append(AxiomFailure(axiom, witness))
             return witness is None
+
+        # a failing pair of rows over c, walked for its first witness
+        def first_in_rows(a: int, b: int, left: Sequence, right: Sequence) -> tuple:
+            return next((a, b, c) for c in span if left[c] != right[c])
 
         # additive commutative group
         if self.zero is None:
             failures.append(AxiomFailure("additive-identity", ()))
         if self.neg is None and self.zero is not None:
             failures.append(AxiomFailure("additive-inverse", ()))
-        first("additive-commutativity", ((a, b) for a in range(n) for b in range(n) if add[a][b] != add[b][a]))
-        first("additive-associativity", (
-            (a, b, c) for a in range(n) for b in range(n) for c in range(n) if add[add[a][b]][c] != add[a][add[b][c]]
-        ))
+        add_commutes = record("additive-commutativity", next(((a, b) for a in span for b in span if add[a][b] != add[b][a]), None))
+
+        # additive associativity a row at a time: over c, (a+b)+c is the row
+        # add[a+b] and a+(b+c) is add[a] composed with add[b]
+        def additive_associativity() -> Optional[tuple]:
+            for a in span:
+                at = add[a].__getitem__
+                for b in span:
+                    left, right = add[add[a][b]], tuple(map(at, add[b]))
+                    if left != right:
+                        return first_in_rows(a, b, left, right)
+            return None
+
+        record("additive-associativity", additive_associativity())
 
         # hypermultiplication commutativity
-        first("hmul-commutativity", ((a, b) for a in range(n) for b in range(a + 1, n) if hm[a][b] != hm[b][a]))
+        record("hmul-commutativity", next(((a, b) for a in span for b in range(a + 1, n) if hm[a][b] != hm[b][a]), None))
 
-        # semihypergroup associativity, set-extended:
-        #   union over t in (b∘c) of a∘t  ==  union over s in (a∘b) of s∘c
-        # left is memoized on (a, b∘c) and right on (a∘b, c): the two keys
-        # stay apart, so a table that is not commutative keeps its witness
-        def hmul_associativity():
-            lefts: dict[tuple[int, Mask], Mask] = {}
-            rights: dict[tuple[Mask, int], Mask] = {}
-            for a in range(n):
-                rowa = hm[a]
-                for b in range(n):
-                    ab = rowa[b]
-                    rowb = hm[b]
-                    for c in range(n):
-                        key = (a, rowb[c])
-                        left = lefts.get(key)
-                        if left is None:
-                            left = lefts[key] = self.set_mul(1 << a, rowb[c])
-                        key = (ab, c)
-                        right = rights.get(key)
-                        if right is None:
-                            right = rights[key] = self.mul_elem(ab, c)
-                        if left != right:
-                            yield (a, b, c)
+        # semihypergroup associativity, set-extended, a middle factor b at a
+        # time.  Over (a, c), (a∘b)∘c is the matrix whose row a is the union
+        # of the rows of hmul over a∘b; over (c, a), a∘(b∘c) is the matrix
+        # whose row c is the union of the columns of hmul over b∘c.  The
+        # axiom holds at b when the first is the transpose of the second.
+        # Unions of rows and of columns are memoized apart, so a table that
+        # is not commutative keeps its witness.
+        def unions(table: Sequence[Sequence[Mask]]) -> Callable[[Mask], tuple]:
+            memo: dict[Mask, tuple] = {}
 
-        first("hmul-associativity", hmul_associativity())
+            def union(mask: Mask) -> tuple:
+                got = memo.get(mask)
+                if got is None:
+                    rows = [table[x] for x in iter_bits(mask)]
+                    got = rows[0]
+                    for row in rows[1:]:
+                        got = tuple(map(or_, got, row))
+                    memo[mask] = got
+                return got
+
+            return union
+
+        row_union, col_union = unions(hm), unions(tuple(zip(*hm)))
+
+        def hmul_associativity() -> Optional[tuple]:
+            firsts = []
+            for b in span:
+                rights = [row_union(hm[a][b]) for a in span]
+                lefts = list(zip(*[col_union(hm[b][c]) for c in span]))
+                if lefts != rights:
+                    a = next(a for a in span if lefts[a] != rights[a])
+                    firsts.append(first_in_rows(a, b, lefts[a], rights[a]))
+            return min(firsts, default=None)
+
+        record("hmul-associativity", hmul_associativity())
 
         strongly: Optional[bool] = None
         if self.neg is not None and self.zero is not None:
             # sign rule: (-a)∘b == -(a∘b)
             neg = self.neg
             negs = {m: self.set_neg(m) for m in {m for row in hm for m in row}}
-            first("sign-rule", ((a, b) for a in range(n) for b in range(n) if hm[neg[a]][b] != negs[hm[a][b]]))
+            record("sign-rule", next(((a, b) for a in span for b in span if hm[neg[a]][b] != negs[hm[a][b]]), None))
 
-            # weak distributivity: (a+b)∘c ⊆ a∘c + b∘c; equality everywhere
-            # is the strongly-distributive flag, which the walk clears at the
-            # first strict inclusion
+            # weak distributivity a row at a time: over c, (a+b)∘c is the
+            # row hmul[a+b] and must lie in the row of sums a∘c + b∘c.
+            # Equality everywhere is the strongly-distributive flag.  With
+            # + commutative, (a, b) and (b, a) have the same rows, so a ≤ b
+            # suffices and the first witness is unchanged.
             strongly = True
+            sums = cache(self.set_add)
 
-            def weak_distributivity():
+            def weak_distributivity() -> Optional[tuple]:
                 nonlocal strongly
-                sums: dict[tuple[Mask, Mask], Mask] = {}
-                for a in range(n):
-                    for b in range(n):
-                        s = add[a][b]
-                        for c in range(n):
-                            lhs = hm[s][c]
-                            key = (hm[a][c], hm[b][c])
-                            rhs = sums.get(key)
-                            if rhs is None:
-                                rhs = sums[key] = self.set_add(*key)
-                            if lhs & ~rhs:
-                                yield (a, b, c)
-                            if lhs != rhs:
-                                strongly = False
+                for a in span:
+                    rowa = hm[a]
+                    for b in range(a, n) if add_commutes else span:
+                        lhs, rhs = hm[add[a][b]], tuple(map(sums, rowa, hm[b]))
+                        if lhs != rhs:
+                            strongly = False
+                            if tuple(map(or_, lhs, rhs)) != rhs:
+                                return next((a, b, c) for c in span if lhs[c] & ~rhs[c])
+                return None
 
-            if not first("weak-distributivity", weak_distributivity()):
+            if not record("weak-distributivity", weak_distributivity()):
                 strongly = None
 
         return ValidationReport(not failures, failures, strongly)

@@ -331,6 +331,39 @@ class TestLocalize:
         digest = hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()
         assert digest == "5d721ee58b1ccffb64777021a5691031cc17dcf70e112114ec3f7ecef3c6e1b9"
 
+    def test_zero_in_s_is_the_one_element_ring(self):
+        # every default-family localization with 0 in S (where 0∘x = {0}
+        # for every x) is the one-element ring of the definition: every
+        # pair in class 0, the base's identity in S as `one`
+        one_element = FiniteHyperring(1, [[0]], [[1]]).table_key()
+        checked = 0
+        for ring in enumerate_family(RingFamilySpec()):
+            if not ring.has_identity:
+                continue
+            for smask in canonical_mcs_list(ring):
+                if not smask & 1:
+                    continue
+                assert all(m == 1 for m in ring.hmul[0]), ring.name
+                loc = localize(ring, smask)
+                assert loc.ring.n == 1
+                assert loc.ring.table_key() == one_element
+                assert loc.pairs == tuple((a, s) for a in range(ring.n) for s in elems_of(smask))
+                assert set(loc.class_of) == set(loc.pairs)
+                assert set(loc.class_of.values()) == {0}
+                assert loc.one == min(elems_of(smask & ring.unit_report().identities))
+                assert loc.ring.name == f"loc({ring.name},{bin(smask).count('1')})"
+                checked += 1
+        assert checked == 406
+
+    def test_zero_in_s_without_absorbing_zero_is_constructed(self):
+        # 1 is an identity and 0 is in S, but 0∘0 = {0, 2}: the relation is
+        # built and found not transitive, so no one-element ring is returned
+        ring = zn_table_ring(3, [[5, 3, 1], [3, 3, 4], [1, 4, 4]])
+        assert ring.unit_report().identities == mask_of({1})
+        assert localize_outcome(ring, 7) == [
+            "refused", "localization relation is not transitive", {"p1": (0, 0), "p2": (1, 1), "p3": (1, 0)},
+        ]
+
     def test_built_classes_match_reference(self):
         # every localization of the moduli 2-8 family that builds has the
         # classes of the relation written from its definition

@@ -4,11 +4,13 @@ import hashlib
 import json
 import random
 from collections import Counter
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from axiom_oracle import reference_validation, validation_fields
 from hyperlab.core import (
     FiniteHyperring,
     TableFormatError,
@@ -19,6 +21,7 @@ from hyperlab.core import (
     parse_ring_spec,
     subset,
 )
+from hyperlab.harness import RingFamilySpec, enumerate_family
 from hyperlab.verdicts import UsageError
 
 
@@ -26,6 +29,56 @@ def ordinary_ring(n, name="ord"):
     add = [[(i + j) % n for j in range(n)] for i in range(n)]
     hmul = [[[(i * j) % n] for j in range(n)] for i in range(n)]
     return FiniteHyperring.from_element_table(n, add, hmul, name=f"{name}-z{n}")
+
+
+S3 = list(permutations(range(3)))
+S3_ADD = [[S3.index(tuple(p[i] for i in q)) for q in S3] for p in S3]
+
+
+def random_axiom_tables(count=3000, seed=28):
+    """Seeded tables on carriers of 2..7 elements: Z_n/Phi rings, as they
+    are or relabelled by a random permutation; with one product cell
+    changed on both sides or on one; random products, symmetric (mostly
+    not associative) or not; additive tables with one entry changed or
+    random; and the symmetric group S_3 as a randomly labelled additive
+    group that is not commutative, under random symmetric products."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randrange(2, 8)
+        kind = rng.randrange(9)
+        if kind == 8:
+            n = 6
+        add = [[(a + b) % n for b in range(n)] for a in range(n)]
+        phi = rng.sample(range(n), rng.randrange(2, n + 1))
+        hm = [list(row) for row in FiniteHyperring.zn_phi(n, phi).hmul]
+        a, b = rng.randrange(n), rng.randrange(n)
+        if kind == 1:
+            hm[a][b] = hm[b][a] = rng.randrange(1, 1 << n)
+        elif kind == 2:
+            hm[a][b] = rng.randrange(1, 1 << n)
+        elif kind == 3:
+            for x in range(n):
+                for y in range(x, n):
+                    hm[x][y] = hm[y][x] = rng.randrange(1, 1 << n)
+        elif kind == 4:
+            hm = [[rng.randrange(1, 1 << n) for _ in range(n)] for _ in range(n)]
+        elif kind == 5:
+            add[a][b] = rng.randrange(n)
+        elif kind == 6:
+            add = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+        elif kind == 7:
+            label = rng.sample(range(n), n)
+            old = [label.index(x) for x in range(n)]
+            add = [[label[add[old[x]][old[y]]] for y in range(n)] for x in range(n)]
+            hm = [[mask_of(label[z] for z in elems_of(hm[old[x]][old[y]])) for y in range(n)] for x in range(n)]
+        elif kind == 8:
+            label = rng.sample(range(n), n)
+            old = [label.index(x) for x in range(n)]
+            add = [[label[S3_ADD[old[x]][old[y]]] for y in range(n)] for x in range(n)]
+            for x in range(n):
+                for y in range(x, n):
+                    hm[x][y] = hm[y][x] = rng.randrange(1, 1 << n)
+        yield FiniteHyperring(n, add, hm)
 
 
 class TestMasks:
@@ -197,6 +250,39 @@ class TestValidation:
         }
         digest = hashlib.sha256(json.dumps(reports).encode()).hexdigest()
         assert digest == "137dd61f2a63a90138af26c49a576d7ebed5d93dd52ae47e95c373187bc0198e"
+
+
+class TestReferenceValidation:
+    """validate() field for field against the literal reference in
+    tests/axiom_oracle.py: ok, the strongly-distributive flag, and each
+    failed axiom with its first witness."""
+
+    def test_default_family(self):
+        rings = enumerate_family(RingFamilySpec())
+        assert len(rings) == 1001
+        for ring in rings:
+            assert validation_fields(ring) == reference_validation(ring), ring.name
+
+    def test_random_tables(self):
+        seen = Counter()
+        for ring in random_axiom_tables():
+            fields = validation_fields(ring)
+            assert fields == reference_validation(ring), (ring.add, ring.hmul)
+            seen.update(axiom for axiom, _ in fields[2])
+            seen["strongly" if fields[1] else "weakly" if fields[0] else "failed"] += 1
+        assert seen == {
+            "strongly": 39,
+            "weakly": 833,
+            "failed": 2128,
+            "additive-identity": 382,
+            "additive-inverse": 44,
+            "additive-commutativity": 848,
+            "additive-associativity": 585,
+            "hmul-commutativity": 529,
+            "hmul-associativity": 1382,
+            "sign-rule": 1406,
+            "weak-distributivity": 1508,
+        }
 
 
 class TestTableKey:
