@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cache, reduce
 from itertools import combinations, combinations_with_replacement
 from operator import or_
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .core import FiniteHyperring, Mask, elems_of, iter_bits
 from .ideals import (
@@ -116,6 +116,19 @@ def splits(ms: tuple, v: int) -> tuple[tuple[tuple, tuple], ...]:
     this order, so its witness is the first failing split in it.  Memoized:
     the walks ask for the same small multisets again and again."""
     return tuple((vp, _complement(ms, vp)) for vp in sorted(set(combinations(ms, v))))
+
+
+def split_witness(ms: tuple, v: int, mode: SplitMode, ok: Callable[[tuple, tuple], bool]) -> Optional[dict]:
+    """The split rule over `splits`: None when the multiset ms keeps it,
+    else its witness.  ANY: ms breaks the rule when no split passes `ok`,
+    and the witness is its factors; ALL: when some split fails, and the
+    witness is the first failing split in `splits` order."""
+    if mode is SplitMode.ANY:
+        return None if any(ok(vp, rest) for vp, rest in splits(ms, v)) else {"factors": list(ms)}
+    for vp, rest in splits(ms, v):
+        if not ok(vp, rest):
+            return {"factors": list(vp + rest), "v_part": list(vp), "rest": list(rest)}
+    return None
 
 
 # -- prime / primary ----------------------------------------------------------
@@ -251,10 +264,10 @@ def uv_scan(
     the splits (a∘y∘x, b), (a∘y, b∘x), (a∘x, b∘y) and (a, b∘y∘x) of every
     multiset of the grid in a few int operations.  Prefixes come in
     canonical order and slots row-major, which is canonical order within a
-    prefix, so a pair's witness is its lowest failing valid slot in the
-    first prefix that has one: the multiset (ANY) or its first failing
-    split (ALL).  A witness's `tested` counts the multisets meeting the
-    hypothesis up to it, by popcounts of the packed hypothesis bits.
+    prefix, so a pair's witness is read by `split_witness` off its lowest
+    failing valid slot in the first prefix that has one.  A witness's
+    `tested` counts the multisets meeting the hypothesis up to it, by
+    popcounts of the packed hypothesis bits.
     Products are read off `multiset_products`, the ring's one product
     memo, filled on first use.
     """
@@ -348,15 +361,9 @@ def uv_scan(
                     y, x = divmod(k, size)
                     ms = head + (pool[y], pool[x])
                     for t in iter_bits(first):
-                        if any_mode:
-                            witness = {"factors": list(ms)}
-                        else:
-                            vp, rest = next(
-                                (vp, rest)
-                                for vp, rest in splits(ms, v)
-                                if not (bits[prods[vp]][0] | bits[prods[rest]][1]) >> t & 1
-                            )
-                            witness = {"factors": list(vp + rest), "v_part": list(vp), "rest": list(rest)}
+                        witness = split_witness(
+                            ms, v, mode, lambda vp, rest: (bits[prods[vp]][0] | bits[prods[rest]][1]) >> t & 1
+                        )
                         tested = sum(c * (g >> t & ones).bit_count() for g, c in counts.items())
                         tested += (hb >> t & ones & ((1 << n * (k + 1)) - 1)).bit_count()
                         found[(t, v)] = (witness, tested)
@@ -495,18 +502,15 @@ def replay_uv_counterexample(
     full product ⊆ P while (ANY) every split fails its disjunction, or
     (ALL) the as-ordered split fails."""
     ms = tuple(sorted(factors))
-    total = ring.hyperproduct(ms)
-    if total & ~pmask:
+    if ring.hyperproduct(ms) & ~pmask:
         return False
+
+    def ok(vpart: tuple, rest: tuple) -> bool:
+        return not (ring.hyperproduct(vpart) & ~pmask and ring.hyperproduct(rest) & ~concl_mask)
+
     if mode is SplitMode.ALL:
-        vpart, rest = tuple(factors[:v]), tuple(factors[v:])
-        return bool(ring.hyperproduct(vpart) & ~pmask) and bool(
-            ring.hyperproduct(rest) & ~concl_mask
-        )
-    return all(
-        ring.hyperproduct(vpart) & ~pmask and ring.hyperproduct(rest) & ~concl_mask
-        for vpart, rest in splits(ms, v)
-    )
+        return not ok(tuple(factors[:v]), tuple(factors[v:]))
+    return split_witness(ms, v, mode, ok) is not None
 
 
 # -- the top-arity characterization ------------------------------------------

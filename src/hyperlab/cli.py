@@ -67,16 +67,6 @@ def _parse_moduli(text: Optional[str]) -> Optional[tuple[int, ...]]:
         raise UsageError(f"bad moduli range: {text!r}") from exc
 
 
-def _replay_factors(text: str, u: int, is_nonunit: Callable[[int], bool]) -> list[int]:
-    """The --replay list, which must be u nonunits: a witness to a (u,v)
-    property is a multiset of u nonunits, so any other list is a UsageError
-    rather than a replay that cannot confirm."""
-    factors = _parse_int_list(text, "replay")
-    if len(factors) != u or not all(map(is_nonunit, factors)):
-        raise UsageError(f"--replay needs {u} nonunits, got {factors}")
-    return factors
-
-
 def _ideal_mask(ring: FiniteHyperring, text: str, what: str) -> Mask:
     members = _parse_int_list(text, what)
     outside = [x for x in members if not 0 <= x < ring.n]
@@ -135,6 +125,19 @@ def _emit_row(args, ring: str, ideal: Optional[list[int]], prop: str, params: di
     report = Report()
     report.add_verdict(ring, ideal, prop, params, verdict)
     return _emit(report, args)
+
+
+def _replay_row(args, ring: str, ideal: list[int], params: dict, u: int,
+                is_nonunit: Callable[[int], bool], breaks: Callable[[list[int]], bool]) -> int:
+    """Emit the `witness replay` row of the --replay list, fails where
+    breaks(factors) confirms the witness.  The list must be u nonunits: a
+    witness to a (u,v) property is a multiset of u nonunits, so any other
+    list is a UsageError rather than a replay that cannot confirm."""
+    factors = _parse_int_list(args.replay, "replay")
+    if len(factors) != u or not all(map(is_nonunit, factors)):
+        raise UsageError(f"--replay needs {u} nonunits, got {factors}")
+    verdict = decided(not breaks(factors), {"factors": factors}, "witness replay", replay=True)
+    return _emit_row(args, ring, ideal, args.prop, params, verdict)
 
 
 # -- subcommand bodies -----------------------------------------------------------
@@ -198,14 +201,11 @@ def cmd_check(args) -> int:
         params.update(u=args.u, v=args.v)
 
     if args.replay is not None:
-        factors = _replay_factors(args.replay, uv.u, set(elems_of(ring.unit_report().nonunits)).__contains__)
         concl = pmask if prop == "uv-prime" else rad
-        confirmed = classify.replay_uv_counterexample(
-            ring, pmask, concl, factors, uv.v, mode=mode
+        return _replay_row(
+            args, ring.name, elems_of(pmask), params, uv.u, set(elems_of(ring.unit_report().nonunits)).__contains__,
+            lambda factors: classify.replay_uv_counterexample(ring, pmask, concl, factors, uv.v, mode=mode),
         )
-        return _emit_row(args, ring.name, elems_of(pmask), prop, params, decided(
-            not confirmed, {"factors": factors}, "witness replay", replay=True
-        ))
 
     if prop == "uv-i-primary":
         imask = _ideal_mask(ring, args.aux_ideal, "aux ideal")
@@ -283,13 +283,10 @@ def cmd_zphi(args) -> int:
         variant = "prime" if prop == "uv-prime" else "primary"
         params = {"u": args.u, "v": args.v, "mode": mode.value}
         if args.replay is not None:
-            factors = _replay_factors(args.replay, uv.u, partial(zphi.is_nonunit, ring))
-            confirmed = zphi.replay_int_counterexample(
-                ring, args.d, factors, uv, variant=variant, mode=mode
+            return _replay_row(
+                args, name, [args.d], params, uv.u, partial(zphi.is_nonunit, ring),
+                lambda factors: zphi.replay_int_counterexample(ring, args.d, factors, uv, variant=variant, mode=mode),
             )
-            return _emit_row(args, name, [args.d], prop, params, decided(
-                not confirmed, {"factors": factors}, "witness replay", replay=True
-            ))
         if args.window is None:
             raise UsageError("--window is required for the windowed checks")
         verdict = zphi.bounded_uv_check(

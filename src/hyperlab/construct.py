@@ -25,7 +25,7 @@ from functools import cache
 from itertools import product as cartesian
 from typing import Optional
 
-from .core import FiniteHyperring, Mask, elems_of, iter_bits, subset
+from .core import FiniteHyperring, Mask, elems_of, image, iter_bits, subset
 from .ideals import enumerate_hyperideals, is_hyperideal
 from .verdicts import ConstructionError, ResourceError, UsageError
 
@@ -42,10 +42,7 @@ class GoodHom:
     mapping: tuple[int, ...]
 
     def image_mask(self, mask: Mask) -> Mask:
-        out = 0
-        for x in iter_bits(mask):
-            out |= 1 << self.mapping[x]
-        return out
+        return image(mask, self.mapping)
 
     def preimage_mask(self, mask: Mask) -> Mask:
         out = 0
@@ -122,14 +119,7 @@ def quotient(ring: FiniteHyperring, pmask: Mask) -> tuple[FiniteHyperring, GoodH
             coset_of[ring.add[a][p]] = idx
     qn = len(reps)
     qadd = [[coset_of[ring.add[reps[i]][reps[j]]] for j in range(qn)] for i in range(qn)]
-
-    def project(mask: Mask) -> Mask:
-        out = 0
-        for c in iter_bits(mask):
-            out |= 1 << coset_of[c]
-        return out
-
-    qhmul = [[project(ring.hmul[reps[i]][reps[j]]) for j in range(qn)] for i in range(qn)]
+    qhmul = [[image(ring.hmul[reps[i]][reps[j]], coset_of) for j in range(qn)] for i in range(qn)]
     q = FiniteHyperring(qn, qadd, qhmul, name=f"{ring.name or 'ring'}/({qn} cosets)")
     require_valid(q, ring, "quotient is not a hyperring")
     hom = GoodHom(ring, q, tuple(coset_of))

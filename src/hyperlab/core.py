@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, reduce
 from operator import or_
 from typing import Any, Callable, Hashable, Iterable, Iterator, Optional, Sequence
 
@@ -68,6 +68,14 @@ def iter_bits(mask: Mask) -> Iterator[int]:
 
 def subset(a: Mask, b: Mask) -> bool:
     return a & ~b == 0
+
+
+def image(mask: Mask, mapping: Sequence[int]) -> Mask:
+    """The mask of mapping[x] over the members x of mask."""
+    out = 0
+    for x in iter_bits(mask):
+        out |= 1 << mapping[x]
+    return out
 
 
 @dataclass
@@ -193,11 +201,7 @@ class FiniteHyperring:
         return out
 
     def set_neg(self, m: Mask) -> Mask:
-        neg = self.neg
-        out = 0
-        for a in iter_bits(m):
-            out |= 1 << neg[a]
-        return out
+        return image(m, self.neg)
 
     def mul_elem(self, m: Mask, e: int) -> Mask:
         """Union of a ∘ e over a in m."""
@@ -281,17 +285,10 @@ class FiniteHyperring:
         # Unions of rows and of columns are memoized apart, so a table that
         # is not commutative keeps its witness.
         def unions(table: Sequence[Sequence[Mask]]) -> Callable[[Mask], tuple]:
-            memo: dict[Mask, tuple] = {}
-
+            @cache
             def union(mask: Mask) -> tuple:
-                got = memo.get(mask)
-                if got is None:
-                    rows = [table[x] for x in iter_bits(mask)]
-                    got = rows[0]
-                    for row in rows[1:]:
-                        got = tuple(map(or_, got, row))
-                    memo[mask] = got
-                return got
+                rows = [table[x] for x in iter_bits(mask)]
+                return reduce(lambda got, row: tuple(map(or_, got, row)), rows)
 
             return union
 

@@ -73,6 +73,8 @@ class RingFamilySpec:
     def __post_init__(self):
         if any(n < 2 for n in self.moduli):
             raise UsageError("moduli must be at least 2")
+        if any(k < 2 for k in self.phi_sizes):
+            raise UsageError("phi_sizes must be at least 2")
         if self.u_max < 2:
             raise UsageError("u_max must be at least 2")
         if self.tuple_budget < 1:

@@ -18,7 +18,7 @@ from functools import lru_cache
 from itertools import combinations_with_replacement, islice
 from typing import Iterable, Sequence
 
-from .classify import splits
+from .classify import split_witness
 from .verdicts import (
     ParameterError,
     SplitMode,
@@ -236,10 +236,6 @@ def bounded_uv_check(
             return True
         return g_parts[u - v] % _subset_q(concl_mod, math.prod(rest)) == 0
 
-    def breaks(ms: tuple) -> bool:
-        oks = (split_ok(vp, rest) for vp, rest in splits(ms, v))
-        return not any(oks) if mode is SplitMode.ANY else not all(oks)
-
     # The second pass is the start of the nondecreasing order over pool, up
     # to the first multiset without ±1.  Its walk never gets that far: a
     # failing class multiset holding ±1 has a member holding only 1s there.
@@ -269,15 +265,9 @@ def bounded_uv_check(
         if g_total % _subset_q(d, math.prod(ms)):
             continue
         second = unit in cm
-        broken[sum((u + 1) ** c for c in cm)] = bad = breaks(ms)
+        broken[sum((u + 1) ** c for c in cm)] = bad = split_witness(ms, v, mode, split_ok) is not None
         hits[second] += math.prod(math.comb(sizes[c] + k - 1, k) for c, k in Counter(cm).items())
         failing[second] |= bad
-
-    def witness(ms: tuple) -> dict:
-        if mode is SplitMode.ANY:
-            return {"factors": list(ms)}
-        vp, rest = next((vp, rest) for vp, rest in splits(ms, v) if not split_ok(vp, rest))
-        return {"factors": list(vp + rest), "v_part": list(vp), "rest": list(rest)}
 
     space = f"nonunit multisets |x|<={window} u={u} v={v} mode={mode.value}"
     tested = 0
@@ -292,7 +282,8 @@ def bounded_uv_check(
             tested += 1
             if bad:
                 ms = next(islice(combinations_with_replacement(scan_pool, u), pos, None))
-                return fails(witness(ms), space=space, tested=tested, window=window, variant=variant)
+                witness = split_witness(ms, v, mode, split_ok)
+                return fails(witness, space=space, tested=tested, window=window, variant=variant)
     return inconclusive(
         space=space,
         tested=tested,
@@ -318,7 +309,6 @@ def replay_int_counterexample(
     concl_mod = d if variant == "prime" else radical_profile(ring, d).generator
     if principal_membership(d, int_product(ring, factors)) != SUBSET:
         return False
-    ms = tuple(sorted(factors))
 
     def ok(vp: tuple, rest: tuple) -> bool:
         if principal_membership(d, int_product(ring, vp)) == SUBSET:
@@ -327,4 +317,4 @@ def replay_int_counterexample(
 
     if mode is SplitMode.ALL:
         return not ok(tuple(factors[:v]), tuple(factors[v:]))
-    return not any(ok(vp, rest) for vp, rest in splits(ms, v))
+    return split_witness(tuple(sorted(factors)), v, mode, ok) is not None

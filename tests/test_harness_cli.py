@@ -620,6 +620,8 @@ class TestCLI:
         ("sweep", "--moduli", "1,2"),
         ("sweep", "--moduli", "3..2"),
         ("sweep", "--moduli", "2", "--phi-universe", "1", "--phi-sizes", "2"),
+        ("sweep", "--moduli", "4", "--phi-sizes", "-1"),
+        ("sweep", "--moduli", "4", "--phi-sizes", "1"),
         ("check", "--ring", "z8:1,3", "--ideal", "0,9", "--prop", "prime"),
         ("check", "--ring", "z8:1,3", "--ideal", "-1", "--prop", "prime"),
         ("check", "--ring", "z8:1,3", "--ideal", "0,4", "--prop", "uv-i-primary",
@@ -639,7 +641,7 @@ class TestCLI:
          "--mode", "all", "--replay", "1,2,2"),
         ("zphi", "--prop", "uv-primary", "--d", "12", "--u", "3", "--v", "2", "--replay", "2,2,3,3"),
     ], ids=["u-max", "tuple-budget", "moduli", "moduli-reversed", "phi-beyond-residues",
-            "ideal-member", "ideal-negative", "aux-ideal-member",
+            "phi-size-negative", "phi-size-1", "ideal-member", "ideal-negative", "aux-ideal-member",
             "check-mode", "sweep-mode", "zphi-mode",
             "check-replay-short", "check-replay-unit", "zphi-replay-unit", "zphi-replay-long"])
     def test_out_of_range_argument_is_usage_error(self, args):
@@ -653,6 +655,8 @@ class TestCLI:
             assert proc.stderr == "error: u_max must be at least 2\n"
         if "--tuple-budget" in args:
             assert proc.stderr == "error: tuple_budget must be at least 1\n"
+        if "--phi-sizes" in args and "--phi-universe" not in args:
+            assert proc.stderr == "error: phi_sizes must be at least 2\n"
 
     @pytest.mark.parametrize("args,unread", [
         (("zphi", "--prop", "product", "--factors", "2,3", "--mode", "all", "--window", "7", "--u", "9"),

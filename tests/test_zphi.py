@@ -267,6 +267,11 @@ class TestWindowedReference:
                 assert got == _literal_scan(ring, d, uv, window, variant, mode, memo), (
                     d, u, v, window, variant, mode
                 )
+                if got["status"] == "fails":
+                    factors = got["witness"]["factors"]
+                    assert replay_int_counterexample(ring, d, factors, uv, variant=variant, mode=mode), (
+                        d, u, v, window, variant, mode
+                    )
                 statuses.add(got["status"])
         assert statuses == {"fails", "inconclusive"}
 
